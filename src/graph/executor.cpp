@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "ops/backend.hpp"
@@ -37,21 +38,32 @@ tensor::Tensor compute_node(const ExecutionPlan& plan, const Node& n,
 // Bitwise diff of a freshly computed tensor against its golden value:
 // fills `ch` with the differing element indices, degrading to a dense
 // marker once more than half the elements changed (past that point
-// element-level tracking stops paying for itself downstream).
+// element-level tracking stops paying for itself downstream).  A value
+// still sharing golden's storage is clean without a look, and equal
+// 64-float blocks are skipped with one memcmp each — a byte compare, so
+// "changed" keeps the per-element test's bitwise, NaN-safe meaning.
 void diff_against_golden(const tensor::Tensor& value,
                          const tensor::Tensor& golden, ChangeSet& ch) {
   const auto va = value.values();
   const auto vg = golden.values();
+  if (va.data() == vg.data()) return;
+  constexpr std::size_t kBlock = 64;
   const std::size_t cap = va.size() / 2;
-  for (std::size_t i = 0; i < va.size(); ++i) {
-    if (std::bit_cast<std::uint32_t>(va[i]) ==
-        std::bit_cast<std::uint32_t>(vg[i]))
+  for (std::size_t lo = 0; lo < va.size(); lo += kBlock) {
+    const std::size_t hi = std::min(va.size(), lo + kBlock);
+    if (std::memcmp(va.data() + lo, vg.data() + lo,
+                    (hi - lo) * sizeof(float)) == 0)
       continue;
-    if (ch.idx.size() >= cap) {
-      ch.mark_dense();
-      return;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (std::bit_cast<std::uint32_t>(va[i]) ==
+          std::bit_cast<std::uint32_t>(vg[i]))
+        continue;
+      if (ch.idx.size() >= cap) {
+        ch.mark_dense();
+        return;
+      }
+      ch.idx.push_back(i);
     }
-    ch.idx.push_back(i);
   }
 }
 
@@ -140,7 +152,9 @@ tensor::Tensor Executor::execute(
       //     was masked upstream by a ReLU, pool or clamp);
       //  3. element-sparse — a node whose inputs changed in few elements
       //     recomputes only the affected output patch (incremental.hpp),
-      //     bit-identically mirroring the dense kernels.
+      //     bit-identically mirroring the dense kernels.  Injection roots
+      //     take this tier too: the hook then perturbs the sparse result,
+      //     which is the value a dense recompute would have handed it.
       if (plan.is_const(n.id)) {
         // An overridden Const is a root: its change set (override vs the
         // pre-quantized golden tensor) seeds downstream recomputation.
@@ -193,22 +207,30 @@ tensor::Tensor Executor::execute(
         scratch.push_back(out[static_cast<std::size_t>(in)]);
         in_changes.push_back(&arena.change_[static_cast<std::size_t>(in)]);
       }
+      // Hooks fire at injection roots only: sites outside the roots are
+      // not observed in a partial run (see run_from's contract).  A root
+      // the sparse tier handled gets the hook on the sparse result; its
+      // flips may land anywhere, so the change set is rebuilt by a diff
+      // (copy-on-write keeps the shared golden storage intact).
       tensor::Tensor value;
-      if (element_sparse && !is_root &&
+      if (element_sparse &&
           incremental_recompute(*n.op, plan.qscheme(n.id), scratch,
                                 in_changes, (*golden)[i], value, ch)) {
-        if (2 * ch.idx.size() >= (*golden)[i].elements()) ch.mark_dense();
         ++t_sparse;
         t_elements += ch.idx.size();
-        out[i] = std::move(value);
-        continue;
+        if (is_root && hook) {
+          hook(n, value);
+          ch.reset();
+          diff_against_golden(value, (*golden)[i], ch);
+        } else if (2 * ch.idx.size() >= (*golden)[i].elements()) {
+          ch.mark_dense();
+        }
+      } else {
+        value = compute_node(plan, n, scratch);
+        ++t_kernels;
+        if (is_root && hook) hook(n, value);
+        diff_against_golden(value, (*golden)[i], ch);
       }
-      value = compute_node(plan, n, scratch);
-      ++t_kernels;
-      // Hooks fire at injection roots only: sites outside the roots are
-      // not observed in a partial run (see run_from's contract).
-      if (is_root && hook) hook(n, value);
-      diff_against_golden(value, (*golden)[i], ch);
       out[i] = ch.clean() ? (*golden)[i] : std::move(value);
       continue;
     }

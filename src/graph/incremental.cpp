@@ -8,6 +8,7 @@
 
 #include "ops/activation_ops.hpp"
 #include "ops/elementwise_ops.hpp"
+#include "ops/kernels_blocked.hpp"
 #include "ops/nn_ops.hpp"
 #include "ops/norm_ops.hpp"
 #include "ops/pool_ops.hpp"
@@ -363,6 +364,40 @@ bool sparse_concat(const tensor::QScheme& scheme, const Tensor& a, const Tensor&
   return true;
 }
 
+// MatMul rows are independent, so a changed input row changes only its
+// own output row.  The changed rows are packed and run through the blocked
+// GEMM core, whose per-element reduction (k ascending) is the scalar
+// kernel's, so the result is byte-equal under either backend.  When every
+// row changed — always the case at batch 1 — there is nothing to skip and
+// the dense kernel runs instead.
+bool sparse_matmul(const tensor::QScheme& scheme, const Tensor& x,
+                   const Tensor& w, const ChangeSet& cx, const Tensor& golden,
+                   Tensor& out, ChangeSet& ch) {
+  const auto k = static_cast<std::size_t>(w.shape().dim(0));
+  const auto n = static_cast<std::size_t>(w.shape().dim(1));
+  std::vector<std::size_t> rows;  // ascending: cx.idx is
+  for (const std::size_t idx : cx.idx)
+    if (rows.empty() || rows.back() != idx / k) rows.push_back(idx / k);
+  if (rows.size() >= golden.elements() / n) return false;
+
+  const std::span<const float> xv = x.values();
+  std::vector<float> a(rows.size() * k);
+  std::vector<float> c(rows.size() * n);
+  std::vector<float*> crows(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy_n(xv.begin() + static_cast<std::ptrdiff_t>(rows[r] * k), k,
+                a.begin() + static_cast<std::ptrdiff_t>(r * k));
+    crows[r] = c.data() + r * n;
+  }
+  ops::blocked::gemm_rows(a.data(), w.values().data(), crows.data(),
+                          rows.size(), n, k, scheme);
+  out = golden;
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    for (std::size_t j = 0; j < n; ++j)
+      store_if_changed(out, golden, rows[r] * n + j, c[r * n + j], ch);
+  return true;
+}
+
 // Reshape/Flatten copy elements 1:1 in storage order.
 bool sparse_passthrough(const tensor::QScheme& scheme, const Tensor& x,
                         const ChangeSet& cx, const Tensor& golden,
@@ -414,6 +449,10 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
     case ops::OpKind::kConcat:
       return sparse_concat(scheme, inputs[0], inputs[1], *changes[0],
                            *changes[1], golden, out, out_change);
+    case ops::OpKind::kMatMul:
+      if (!changes[1]->clean()) return false;  // weights changed: dense
+      return sparse_matmul(scheme, inputs[0], inputs[1], *changes[0], golden,
+                           out, out_change);
     default:
       break;
   }
@@ -423,7 +462,7 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
   if (const auto* b = dynamic_cast<const ops::BinaryElementwiseOp*>(&op))
     return sparse_binary(*b, scheme, inputs[0], inputs[1], *changes[0],
                          *changes[1], golden, out, out_change);
-  return false;  // MatMul, Softmax, GlobalAvgPool, unknown
+  return false;  // Softmax, GlobalAvgPool, unknown
 }
 
 }  // namespace rangerpp::graph

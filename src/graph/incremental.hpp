@@ -15,23 +15,32 @@
 // Concat, Reshape/Flatten, and every value-only elementwise op (anything
 // deriving UnaryElementwiseOp / BinaryElementwiseOp — the base-class
 // contract is a per-element function of values alone, which is what makes
-// the gather/compute/scatter trick sound).  Everything else — MatMul,
-// Softmax, GlobalAvgPool and unknown ops — reports "no sparse kernel" and
-// the executor falls back to a dense recompute, which is always correct.
+// the gather/compute/scatter trick sound).  MatMul is row-sparse: on a
+// batched plan it recomputes only the batch rows whose input changed, and
+// with every row changed (always so at batch 1) it reports "no sparse
+// kernel".  Everything else — Softmax, GlobalAvgPool and unknown ops —
+// reports "no sparse kernel" too, and the executor falls back to a dense
+// recompute, which is always correct.
+//
+// The executor runs this tier at injection roots as well: the fault hook
+// is applied to the sparse result, and the root's change set is then
+// rebuilt from a full diff against golden.
 //
 // Determinism contract: each sparse kernel recomputes an affected element
 // with exactly the dense kernels' per-element operation order (which both
-// backends of ops/backend.hpp share), so a partial re-execution is
-// bit-identical to a full one — under the scalar or the blocked backend,
-// and on batched plans, where element indices simply address the batched
-// tensor (every supported op treats batch rows independently, so a change
-// set never leaks across rows).
+// backends of ops/backend.hpp share; row-sparse MatMul runs the blocked
+// GEMM core, byte-equal to the scalar kernel), so a partial re-execution
+// is bit-identical to a full one — under the scalar or the blocked
+// backend, and on batched plans, where element indices simply address the
+// batched tensor (every supported op treats batch rows independently, so
+// a change set never leaks across rows).
 //
 // Const (weight) faults: a ConstOverride run seeds the overridden
 // Const's ChangeSet with the corrupted elements, so the invalidation is
 // exactly the downstream-reachability cone of the const — i.e. of its
 // first consumer(s).  The weight-consuming kernels here (Conv2D filter,
-// BiasAdd bias, the second input of a BinaryElementwiseOp) treat a
+// MatMul weights, BiasAdd bias, the second input of a
+// BinaryElementwiseOp) treat a
 // changed *parameter* input as "recompute dense at this node" (see the
 // changes[1] guards below): the parameter perturbs every output element
 // of that one consumer, which is the correct dense frontier — but from

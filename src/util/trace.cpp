@@ -47,7 +47,7 @@ struct Global {
   // Lock-free on the span path: epoch origin and ring capacity are read
   // by every span, written only while tracing is disabled.
   std::atomic<std::int64_t> t0_ns{0};
-  std::atomic<std::size_t> capacity{1 << 14};
+  std::atomic<std::size_t> capacity{kDefaultEventsPerThread};
 };
 
 Global& global() {
@@ -153,6 +153,7 @@ bool stop_and_flush() {
   if (!f) return false;
   std::fprintf(f, "{\"traceEvents\": [");
   bool first = true;
+  std::string threads;  // otherData.threads entries
   for (const auto& b : g.buffers) {
     util::MutexLock blk(b->mu);
     if (!b->name.empty()) {
@@ -188,12 +189,29 @@ bool stop_and_flush() {
       std::fprintf(f, "}");
       first = false;
     }
-    b->ring.clear();
+    // A wrapped ring dropped its oldest events; the metadata says how
+    // many, so a consumer can tell a complete trace from a truncated one.
+    char entry[160];
+    std::snprintf(entry, sizeof entry,
+                  "%s{\"tid\": %llu, \"recorded\": %llu, "
+                  "\"overwritten\": %llu}",
+                  threads.empty() ? "" : ", ",
+                  static_cast<unsigned long long>(b->tid),
+                  static_cast<unsigned long long>(b->count),
+                  static_cast<unsigned long long>(b->count - n));
+    threads += entry;
+    // Rings hold memory only while tracing.
+    std::vector<Event>().swap(b->ring);
     b->write = 0;
     b->count = 0;
     b->name.clear();
   }
-  std::fprintf(f, "\n], \"displayTimeUnit\": \"ms\"}\n");
+  std::fprintf(f,
+               "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
+               "{\"events_per_thread\": %llu, \"threads\": [%s]}}\n",
+               static_cast<unsigned long long>(
+                   g.capacity.load(std::memory_order_relaxed)),
+               threads.c_str());
   return std::fclose(f) == 0;
 }
 

@@ -11,7 +11,12 @@
 // reads and one ring write per span and never allocates on the hot
 // path after warm-up.  stop_and_flush() walks every thread's buffer and
 // writes one {"traceEvents":[...]} file loadable in chrome://tracing /
-// Perfetto; `ts`/`dur` are microseconds since start().
+// Perfetto; `ts`/`dur` are microseconds since start().  Overwriting is
+// never silent: the file's "otherData" metadata lists, per thread, the
+// events recorded and how many of them the ring overwrote:
+//
+//   "otherData": {"events_per_thread": 131072,
+//                 "threads": [{"tid": 1, "recorded": 9, "overwritten": 0}]}
 //
 // Pure-observer contract (shared with metrics): spans never feed back
 // into execution, and record streams are byte-identical with tracing on
@@ -29,9 +34,14 @@ namespace rangerpp::util::trace {
 inline std::atomic<bool> g_enabled{false};
 inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
+// Ring capacity per thread when start() is not given one.  Rings are
+// allocated only while tracing, and grow as events arrive.
+inline constexpr std::size_t kDefaultEventsPerThread = 1 << 17;
+
 // Begins collecting spans; `events_per_thread` bounds each thread's ring
 // buffer.  Returns false (and stays off) if tracing is already active.
-bool start(const std::string& path, std::size_t events_per_thread = 1 << 14);
+bool start(const std::string& path,
+           std::size_t events_per_thread = kDefaultEventsPerThread);
 
 // start($RANGERPP_TRACE) when the variable is set and non-empty; returns
 // whether tracing is now active.

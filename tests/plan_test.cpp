@@ -4,9 +4,11 @@
 // datatype, run_from over a compiled plan is *bit-identical* to a full
 // run_all with the same injection hook.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
-// concat, residual add) as well as the dense fallbacks (matmul, softmax).
+// concat, residual add, row-sparse matmul) as well as the dense fallbacks
+// (single-row matmul, softmax).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -14,8 +16,10 @@
 #include "core/ranger_transform.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "graph/plan.hpp"
 #include "fi/fault_model.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace rangerpp::graph {
@@ -115,6 +119,79 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
         << vb[i] << ")";
 }
 
+void expect_all_nodes_equal(const std::vector<Tensor>& partial,
+                            const std::vector<Tensor>& full,
+                            const Graph& g, const std::string& what) {
+  for (const Node& m : g.nodes())
+    expect_bitwise_equal(partial[static_cast<std::size_t>(m.id)],
+                         full[static_cast<std::size_t>(m.id)],
+                         "node " + m.name + " (" + what + ")");
+}
+
+bool bitwise_differs(const Tensor& a, const Tensor& b) {
+  const auto va = a.values();
+  const auto vb = b.values();
+  for (std::size_t i = 0; i < va.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(va[i]) !=
+        std::bit_cast<std::uint32_t>(vb[i]))
+      return true;
+  return false;
+}
+
+// conv1 -> tanh -> conv2 -> tanh [-> flatten -> fc]: every op downstream of
+// conv1 has a sparse kernel and tanh never masks a mid-range flip, so the
+// executor's counters show exactly which tier each recompute took.
+Graph sparse_tower(bool dense_head) {
+  util::Rng rng(17);
+  GraphBuilder b;
+  b.input("input", Shape{1, 8, 8, 2});
+  b.conv2d("conv1", random_tensor(Shape{3, 3, 2, 3}, rng, 0.4f),
+           random_tensor(Shape{3}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.activation("act1", ops::OpKind::kTanh);
+  b.conv2d("conv2", random_tensor(Shape{3, 3, 3, 3}, rng, 0.4f),
+           random_tensor(Shape{3}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.activation("act2", ops::OpKind::kTanh);
+  if (dense_head) {
+    b.flatten("flatten");
+    b.dense("fc", random_tensor(Shape{8 * 8 * 3, 5}, rng, 0.2f),
+            random_tensor(Shape{5}, rng, 0.1f));
+  }
+  return b.finish();
+}
+
+// One partial run of a batched plan against a full run with the same
+// hook, every node compared; returns the partial run's activations and
+// how many nodes it recomputed on each tier.
+struct PartialRun {
+  std::vector<Tensor> outputs;
+  std::uint64_t dense = 0;   // kernel.<backend>
+  std::uint64_t sparse = 0;  // exec.sparse_nodes
+};
+PartialRun run_batched_trial(const Executor& exec, const ExecutionPlan& plan,
+                             const std::unordered_map<std::string, Tensor>&
+                                 feeds,
+                             const std::vector<Tensor>& golden,
+                             std::span<const fi::FaultSet> row_faults,
+                             const std::string& what) {
+  const Graph& g = plan.graph();
+  const PostOpHook hook = fi::make_batched_injection_hook(plan, row_faults);
+  std::vector<NodeId> roots;
+  for (const fi::FaultSet& fs : row_faults)
+    for (const fi::FaultPoint& f : fs) roots.push_back(g.find(f.node_name));
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+
+  Arena full_arena, arena;
+  exec.run(plan, feeds, full_arena, hook);
+  util::metrics::reset();
+  exec.run_from(plan, golden, roots, arena, hook);
+  expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
+  const std::string kernels =
+      "kernel." + std::string(ops::backend_name(plan.backend()));
+  return {arena.outputs(), util::metrics::counter_value(kernels),
+          util::metrics::counter_value("exec.sparse_nodes")};
+}
+
 // For random graphs, every injectable node k and all three dtypes:
 // run_from(plan, golden, k, hook) must equal a full run_all with the same
 // hook, node by node, bit for bit.
@@ -152,19 +229,19 @@ TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
                                  ", node " + n.name + ")");
         // Every intermediate activation must agree too (pruned nodes reuse
         // golden tensors, which are the full run's values by definition).
-        for (const Node& m : g.nodes())
-          expect_bitwise_equal(
-              arena.outputs()[static_cast<std::size_t>(m.id)],
-              full_outputs[static_cast<std::size_t>(m.id)],
-              "node " + m.name + " (seed " + std::to_string(seed) +
-                  ", injected " + n.name + ")");
+        expect_all_nodes_equal(arena.outputs(), full_outputs, g,
+                               "seed " + std::to_string(seed) +
+                                   ", injected " + n.name);
       }
     }
   }
 }
 
 // Multi-root partial runs (the multi-bit fault model) are equivalent as
-// well.
+// well, node by node.  The batched half carries one trial per row with
+// one row's fault upstream of another row's root: that root recomputes on
+// inputs a different trial already changed, and must still take the
+// element-sparse tier (hook applied to the sparse result) and stay exact.
 TEST(ExecutionPlan, MultiRootPartialRun) {
   const Graph g = random_graph(7);
   util::Rng rng(99);
@@ -183,10 +260,110 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
     for (const auto& f : faults) roots.push_back(g.find(f.node_name));
     const PostOpHook hook = fi::make_injection_hook(g, DType::kFixed32,
                                                     faults);
-    const Tensor full = exec.run(g, feeds, hook);
+    std::vector<Tensor> full_outputs;
+    const Tensor full = exec.run_all(g, feeds, full_outputs, hook);
     const Tensor partial = exec.run_from(plan, golden, roots, arena, hook);
     expect_bitwise_equal(partial, full, "multi-root trial");
+    expect_all_nodes_equal(arena.outputs(), full_outputs, g,
+                           "multi-root trial " + std::to_string(trial));
   }
+
+  // Batched: four different images, one trial per row.  Row 0 flips
+  // conv1, row 1 flips a node downstream of it, row 2 a random site, row
+  // 3 nothing; then a single faulty row, which is the only one that can
+  // reach the dense layer (row-sparse MatMul).
+  util::metrics::set_enabled(true);
+  const std::vector<std::string> downstream = {"conv_a", "act_a", "conv_b",
+                                               "merge", "flatten"};
+  const auto golden_of = [&](const ExecutionPlan& p,
+                             const std::unordered_map<std::string, Tensor>& f) {
+    Arena a;
+    exec.run(p, f, a);
+    return a.outputs();
+  };
+  // Bit 9 of fixed32 is worth 0.5: a mid-image flip tanh passes on.
+  const auto mid_flip = [](const char* node) {
+    return fi::FaultSet{{node, (4 * 8 + 4) * 3 + 1, 9}};
+  };
+  for (const ops::KernelBackend backend :
+       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
+    const ExecutionPlan bplan = compile(
+        g, {.dtype = DType::kFixed32, .backend = backend, .batch = 4});
+    const std::string be(ops::backend_name(backend));
+    std::vector<Tensor> images;
+    for (int r = 0; r < 4; ++r)
+      images.push_back(random_tensor(x.shape(), rng));
+    const std::unordered_map<std::string, Tensor> bfeeds{
+        {"input", pack_batch(images)}};
+    const std::vector<Tensor> bgolden = golden_of(bplan, bfeeds);
+    const auto site = [&](const std::string& name) {
+      const std::size_t per =
+          bplan.per_image_elements(bplan.graph().find(name));
+      return fi::FaultPoint{name, rng.uniform_index(per),
+                            static_cast<int>(rng.uniform_index(32))};
+    };
+    for (int trial = 0; trial < 10; ++trial) {
+      const fi::FaultSet rows[] = {
+          {site("conv1")},
+          {site(downstream[rng.uniform_index(downstream.size())])},
+          sites.sample(rng, 1),
+          {}};
+      run_batched_trial(exec, bplan, bfeeds, bgolden, rows,
+                        be + " two-root trial " + std::to_string(trial));
+      const fi::FaultSet single_row[] = {{site("act_b")}, {}, {}, {}};
+      run_batched_trial(exec, bplan, bfeeds, bgolden, single_row,
+                        be + " single-row trial " + std::to_string(trial));
+    }
+
+    // The tier each node took, on graphs where every cone op has a sparse
+    // kernel.
+    const Tensor img = random_tensor(Shape{1, 8, 8, 2}, rng);
+    const Tensor imgs[] = {img, img, img, img};
+    const std::unordered_map<std::string, Tensor> feeds1{{"input", img}};
+    const std::unordered_map<std::string, Tensor> feeds4{
+        {"input", pack_batch(imgs)}};
+
+    // Row 1's root conv2 sees row 0's conv1 flip in its input.  Against
+    // the same run without row 1's fault (conv2 then an ordinary cone
+    // node), the root adds no dense kernel and counts as a sparse node.
+    const ExecutionPlan tower = compile(
+        sparse_tower(false),
+        {.dtype = DType::kFixed32, .backend = backend, .batch = 4});
+    const std::vector<Tensor> tgolden = golden_of(tower, feeds4);
+    const fi::FaultSet two_roots[] = {
+        mid_flip("conv1"), mid_flip("conv2"), {}, {}};
+    const PartialRun with_root = run_batched_trial(
+        exec, tower, feeds4, tgolden, two_roots, be + " tower two roots");
+    const fi::FaultSet one_root[] = {mid_flip("conv1"), {}, {}, {}};
+    const PartialRun without_root = run_batched_trial(
+        exec, tower, feeds4, tgolden, one_root, be + " tower one root");
+    const auto act1 = static_cast<std::size_t>(tower.graph().find("act1"));
+    ASSERT_TRUE(bitwise_differs(with_root.outputs[act1], tgolden[act1]))
+        << be << ": conv2's input must carry row 0's fault";
+    EXPECT_EQ(with_root.dense, 0u) << be;
+    EXPECT_EQ(without_root.dense, 0u) << be;
+    EXPECT_EQ(with_root.sparse, without_root.sparse) << be;
+    EXPECT_GE(with_root.sparse, 3u) << be;
+
+    // One faulty row of four reaches fc: MatMul recomputes that row only.
+    // At batch 1 the row is the whole tensor and MatMul runs dense.
+    const Graph headed = sparse_tower(true);
+    const ExecutionPlan head4 = compile(
+        headed, {.dtype = DType::kFixed32, .backend = backend, .batch = 4});
+    const PartialRun row_sparse =
+        run_batched_trial(exec, head4, feeds4, golden_of(head4, feeds4),
+                          one_root, be + " headed batch 4");
+    EXPECT_EQ(row_sparse.dense, 0u) << be;
+    const ExecutionPlan head1 = compile(
+        headed, {.dtype = DType::kFixed32, .backend = backend, .batch = 1});
+    const fi::FaultSet solo[] = {mid_flip("conv1")};
+    const PartialRun dense_row =
+        run_batched_trial(exec, head1, feeds1, golden_of(head1, feeds1),
+                          solo, be + " headed batch 1");
+    EXPECT_GE(dense_row.dense, 1u) << be;
+  }
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
 }
 
 // Reachability sets match a brute-force transitive closure over consumer

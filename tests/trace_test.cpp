@@ -1,6 +1,7 @@
 // util/trace: scoped spans → Chrome trace-event JSON.  Structural checks
 // on the flushed file (tools/check_trace.py validates the same schema in
-// CI), plus the off-by-default and ring-wrap contracts.
+// CI), plus the off-by-default and ring-wrap contracts, including the
+// per-thread overwritten counts in the file's metadata.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -79,6 +80,14 @@ TEST(Trace, FlushWritesWellFormedTraceEvents) {
   EXPECT_NE(json.find("\"test.main\""), std::string::npos);
   EXPECT_NE(json.find("\"test.worker\""), std::string::npos);
   EXPECT_EQ(count_occurrences(json, "\"ph\": \"X\""), 3u);
+  // The metadata names the default ring size and reports, per thread,
+  // that nothing was overwritten.
+  EXPECT_NE(json.find("\"otherData\": {\"events_per_thread\": " +
+                      std::to_string(kDefaultEventsPerThread)),
+            std::string::npos);
+  EXPECT_GE(count_occurrences(json, "\"overwritten\": 0}"), 2u);
+  EXPECT_EQ(count_occurrences(json, "\"overwritten\": "),
+            count_occurrences(json, "\"overwritten\": 0}"));
   // Balanced braces/brackets — the cheap well-formedness proxy (CI runs
   // the real JSON parser via tools/check_trace.py).
   EXPECT_EQ(count_occurrences(json, "{"), count_occurrences(json, "}"));
@@ -98,6 +107,10 @@ TEST(Trace, RingBufferKeepsNewestEvents) {
   EXPECT_EQ(json.find("\"wrap.5\""), std::string::npos);
   EXPECT_NE(json.find("\"wrap.6\""), std::string::npos);
   EXPECT_NE(json.find("\"wrap.9\""), std::string::npos);
+  // The wrap is reported, not silent: 10 recorded, the oldest 6 lost.
+  EXPECT_NE(json.find("\"recorded\": 10, \"overwritten\": 6}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Trace, RestartAfterFlushCollectsFreshEvents) {

@@ -11,7 +11,10 @@ Checks:
   * the file parses as JSON with a "traceEvents" list;
   * every event has string "name"/"ph" and integer "pid"/"tid";
   * complete events (ph == "X") carry numeric "ts" and "dur" >= 0;
-  * metadata events (ph == "M") are thread_name records.
+  * metadata events (ph == "M") are thread_name records;
+  * the "otherData" metadata lists every thread's ring with integer
+    "recorded"/"overwritten" counts, and no ring overwrote an event (a
+    wrapped ring lost its oldest spans, so the trace is incomplete).
 
 Optional assertions (repeatable):
   --require NAME        at least one complete span named exactly NAME
@@ -75,6 +78,10 @@ def check_trace(path, require, require_prefix):
         else:
             return fail("%s: unknown phase %r" % (where, ph))
 
+    rc = check_rings(path, doc.get("otherData"))
+    if rc:
+        return rc
+
     names = set(spans)
     for want in require:
         if want not in names:
@@ -85,6 +92,27 @@ def check_trace(path, require, require_prefix):
             return fail("%s: no span with prefix %r" % (path, prefix))
     print("check_trace: %s ok (%d complete spans, %d distinct names)"
           % (path, len(spans), len(names)))
+    return 0
+
+
+def check_rings(path, meta):
+    threads = meta.get("threads") if isinstance(meta, dict) else None
+    if not isinstance(threads, list):
+        return fail("%s: no otherData.threads ring metadata" % path)
+    lost = []
+    for i, t in enumerate(threads):
+        if not isinstance(t, dict) or not all(
+                isinstance(t.get(k), int)
+                for k in ("tid", "recorded", "overwritten")):
+            return fail("%s: otherData.threads[%d] malformed" % (path, i))
+        if t["overwritten"] > 0:
+            lost.append("tid %d lost %d of %d"
+                        % (t["tid"], t["overwritten"], t["recorded"]))
+    if lost:
+        return fail("%s: trace ring overwrote events (%s); raise "
+                    "events_per_thread (%s) or trace a shorter run"
+                    % (path, "; ".join(lost),
+                       meta.get("events_per_thread")))
     return 0
 
 
