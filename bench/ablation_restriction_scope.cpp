@@ -20,7 +20,7 @@ double avg_sdc(const graph::Graph& g, const models::Workload& w,
   cc.trials_per_input = cfg.trials_for(w.id);
   cc.seed = cfg.seed;
   const auto judges = models::default_judges(w.id);
-  const auto r = fi::Campaign(cc).run_multi(g, w.eval_feeds, judges);
+  const auto r = bench::campaign_results(cc, g, w.eval_feeds, judges);
   double sum = 0.0;
   for (const auto& x : r) sum += x.sdc_rate_pct();
   return sum / static_cast<double>(r.size());

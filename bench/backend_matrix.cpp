@@ -82,9 +82,9 @@ Measurement run_cell(const graph::Graph& g,
   cc.backend = backend;
   cc.batch = 8;
   if (dtype == tensor::DType::kInt8) cc.int8_formats = formats;
-  const fi::Top1Judge judge;
   util::Timer timer;
-  const fi::CampaignResult r = fi::Campaign(cc).run(g, inputs, judge);
+  const fi::CampaignResult r = bench::campaign_results(
+      cc, g, inputs, {std::make_shared<fi::Top1Judge>()})[0];
   Measurement m;
   m.seconds = timer.elapsed_seconds();
   m.trials = r.trials;

@@ -121,10 +121,20 @@ inline ProtectedWorkload make_protected(models::ModelId id,
   return pw;
 }
 
-// Campaign driver shared by the SDC figures: the sharded CampaignRunner
-// over the model's default judges.  With RANGERPP_SHARD unset this
-// executes the identical deterministic trial stream the in-process
-// fi::Campaign would (bit-identical counts); with it set, this process
+// Per-judge SDC counts of an in-memory campaign of `cc` on `g`: the one
+// trial loop (fi::CampaignRunner), unsharded and without a checkpoint.
+inline std::vector<fi::CampaignResult> campaign_results(
+    const fi::CampaignConfig& cc, const graph::Graph& g,
+    const std::vector<fi::Feeds>& inputs,
+    const std::vector<fi::JudgePtr>& judges) {
+  fi::RunnerConfig rc;
+  rc.campaign = cc;
+  return fi::CampaignRunner(rc).run(g, inputs, judges).aggregate;
+}
+
+// Campaign driver shared by the SDC figures: the CampaignRunner over the
+// model's default judges.  With RANGERPP_SHARD unset this executes the
+// whole deterministic trial stream; with it set, this process
 // contributes its shard and the printed rates are the shard's estimate.
 inline fi::CampaignReport run_sdc_campaign(const graph::Graph& g,
                                            const models::Workload& base,

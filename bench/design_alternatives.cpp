@@ -91,13 +91,13 @@ int main() {
     cc.dtype = tensor::DType::kFixed32;
     cc.trials_per_input = cfg.trials_for(id);
     cc.seed = cfg.seed;
-    const fi::Campaign campaign(cc);
     const auto judges = models::default_judges(id);
     const graph::Executor exec({tensor::DType::kFloat32});
 
     util::Table table({"policy", "pred. changes on exceeding inputs",
                        "SDC rate (%)"});
-    const auto base = campaign.run_multi(w.graph, w.eval_feeds, judges);
+    const auto base =
+        bench::campaign_results(cc, w.graph, w.eval_feeds, judges);
     table.add_row({"Unprotected", "-", bench::pct_pm(base[0])});
 
     for (const PolicyDef& p : kPolicies) {
@@ -111,7 +111,8 @@ int main() {
             graph::argmax(exec.run(protected_g, feeds)))
           ++changed;
       }
-      const auto r = campaign.run_multi(protected_g, w.eval_feeds, judges);
+      const auto r =
+          bench::campaign_results(cc, protected_g, w.eval_feeds, judges);
       table.add_row(
           {p.name,
            std::to_string(changed) + " / " + std::to_string(exceeding.size()),

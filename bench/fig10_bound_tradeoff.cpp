@@ -26,11 +26,11 @@ int main() {
   cc.dtype = tensor::DType::kFixed32;
   cc.trials_per_input = cfg.trials_for(w.id);
   cc.seed = cfg.seed;
-  const fi::Campaign campaign(cc);
   const auto judges = models::default_judges(w.id);
 
   // Baseline (unprotected) row.
-  const auto base = campaign.run_multi(w.graph, w.eval_feeds, judges);
+  const auto base =
+      bench::campaign_results(cc, w.graph, w.eval_feeds, judges);
   const models::SteeringMetrics base_acc =
       models::steering_metrics(w.graph, w.input_name, w.validation, false);
 
@@ -46,7 +46,8 @@ int main() {
     const core::Bounds bounds = profile.bounds(pct);
     const graph::Graph protected_g =
         core::RangerTransform{}.apply(w.graph, bounds);
-    const auto r = campaign.run_multi(protected_g, w.eval_feeds, judges);
+    const auto r =
+        bench::campaign_results(cc, protected_g, w.eval_feeds, judges);
     const models::SteeringMetrics acc = models::steering_metrics(
         protected_g, w.input_name, w.validation, false);
     const std::string label = "Bound-" + util::Table::fmt(pct, 1) + "%";

@@ -16,9 +16,8 @@ double avg_sdc_pct(const graph::Graph& g, const models::Workload& w,
   cc.dtype = tensor::DType::kFixed32;
   cc.trials_per_input = cfg.trials_for(w.id);
   cc.seed = cfg.seed;
-  const fi::Campaign campaign(cc);
-  const auto judges = models::default_judges(w.id);
-  const auto results = campaign.run_multi(g, w.eval_feeds, judges);
+  const auto results = bench::campaign_results(
+      cc, g, w.eval_feeds, models::default_judges(w.id));
   double sum = 0.0;
   for (const auto& r : results) sum += r.sdc_rate_pct();
   return sum / static_cast<double>(results.size());

@@ -7,7 +7,7 @@
 
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
-#include "fi/campaign.hpp"
+#include "fi/runner.hpp"
 #include "models/workload.hpp"
 
 using namespace rangerpp;
@@ -24,19 +24,19 @@ int main() {
   const graph::Graph protected_g =
       core::RangerTransform{}.apply(w.graph, bounds);
 
-  fi::CampaignConfig cfg;
-  cfg.dtype = tensor::DType::kFixed32;  // the paper's RQ1-3 datatype
-  cfg.trials_per_input = 500;
-  cfg.seed = 7;
-  const fi::Campaign campaign(cfg);
-  const fi::Top1Judge judge;
+  fi::RunnerConfig rc;
+  rc.campaign.dtype = tensor::DType::kFixed32;  // the paper's RQ1-3 datatype
+  rc.campaign.trials_per_input = 500;
+  rc.campaign.seed = 7;
+  const std::vector<fi::JudgePtr> judges{std::make_shared<fi::Top1Judge>()};
 
   std::printf("running %zu trials x %zu inputs on AlexNet (fixed32)...\n",
-              cfg.trials_per_input, w.eval_feeds.size());
+              rc.campaign.trials_per_input, w.eval_feeds.size());
   const fi::CampaignResult orig =
-      campaign.run(w.graph, w.eval_feeds, judge);
+      fi::CampaignRunner(rc).run(w.graph, w.eval_feeds, judges).aggregate[0];
   const fi::CampaignResult prot =
-      campaign.run(protected_g, w.eval_feeds, judge);
+      fi::CampaignRunner(rc).run(protected_g, w.eval_feeds, judges)
+          .aggregate[0];
 
   std::printf("unprotected: %zu/%zu SDCs = %.2f%% (+-%.2f%% at 95%%)\n",
               orig.sdcs, orig.trials, orig.sdc_rate_pct(), orig.ci95_pct());
@@ -44,12 +44,12 @@ int main() {
               prot.sdcs, prot.trials, prot.sdc_rate_pct(), prot.ci95_pct());
 
   // The same campaign under the multi-bit fault model (§VI-B).
-  cfg.n_bits = 3;
-  const fi::Campaign multi(cfg);
+  rc.campaign.n_bits = 3;
+  const fi::CampaignRunner multi(rc);
   const fi::CampaignResult orig3 =
-      multi.run(w.graph, w.eval_feeds, judge);
+      multi.run(w.graph, w.eval_feeds, judges).aggregate[0];
   const fi::CampaignResult prot3 =
-      multi.run(protected_g, w.eval_feeds, judge);
+      multi.run(protected_g, w.eval_feeds, judges).aggregate[0];
   std::printf("3-bit flips: %.2f%% unprotected vs %.2f%% with Ranger\n",
               orig3.sdc_rate_pct(), prot3.sdc_rate_pct());
   return 0;

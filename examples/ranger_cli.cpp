@@ -14,7 +14,7 @@
 
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
-#include "fi/campaign.hpp"
+#include "fi/runner.hpp"
 #include "graph/dot_export.hpp"
 #include "models/workload.hpp"
 #include "util/parse.hpp"
@@ -180,18 +180,18 @@ int main(int argc, char** argv) {
     std::printf("wrote protected graph to %s\n", args->dot_path->c_str());
   }
 
-  fi::CampaignConfig cc;
-  cc.dtype = args->dtype;
-  cc.n_bits = args->bits;
-  cc.consecutive_bits = args->consecutive;
-  cc.trials_per_input = args->trials;
-  cc.seed = args->seed;
-  const fi::Campaign campaign(cc);
+  fi::RunnerConfig rc;
+  rc.campaign.dtype = args->dtype;
+  rc.campaign.n_bits = args->bits;
+  rc.campaign.consecutive_bits = args->consecutive;
+  rc.campaign.trials_per_input = args->trials;
+  rc.campaign.seed = args->seed;
+  const fi::CampaignRunner runner(rc);
   const auto judges = models::default_judges(args->model);
   const auto labels = models::judge_labels(args->model);
 
-  const auto orig = campaign.run_multi(w.graph, w.eval_feeds, judges);
-  const auto prot = campaign.run_multi(protected_g, w.eval_feeds, judges);
+  const auto orig = runner.run(w.graph, w.eval_feeds, judges).aggregate;
+  const auto prot = runner.run(protected_g, w.eval_feeds, judges).aggregate;
   for (std::size_t j = 0; j < judges.size(); ++j) {
     std::printf("%-20s  orig %6.2f%% (+-%.2f)   ranger %6.2f%% (+-%.2f)\n",
                 labels[j].c_str(), orig[j].sdc_rate_pct(),

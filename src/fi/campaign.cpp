@@ -1,11 +1,9 @@
 #include "fi/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "graph/passes.hpp"
-#include "util/threadpool.hpp"
 
 namespace rangerpp::fi {
 
@@ -341,187 +339,6 @@ tensor::Tensor TrialExecutor::run_weight_trial(
                               patch.roots, arena, patch.overrides)
              : exec_.run(plan_, (*inputs_)[input_idx], arena,
                          patch.overrides);
-}
-
-// ---- Campaign ---------------------------------------------------------------
-
-std::vector<CampaignResult> Campaign::run_multi(
-    const graph::Graph& g, const std::vector<Feeds>& inputs,
-    const std::vector<JudgePtr>& judges) const {
-  if (inputs.empty()) throw std::invalid_argument("Campaign: no inputs");
-  if (judges.empty()) throw std::invalid_argument("Campaign: no judges");
-  const TrialPlanner planner(g, config_, inputs.size());
-  const std::size_t total = planner.total_trials();
-  const unsigned workers = util::worker_count(total, config_.threads);
-  const TrialExecutor executor(g, config_, inputs, workers);
-
-  if (config_.fault_class == FaultClass::kWeight) {
-    // Input-sweep execution: one parallel task per fault — the patched
-    // const tensors are built once and swept across every input.
-    std::vector<std::atomic<std::size_t>> wsdcs(judges.size());
-    const std::size_t n_faults = config_.trials_per_input;
-    util::parallel_for_workers(
-        n_faults,
-        [&](unsigned worker, std::size_t f) {
-          const TrialSpec first = planner.plan(f * inputs.size());
-          const TrialExecutor::PatchedConsts patch =
-              executor.patch_consts(first.applied);
-          for (std::size_t i = 0; i < inputs.size(); ++i) {
-            const tensor::Tensor out =
-                executor.run_weight_trial(worker, i, patch);
-            for (std::size_t j = 0; j < judges.size(); ++j)
-              if (judges[j]->is_sdc(executor.golden_output(i), out))
-                wsdcs[j].fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        config_.threads);
-    std::vector<CampaignResult> results;
-    results.reserve(judges.size());
-    for (auto& s : wsdcs) results.push_back(CampaignResult{total, s.load()});
-    return results;
-  }
-
-  // Trials are grouped into same-input chunks of up to executor.batch()
-  // so each chunk rides one batched plan run; chunking never changes
-  // results (batched rows are bit-identical to per-trial runs), only how
-  // many trials share one dispatch.
-  const std::size_t bsz = std::max<std::size_t>(1, executor.batch());
-  struct Chunk {
-    std::size_t begin, count;
-  };
-  std::vector<Chunk> chunks;
-  chunks.reserve(total / bsz + inputs.size());
-  for (std::size_t t = 0; t < total;) {
-    const std::size_t input_end =
-        (t / config_.trials_per_input + 1) * config_.trials_per_input;
-    const std::size_t count =
-        std::min({bsz, total - t, input_end - t});
-    chunks.push_back({t, count});
-    t += count;
-  }
-
-  std::vector<std::atomic<std::size_t>> sdcs(judges.size());
-  const auto judge_output = [&](std::size_t input,
-                                const tensor::Tensor& out) {
-    for (std::size_t j = 0; j < judges.size(); ++j)
-      if (judges[j]->is_sdc(executor.golden_output(input), out))
-        sdcs[j].fetch_add(1, std::memory_order_relaxed);
-  };
-  util::parallel_for_workers(
-      chunks.size(),
-      [&](unsigned worker, std::size_t c) {
-        const Chunk chunk = chunks[c];
-        if (chunk.count == 1 || executor.batch() == 1) {
-          for (std::size_t i = 0; i < chunk.count; ++i) {
-            const TrialSpec spec = planner.plan(chunk.begin + i);
-            judge_output(spec.input,
-                         executor.run_trial(worker, spec.input, spec.faults));
-          }
-          return;
-        }
-        std::vector<FaultSet> faults;
-        faults.reserve(chunk.count);
-        std::size_t input = 0;
-        for (std::size_t i = 0; i < chunk.count; ++i) {
-          TrialSpec spec = planner.plan(chunk.begin + i);
-          // Chunks were cut at trials_per_input boundaries; if the
-          // planner's input assignment ever stops matching that, fail
-          // loudly rather than judge trials against the wrong golden.
-          if (i > 0 && spec.input != input)
-            throw std::logic_error(
-                "Campaign: trial chunk spans inputs — planner/chunking "
-                "mismatch");
-          input = spec.input;
-          faults.push_back(std::move(spec.faults));
-        }
-        const std::vector<tensor::Tensor> outs =
-            executor.run_trial_batch(worker, input, faults);
-        for (const tensor::Tensor& out : outs) judge_output(input, out);
-      },
-      config_.threads);
-
-  std::vector<CampaignResult> results;
-  results.reserve(judges.size());
-  for (auto& s : sdcs) results.push_back(CampaignResult{total, s.load()});
-  return results;
-}
-
-CampaignResult Campaign::run(const graph::Graph& g,
-                             const std::vector<Feeds>& inputs,
-                             const SdcJudge& judge) const {
-  // Non-owning adapter around `judge` for the multi-judge path.
-  const JudgePtr alias(&judge, [](const SdcJudge*) {});
-  return run_multi(g, inputs, {alias})[0];
-}
-
-std::vector<Campaign::PairedOutcome> Campaign::run_paired(
-    const graph::Graph& unprotected, const graph::Graph& protected_g,
-    const std::vector<Feeds>& inputs, const SdcJudge& judge,
-    const std::function<bool(const graph::Graph&, const Feeds&,
-                             const FaultSet&)>& detector) const {
-  if (inputs.empty()) throw std::invalid_argument("Campaign: no inputs");
-  // Fault sites are planned on the *unprotected* graph so both runs see the
-  // identical fault (Ranger's clamp nodes are extra, never-faulted ops —
-  // conservative for Ranger, as the paper also injects into them; the
-  // single-graph `run` API does include clamp outputs).  The Ranger
-  // transform preserves node names, so those sites resolve to injection
-  // roots on the protected plan too, and its restriction (`/ranger`) nodes
-  // are swept into the recompute set by the protected plan's own
-  // reachability relation.
-  const TrialPlanner planner(unprotected, config_, inputs.size());
-  const std::size_t total = planner.total_trials();
-  const unsigned workers = util::worker_count(total, config_.threads);
-  // The paired loop runs trial-by-trial (two graphs per trial), so the
-  // executors skip the batched-plan setup entirely.
-  CampaignConfig paired_config = config_;
-  paired_config.batch = 1;
-  const TrialExecutor exec_u(unprotected, paired_config, inputs, workers);
-  const TrialExecutor exec_p(protected_g, paired_config, inputs, workers);
-
-  std::vector<PairedOutcome> outcomes(total);
-  const auto judge_pair = [&](std::size_t t, const TrialSpec& spec,
-                              const tensor::Tensor& out_u,
-                              const tensor::Tensor& out_p) {
-    PairedOutcome& o = outcomes[t];
-    o.sdc_unprotected =
-        judge.is_sdc(exec_u.golden_output(spec.input), out_u);
-    o.sdc_protected =
-        judge.is_sdc(exec_p.golden_output(spec.input), out_p);
-    if (detector)
-      o.detected = detector(protected_g, inputs[spec.input], spec.faults);
-  };
-  if (config_.fault_class == FaultClass::kWeight) {
-    // One parallel task per fault: persistent faults replay on each twin
-    // through its own const patch (resolved by name — the transform
-    // preserves them), built once per fault and swept over every input.
-    util::parallel_for_workers(
-        config_.trials_per_input,
-        [&](unsigned worker, std::size_t f) {
-          const std::size_t base = f * inputs.size();
-          const TrialSpec first = planner.plan(base);
-          const TrialExecutor::PatchedConsts patch_u =
-              exec_u.patch_consts(first.applied);
-          const TrialExecutor::PatchedConsts patch_p =
-              exec_p.patch_consts(first.applied);
-          for (std::size_t i = 0; i < inputs.size(); ++i) {
-            const TrialSpec spec = planner.plan(base + i);
-            judge_pair(base + i, spec,
-                       exec_u.run_weight_trial(worker, spec.input, patch_u),
-                       exec_p.run_weight_trial(worker, spec.input, patch_p));
-          }
-        },
-        config_.threads);
-    return outcomes;
-  }
-  util::parallel_for_workers(
-      total,
-      [&](unsigned worker, std::size_t t) {
-        const TrialSpec spec = planner.plan(t);
-        judge_pair(t, spec, exec_u.run_trial(worker, spec.input, spec.faults),
-                   exec_p.run_trial(worker, spec.input, spec.faults));
-      },
-      config_.threads);
-  return outcomes;
 }
 
 }  // namespace rangerpp::fi

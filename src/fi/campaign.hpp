@@ -1,6 +1,6 @@
-// Fault-injection campaign engine (the TensorFI-equivalent experiment
-// driver), layered so the in-process Campaign API and the resumable
-// CampaignRunner (runner.hpp) share the exact same deterministic core:
+// Fault-injection campaign layers (the TensorFI-equivalent experiment
+// driver).  CampaignRunner (runner.hpp) is the one trial loop; it
+// composes the deterministic core defined here:
 //
 //  * trial generation  — TrialPlanner: pure function of (config, trial
 //    index) → fault set + input index + stratum, so any subset of trials
@@ -10,14 +10,8 @@
 //    re-execution via Executor::run_from;
 //  * aggregation       — CampaignResult here for raw counts; the richer
 //    per-stratum / checkpointed reports live in report.hpp.
-//
-// Campaign (below) composes planner + executor over a thread pool and is
-// what the paper-figure benches historically ran on; CampaignRunner adds
-// sharding, JSONL checkpoint/resume and confidence-interval-driven early
-// stopping on top of the same layers.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -256,6 +250,7 @@ class TrialExecutor {
   const tensor::Tensor& golden_output(std::size_t input_idx) const {
     return golden_[input_idx].output;
   }
+  std::size_t inputs() const { return golden_.size(); }
   const graph::ExecutionPlan& plan() const { return plan_; }
   const CampaignConfig& config() const { return config_; }
   // Worker slots this executor was sized for (run_trial's `worker` must
@@ -280,51 +275,6 @@ class TrialExecutor {
   std::vector<std::vector<tensor::Tensor>> batch_golden_;  // per input
   std::vector<Feeds> batch_feeds_;                         // per input
   mutable std::vector<graph::Arena> batch_arenas_;
-};
-
-// ---- In-process campaign API ------------------------------------------------
-
-class Campaign {
- public:
-  explicit Campaign(CampaignConfig config) : config_(config) {}
-
-  // Runs the campaign on `g` for every input in `inputs`.
-  CampaignResult run(const graph::Graph& g,
-                     const std::vector<Feeds>& inputs,
-                     const SdcJudge& judge) const;
-
-  // As `run`, but evaluates several judges on the same trials (e.g. the
-  // four steering-deviation thresholds of Fig 7, or top-1 and top-5 for
-  // the ImageNet models) — one execution per trial instead of one per
-  // judge.  Returns one result per judge.
-  std::vector<CampaignResult> run_multi(
-      const graph::Graph& g, const std::vector<Feeds>& inputs,
-      const std::vector<JudgePtr>& judges) const;
-
-  // Paired run: evaluates the same sampled fault sets on both graphs
-  // (matched by node name), returning per-trial outcomes.  Used for the
-  // technique-comparison experiment (Table VI), where coverage is the
-  // fraction of baseline-SDC trials that the protected/detected variant
-  // rectifies or flags.
-  struct PairedOutcome {
-    bool sdc_unprotected = false;
-    bool sdc_protected = false;
-    bool detected = false;  // set when a detector hook is supplied
-  };
-  // `detector` (optional) runs on the protected graph and returns whether
-  // the fault was detected for that trial.
-  using DetectorFactory = std::function<std::function<bool(
-      const graph::Graph&, const Feeds&, const FaultSet&)>()>;
-  std::vector<PairedOutcome> run_paired(
-      const graph::Graph& unprotected, const graph::Graph& protected_g,
-      const std::vector<Feeds>& inputs, const SdcJudge& judge,
-      const std::function<bool(const graph::Graph&, const Feeds&,
-                               const FaultSet&)>& detector = nullptr) const;
-
-  const CampaignConfig& config() const { return config_; }
-
- private:
-  CampaignConfig config_;
 };
 
 }  // namespace rangerpp::fi

@@ -118,9 +118,9 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
       ctx.executor->config().dtype != config_.campaign.dtype)
     throw std::invalid_argument(
         "CampaignRunner: shared executor dtype differs from the campaign's");
-  if (ctx.judge_golden && ctx.judge_golden->size() != inputs.size())
+  if (ctx.golden_executor && ctx.golden_executor->inputs() != inputs.size())
     throw std::invalid_argument(
-        "CampaignRunner: judge_golden must hold one output per input");
+        "CampaignRunner: golden_executor must hold one golden per input");
   if (ctx.worker_base != 0 &&
       (!ctx.executor || ctx.worker_base >= ctx.executor->workers()))
     throw std::invalid_argument(
@@ -244,6 +244,8 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
       local_executor.emplace(exec_graph, config_.campaign, inputs, workers);
     const TrialExecutor& executor =
         ctx.executor ? *ctx.executor : *local_executor;
+    const TrialExecutor& golden_executor =
+        ctx.golden_executor ? *ctx.golden_executor : executor;
     for (std::size_t offset = 0; offset < pending.size();
          offset += config_.check_every) {
       // Early stop only once at least one full batch of evidence exists;
@@ -290,8 +292,7 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
       const auto record_trial = [&](std::size_t i, const TrialSpec& spec,
                                     const tensor::Tensor& out) {
         const tensor::Tensor& golden =
-            ctx.judge_golden ? (*ctx.judge_golden)[spec.input]
-                             : executor.golden_output(spec.input);
+            golden_executor.golden_output(spec.input);
         std::uint32_t mask = 0;
         for (std::size_t j = 0; j < judges.size(); ++j)
           if (judges[j]->is_sdc(golden, out)) mask |= 1u << j;

@@ -1,5 +1,7 @@
-// CampaignRunner: the orchestration layer that turns the in-process
-// Campaign engine into a resumable, shardable campaign service.
+// CampaignRunner: the one fault-injection trial loop.  It drives the
+// planner/executor layers of campaign.hpp for every campaign in the
+// tree — benches, examples, campaign_cli, fi::Suite cells and
+// fi::Scheduler slices — and makes each one resumable and shardable:
 //
 //  * Deterministic sharding — shard i of N executes exactly the trials
 //    with index ≡ i (mod N).  Because TrialPlanner::plan(t) and the
@@ -74,8 +76,8 @@ struct RunnerConfig {
 
 // Everything one run() invocation needs beyond the runner config.  The
 // default (only plan_graph set) is the classic single-graph campaign;
-// the optional fields exist for the suite orchestrator, which shares
-// compiled state across many cells:
+// the optional fields serve paired replays and the engine cache
+// (fi::Engine), which shares compiled state across many cells:
 //
 //  * exec_graph — trials execute here while fault sites are planned on
 //    plan_graph.  Node names shared by both graphs resolve the planned
@@ -89,14 +91,15 @@ struct RunnerConfig {
 //    campaigns (plans + goldens compiled once per (graph, dtype)).  Its
 //    dtype must match the campaign's; its worker capacity caps the
 //    runner's parallelism.
-//  * judge_golden — per-input outputs to judge trials against instead of
-//    the executed graph's own goldens (paired coverage judges the
-//    protected output against the unprotected golden).
+//  * golden_executor — an executor over the same inputs whose golden
+//    outputs trials are judged against instead of the executed graph's
+//    own (paired coverage judges the protected output against the
+//    unprotected executor's goldens).
 struct RunContext {
   const graph::Graph* plan_graph = nullptr;
   const graph::Graph* exec_graph = nullptr;    // null = plan_graph
   const TrialExecutor* executor = nullptr;     // null = build internally
-  const std::vector<tensor::Tensor>* judge_golden = nullptr;
+  const TrialExecutor* golden_executor = nullptr;  // null = the executor
   // First arena slot of the shared executor this run may use: local
   // worker w executes as executor worker (worker_base + w).  The
   // scheduler runs many single-threaded runner invocations concurrently

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/calibration.hpp"
-#include "core/range_profiler.hpp"
-#include "core/ranger_transform.hpp"
+#include "fi/engine.hpp"
 #include "fi/record_codec.hpp"
 #include "util/metrics.hpp"
 #include "util/parse.hpp"
@@ -39,159 +37,6 @@ std::string_view request_state_token(RequestState s) {
   }
   return "?";
 }
-
-// ---- Shared engine caches ---------------------------------------------------
-
-// Everything requests share, keyed by everything that determines it.
-// The map shape is guarded by `mu` (held only for find-or-insert); the
-// expensive builds run outside it under per-entry once_flags, so two
-// workers needing the same entry build it exactly once and entries for
-// different keys build in parallel.  Entries are heap-allocated and
-// never evicted, so returned references stay stable; built state is
-// immutable, so post-build reads need no synchronisation.
-//
-// Build chains nest strictly goldens → executor → ranger → workload —
-// a DAG in one direction — so nested call_once never deadlocks.
-struct Scheduler::Engine {
-  Engine(models::WorkloadCache* external, bool verify_plans)
-      : verify_plans_(verify_plans), external_(external) {}
-
-  models::WorkloadCache& workloads(std::uint64_t seed, std::size_t inputs) {
-    if (external_ && external_->options().seed == seed &&
-        external_->options().eval_inputs == inputs)
-      return *external_;
-    util::MutexLock lk(mu);
-    std::unique_ptr<models::WorkloadCache>& slot = caches_[{seed, inputs}];
-    if (!slot) {
-      models::WorkloadOptions wo;
-      wo.seed = seed;
-      wo.eval_inputs = inputs;
-      slot = std::make_unique<models::WorkloadCache>(wo);
-    }
-    return *slot;
-  }
-
-  struct RangerEntry {
-    std::once_flag built;
-    core::Bounds bounds;
-    graph::Graph protected_graph;
-  };
-
-  RangerEntry& ranger(const SuiteSpec& spec, models::ModelId model,
-                      ops::OpKind act) {
-    RangerEntry* ep;
-    {
-      util::MutexLock lk(mu);
-      ep = slot(ranger_, std::make_tuple(spec.seed, spec.inputs,
-                                         static_cast<int>(model),
-                                         static_cast<int>(act)));
-    }
-    RangerEntry& e = *ep;
-    std::call_once(e.built, [&] {
-      const models::Workload& w =
-          workloads(spec.seed, spec.inputs).get(model, act);
-      e.bounds = core::RangeProfiler{}.derive_bounds(w.graph,
-                                                     w.profile_feeds);
-      e.protected_graph = core::RangerTransform{}.apply(w.graph, e.bounds);
-    });
-    return e;
-  }
-
-  const TrialExecutor& executor(const SuiteSpec& spec, const SuiteCell& cell,
-                                const graph::Graph& g,
-                                const std::vector<Feeds>& inputs,
-                                bool is_protected, unsigned workers) {
-    ExecEntry* ep;
-    {
-      util::MutexLock lk(mu);
-      ep = slot(executors_, std::make_tuple(
-          spec.seed, spec.inputs, static_cast<int>(cell.model),
-          static_cast<int>(cell.act), is_protected ? 1 : 0,
-          static_cast<int>(cell.dtype)));
-    }
-    ExecEntry& e = *ep;
-    std::call_once(e.built, [&] {
-      // Only (graph, dtype, backend, batch) reach the executor — one
-      // compiled executor serves every cell and every request of this
-      // (seed, inputs, model, act, variant, dtype).  threads=1: arenas
-      // are pinned per scheduler worker via RunContext::worker_base, and
-      // construction already runs on a ScopedPoolWorker thread.
-      CampaignConfig ec;
-      ec.dtype = cell.dtype;
-      ec.threads = 1;
-      // The per-cell static verification point: every distinct compiled
-      // plan is proven sound here, once, before any trial runs.  A
-      // VerifyReport failure throws out of the call_once; the slice's
-      // catch settles the request kFailed with the diagnostic.
-      ec.verify_plan = verify_plans_;
-      if (cell.dtype == tensor::DType::kInt8)
-        ec.int8_formats =
-            core::int8_calibration(ranger(spec, cell.model, cell.act).bounds);
-      e.exec = std::make_unique<TrialExecutor>(g, ec, inputs, workers);
-    });
-    return *e.exec;
-  }
-
-  const std::vector<tensor::Tensor>& unprotected_goldens(
-      const SuiteSpec& spec, const SuiteCell& cell,
-      const models::Workload& w, unsigned workers) {
-    GoldenEntry* ep;
-    {
-      util::MutexLock lk(mu);
-      ep = slot(goldens_, std::make_tuple(
-          spec.seed, spec.inputs, static_cast<int>(cell.model),
-          static_cast<int>(cell.act), static_cast<int>(cell.dtype)));
-    }
-    GoldenEntry& e = *ep;
-    std::call_once(e.built, [&] {
-      const TrialExecutor& ex = executor(spec, cell, w.graph, w.eval_feeds,
-                                         /*is_protected=*/false, workers);
-      e.goldens.reserve(w.eval_feeds.size());
-      for (std::size_t i = 0; i < w.eval_feeds.size(); ++i)
-        e.goldens.push_back(ex.golden_output(i));
-    });
-    return e.goldens;
-  }
-
-  util::Mutex mu;  // guards the maps' shape, never a build
-
- private:
-  // Find-or-insert under `mu` (held by the caller so the guarded map
-  // can be named at the call site at all — passing it unlocked would
-  // itself be a thread-safety error).  Returned entries are stable:
-  // heap-allocated, never evicted.
-  template <typename Map, typename Key>
-  typename Map::mapped_type::element_type* slot(Map& map, const Key& key)
-      RANGERPP_REQUIRES(mu) {
-    typename Map::mapped_type& s = map[key];
-    if (!s) s = std::make_unique<typename Map::mapped_type::element_type>();
-    return s.get();
-  }
-
-  struct ExecEntry {
-    std::once_flag built;
-    std::unique_ptr<TrialExecutor> exec;
-  };
-  struct GoldenEntry {
-    std::once_flag built;
-    std::vector<tensor::Tensor> goldens;
-  };
-
-  const bool verify_plans_;
-  models::WorkloadCache* external_ = nullptr;
-  std::map<std::pair<std::uint64_t, std::size_t>,
-           std::unique_ptr<models::WorkloadCache>>
-      caches_ RANGERPP_GUARDED_BY(mu);
-  std::map<std::tuple<std::uint64_t, std::size_t, int, int>,
-           std::unique_ptr<RangerEntry>>
-      ranger_ RANGERPP_GUARDED_BY(mu);
-  std::map<std::tuple<std::uint64_t, std::size_t, int, int, int, int>,
-           std::unique_ptr<ExecEntry>>
-      executors_ RANGERPP_GUARDED_BY(mu);
-  std::map<std::tuple<std::uint64_t, std::size_t, int, int, int>,
-           std::unique_ptr<GoldenEntry>>
-      goldens_ RANGERPP_GUARDED_BY(mu);
-};
 
 // ---- Per-request state ------------------------------------------------------
 
@@ -251,7 +96,10 @@ Scheduler::Scheduler(SchedulerConfig config,
   if (config_.partitions_per_cell == 0) config_.partitions_per_cell = 1;
   workers_ = config_.workers ? config_.workers
                              : util::default_thread_count();
-  engine_ = std::make_unique<Engine>(shared_workloads, config_.verify_plans);
+  // One arena per scheduler worker: a runner slice pins itself to its
+  // worker's arena via RunContext::worker_base.
+  engine_ = std::make_unique<Engine>(shared_workloads, config_.verify_plans,
+                                     workers_);
   queues_.resize(workers_);
   kill_after_.reserve(workers_);
   busy_us_.reserve(workers_);
@@ -685,18 +533,13 @@ const CheckpointHeader& Scheduler::ensure_cell_header(Request& req,
   std::call_once(cs.header_once, [&] {
     const SuiteSpec& spec = req.plan.spec;
     const SuiteCell& cell = req.plan.cells[ci];
-    const models::Workload& w =
-        engine_->workloads(spec.seed, spec.inputs).get(cell.model, cell.act);
-    const graph::Graph* plan_g = &w.graph;
-    if (cell.technique == Technique::kRanger)
-      plan_g = &engine_->ranger(spec, cell.model, cell.act).protected_graph;
     RunnerConfig hc = cell_runner_config(spec, cell);
     hc.shard_index = 0;
     hc.shard_count = 1;
     CheckpointHeader h = CampaignRunner(hc).make_header(
         spec.inputs, models::default_judges(cell.model).size());
-    const TrialPlanner planner(*plan_g, hc.campaign, spec.inputs,
-                               hc.stratified);
+    const TrialPlanner planner(engine_->plan_graph(spec, cell), hc.campaign,
+                               spec.inputs, hc.stratified);
     std::map<std::string, double> weights;
     for (std::size_t s = 0; s < planner.strata_count(); ++s)
       weights[planner.stratum_key(s)] = planner.stratum_weight(s);
@@ -711,38 +554,16 @@ bool Scheduler::run_unit_slice(unsigned w, Unit& u, bool suppress_stream) {
   Request& req = *u.req;
   const SuiteSpec& spec = req.plan.spec;
   const SuiteCell& cell = req.plan.cells[u.cell_index];
-  Engine& eng = *engine_;
 
   util::trace::Span span("sched.slice");
   span.arg("request", req.id);
   span.arg("cell", u.cell_index);
   span.arg("partition", u.partition);
 
-  const models::Workload& wl =
-      eng.workloads(spec.seed, spec.inputs).get(cell.model, cell.act);
-  if (wl.eval_feeds.size() != spec.inputs)
-    throw std::runtime_error(
-        "Scheduler: workload produced " +
-        std::to_string(wl.eval_feeds.size()) + " eval inputs for cell " +
-        cell.id + ", spec expects " + std::to_string(spec.inputs));
-
-  const bool is_protected = cell.technique != Technique::kUnprotected;
-  const graph::Graph* exec_g = &wl.graph;
-  const graph::Graph* plan_g = &wl.graph;
-  if (is_protected) {
-    exec_g = &eng.ranger(spec, cell.model, cell.act).protected_graph;
-    if (cell.technique == Technique::kRanger) plan_g = exec_g;
-  }
-
-  RunContext ctx;
-  ctx.plan_graph = plan_g;
-  ctx.exec_graph = exec_g;
-  ctx.executor =
-      &eng.executor(spec, cell, *exec_g, wl.eval_feeds, is_protected,
-                    workers_);
-  if (cell.technique == Technique::kRangerPaired)
-    ctx.judge_golden = &eng.unprotected_goldens(spec, cell, wl, workers_);
-  ctx.worker_base = w;  // pin this slice to this worker's arena
+  // A VerifyReport failure or a bad workload throws out of prepare; the
+  // worker loop's catch settles the request kFailed with the diagnostic.
+  Engine::CellRun run = engine_->prepare(spec, cell);
+  run.ctx.worker_base = w;  // pin this slice to this worker's arena
 
   RunnerConfig rc = cell_runner_config(spec, cell);
   rc.campaign.threads = 1;  // the scheduler pool IS the parallelism
@@ -760,8 +581,8 @@ bool Scheduler::run_unit_slice(unsigned w, Unit& u, bool suppress_stream) {
             .string();
 
   const CampaignRunner runner(rc);
-  const CampaignReport report =
-      runner.run(ctx, wl.eval_feeds, models::default_judges(cell.model));
+  const CampaignReport report = runner.run(
+      run.ctx, *run.inputs, models::default_judges(cell.model));
 
   // Complete when every partition trial ran — or when a slice made no
   // progress (early stop tripped, or a resumed checkpoint already

@@ -14,14 +14,13 @@
 //    (campaign fingerprint, trial index) alone, so the merged stream is
 //    byte-identical to a one-shot suite_cli run regardless of worker
 //    count, steal order, or where a slice boundary fell.
-//  * Shared engine caches — workloads (models::WorkloadCache, now safe
-//    for concurrent readers), derived bounds, Ranger-protected graphs,
-//    compiled TrialExecutors and unprotected goldens are shared across
-//    *requests*, keyed by everything that determines them (seed,
-//    inputs, model, act, dtype, variant) and built at most once under
-//    per-entry once_flags.  Executors are sized with one arena per
-//    scheduler worker; a runner slice pins itself to its worker's arena
-//    via RunContext::worker_base.
+//  * Shared engine caches — one fi::Engine (engine.hpp, the cache
+//    fi::Suite runs on too) shares workloads, derived bounds,
+//    Ranger-protected graphs and compiled TrialExecutors across
+//    *requests*, keyed by everything that determines them (seed, inputs,
+//    model, act, dtype, variant) and built at most once.  Executors are
+//    sized with one arena per scheduler worker; a runner slice pins
+//    itself to its worker's arena via RunContext::worker_base.
 //  * Streaming — each slice's newly available records are handed to the
 //    request's RecordSink (scheduler_cli forwards them to the client as
 //    binary codec frames) together with the cell's export-form header.
@@ -197,7 +196,6 @@ class Scheduler {
   std::string stats_json();
 
  private:
-  struct Engine;   // shared cross-request caches (scheduler.cpp)
   struct Request;  // per-request state (scheduler.cpp)
   struct Unit;     // one (request, cell, partition) work unit
 
@@ -221,7 +219,7 @@ class Scheduler {
 
   SchedulerConfig config_;
   unsigned workers_ = 1;
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<Engine> engine_;  // caches shared across requests
 
   mutable util::Mutex requests_mu_;
   std::uint64_t next_id_ RANGERPP_GUARDED_BY(requests_mu_) = 1;

@@ -8,10 +8,8 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/calibration.hpp"
 #include "core/flops_profiler.hpp"
-#include "core/range_profiler.hpp"
-#include "core/ranger_transform.hpp"
+#include "fi/engine.hpp"
 #include "ops/backend.hpp"
 #include "util/metrics.hpp"
 #include "util/parse.hpp"
@@ -381,121 +379,38 @@ SuitePlan compile_suite(const SuiteSpec& spec) {
 }
 
 Suite::Suite(SuiteSpec spec, models::WorkloadCache* shared_workloads)
-    : plan_(compile_suite(spec)), shared_(shared_workloads) {
-  if (!shared_) {
-    models::WorkloadOptions wo;
-    wo.eval_inputs = plan_.spec.inputs;
-    wo.seed = plan_.spec.seed;
-    owned_ = std::make_unique<models::WorkloadCache>(wo);
-    return;
-  }
+    : plan_(compile_suite(spec)) {
   // A shared cache built for a different seed or input count would hand
   // out workloads whose goldens disagree with what the checkpoint
   // fingerprints claim (they record spec.seed, nothing
   // workload-derived) — refuse up front rather than mix campaigns.
-  if (shared_->options().seed != plan_.spec.seed ||
-      shared_->options().eval_inputs != plan_.spec.inputs)
+  if (shared_workloads &&
+      (shared_workloads->options().seed != plan_.spec.seed ||
+       shared_workloads->options().eval_inputs != plan_.spec.inputs))
     throw std::invalid_argument(
         "Suite: shared WorkloadCache options (seed/eval_inputs) disagree "
         "with the SuiteSpec");
+  // One arena per worker a cell's runner can use: the runner's width is
+  // worker_count(min(pending, check_every), threads).
+  const unsigned workers = util::worker_count(
+      std::max<std::size_t>(1, plan_.spec.check_every), plan_.spec.threads);
+  engine_ = std::make_unique<Engine>(shared_workloads, plan_.spec.verify_plan,
+                                     workers);
+}
+
+Suite::~Suite() = default;
+
+models::WorkloadCache& Suite::workloads() {
+  return engine_->workloads(plan_.spec.seed, plan_.spec.inputs);
 }
 
 const core::Bounds& Suite::bounds(models::ModelId id, ops::OpKind act) {
-  const auto key = std::make_pair(static_cast<int>(id),
-                                  static_cast<int>(act));
-  auto it = bounds_.find(key);
-  if (it == bounds_.end()) {
-    util::metrics::counter_add("cache.bounds.build");
-    util::trace::Span span("cache.bounds.build");
-    const models::Workload& w = workloads().get(id, act);
-    it = bounds_
-             .emplace(key, core::RangeProfiler{}.derive_bounds(
-                               w.graph, w.profile_feeds))
-             .first;
-  } else {
-    util::metrics::counter_add("cache.bounds.hit");
-  }
-  return it->second;
+  return engine_->bounds(plan_.spec, id, act);
 }
 
 const graph::Graph& Suite::protected_graph(models::ModelId id,
                                            ops::OpKind act) {
-  const auto key = std::make_pair(static_cast<int>(id),
-                                  static_cast<int>(act));
-  auto it = protected_.find(key);
-  if (it == protected_.end()) {
-    util::metrics::counter_add("cache.protected.build");
-    util::trace::Span span("cache.protected.build");
-    const models::Workload& w = workloads().get(id, act);
-    it = protected_
-             .emplace(key, core::RangerTransform{}.apply(w.graph,
-                                                         bounds(id, act)))
-             .first;
-  } else {
-    util::metrics::counter_add("cache.protected.hit");
-  }
-  return it->second;
-}
-
-const TrialExecutor& Suite::executor(const SuiteCell& cell,
-                                     const graph::Graph& g,
-                                     const std::vector<Feeds>& inputs,
-                                     bool is_protected) {
-  const auto key = std::make_tuple(
-      static_cast<int>(cell.model), static_cast<int>(cell.act),
-      is_protected ? 1 : 0, static_cast<int>(cell.dtype));
-  auto it = executors_.find(key);
-  if (it != executors_.end()) {
-    util::metrics::counter_add("cache.executor.hit");
-  } else {
-    util::metrics::counter_add("cache.executor.build");
-    util::trace::Span span("cache.executor.build");
-    // The fault model, trial count and seed never reach the executor —
-    // only (graph, dtype, backend, batch) do — so one compiled executor
-    // serves every cell of this (model, act, variant, dtype).
-    CampaignConfig ec;
-    ec.dtype = cell.dtype;
-    ec.threads = plan_.spec.threads;
-    // int8 cells calibrate activation formats from the same RangeProfiler
-    // bounds Ranger derives its thresholds from.  bounds() is a pure
-    // function of (model, act) at float32 profiling — independent of the
-    // cell's dtype, shard or resume state — so the calibrated plan (and
-    // with it the cell's trial stream) is identical across shards and
-    // resumes, keeping checkpoint fingerprints compatible.
-    if (cell.dtype == tensor::DType::kInt8)
-      ec.int8_formats = core::int8_calibration(bounds(cell.model, cell.act));
-    const unsigned workers = util::worker_count(
-        std::max<std::size_t>(1, plan_.spec.check_every),
-        plan_.spec.threads);
-    it = executors_
-             .emplace(key, std::make_unique<TrialExecutor>(g, ec, inputs,
-                                                           workers))
-             .first;
-  }
-  return *it->second;
-}
-
-const std::vector<tensor::Tensor>& Suite::unprotected_goldens(
-    const SuiteCell& cell) {
-  const auto key = std::make_tuple(static_cast<int>(cell.model),
-                                   static_cast<int>(cell.act),
-                                   static_cast<int>(cell.dtype));
-  auto it = goldens_.find(key);
-  if (it == goldens_.end()) {
-    util::metrics::counter_add("cache.golden.build");
-    util::trace::Span span("cache.golden.build");
-    const models::Workload& w = workloads().get(cell.model, cell.act);
-    const TrialExecutor& ex =
-        executor(cell, w.graph, w.eval_feeds, /*is_protected=*/false);
-    std::vector<tensor::Tensor> golds;
-    golds.reserve(w.eval_feeds.size());
-    for (std::size_t i = 0; i < w.eval_feeds.size(); ++i)
-      golds.push_back(ex.golden_output(i));
-    it = goldens_.emplace(key, std::move(golds)).first;
-  } else {
-    util::metrics::counter_add("cache.golden.hit");
-  }
-  return it->second;
+  return engine_->protected_graph(plan_.spec, id, act);
 }
 
 SuiteResult Suite::run() {
@@ -511,27 +426,7 @@ SuiteResult Suite::run() {
   for (const SuiteCell& cell : plan_.cells) {
     util::trace::Span cell_span("suite.cell");
     cell_span.arg("trials", cell.total_trials);
-    const models::Workload& w = workloads().get(cell.model, cell.act);
-    if (w.eval_feeds.size() != spec.inputs)
-      throw std::runtime_error(
-          "Suite: workload produced " +
-          std::to_string(w.eval_feeds.size()) + " eval inputs for cell " +
-          cell.id + ", spec expects " + std::to_string(spec.inputs));
-
-    const bool is_protected = cell.technique != Technique::kUnprotected;
-    const graph::Graph* exec_g = &w.graph;
-    const graph::Graph* plan_g = &w.graph;
-    if (is_protected) {
-      exec_g = &protected_graph(cell.model, cell.act);
-      if (cell.technique == Technique::kRanger) plan_g = exec_g;
-    }
-
-    RunContext ctx;
-    ctx.plan_graph = plan_g;
-    ctx.exec_graph = exec_g;
-    ctx.executor = &executor(cell, *exec_g, w.eval_feeds, is_protected);
-    if (cell.technique == Technique::kRangerPaired)
-      ctx.judge_golden = &unprotected_goldens(cell);
+    const Engine::CellRun run = engine_->prepare(spec, cell);
 
     RunnerConfig rc = cell_runner_config(spec, cell);
     if (!spec.checkpoint_dir.empty())
@@ -541,7 +436,7 @@ SuiteResult Suite::run() {
 
     const CampaignRunner runner(rc);
     out.cells.push_back(
-        {cell, runner.run(ctx, w.eval_feeds,
+        {cell, runner.run(run.ctx, *run.inputs,
                           models::default_judges(cell.model))});
     util::metrics::counter_add("suite.cells_done");
   }

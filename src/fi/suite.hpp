@@ -7,11 +7,12 @@
 //  * SuiteSpec describes the grid; compile_suite() expands it into an
 //    ordered list of cells, each with a suite-global trial offset, so
 //    the whole suite is one deterministic trial stream.
-//  * Expensive state is built once and shared: models::Workload
-//    construction (training / weight loading), derived restriction
-//    bounds, Ranger-protected graphs, and compiled TrialExecutors
-//    (ExecutionPlans + goldens) are cached per (model, act[, dtype])
-//    and reused by every fault-model/technique cell.
+//  * Expensive state is built once and shared through fi::Engine
+//    (engine.hpp, the same cache the scheduler daemon serves from):
+//    models::Workload construction (training / weight loading), derived
+//    restriction bounds, Ranger-protected graphs, and compiled
+//    TrialExecutors (ExecutionPlans + goldens) are cached per (model,
+//    act[, dtype]) and reused by every fault-model/technique cell.
 //  * Each cell executes on the existing CampaignRunner, so per-cell
 //    JSONL checkpoints, deterministic sharding and Wilson-CI early
 //    stopping compose for free.  Suite-level `--shard i/N` partitions
@@ -33,12 +34,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -202,14 +201,17 @@ struct SuiteResult {
   std::vector<SuiteCellResult> cells;  // in plan order
 };
 
+class Engine;  // engine.hpp
+
 class Suite {
  public:
   // `shared_workloads` (optional) lets several suites — or a suite and a
   // bench evaluating extra techniques — share one workload cache; it
-  // must outlive the Suite.  Its options' eval_inputs/seed are
-  // overridden from the spec only when the cache is owned internally.
+  // must outlive the Suite.  Its options' eval_inputs/seed must match
+  // the spec's (an internally owned cache is built from the spec).
   explicit Suite(SuiteSpec spec,
                  models::WorkloadCache* shared_workloads = nullptr);
+  ~Suite();
 
   const SuitePlan& plan() const { return plan_; }
 
@@ -222,31 +224,14 @@ class Suite {
   // reports — no trials execute.  Throws if a cell has no checkpoint.
   SuiteResult merge(const std::vector<std::string>& dirs) const;
 
-  models::WorkloadCache& workloads() {
-    return shared_ ? *shared_ : *owned_;
-  }
+  models::WorkloadCache& workloads();
   // Cached Ranger state, shared across every cell of (model, act).
   const core::Bounds& bounds(models::ModelId id, ops::OpKind act);
   const graph::Graph& protected_graph(models::ModelId id, ops::OpKind act);
 
  private:
-  const TrialExecutor& executor(const SuiteCell& cell,
-                                const graph::Graph& g,
-                                const std::vector<Feeds>& inputs,
-                                bool is_protected);
-  const std::vector<tensor::Tensor>& unprotected_goldens(
-      const SuiteCell& cell);
-
   SuitePlan plan_;
-  models::WorkloadCache* shared_ = nullptr;
-  std::unique_ptr<models::WorkloadCache> owned_;
-  std::map<std::pair<int, int>, core::Bounds> bounds_;
-  std::map<std::pair<int, int>, graph::Graph> protected_;
-  // (model, act, protected?, dtype) → compiled plans + goldens.
-  std::map<std::tuple<int, int, int, int>, std::unique_ptr<TrialExecutor>>
-      executors_;
-  std::map<std::tuple<int, int, int>, std::vector<tensor::Tensor>>
-      goldens_;
+  std::unique_ptr<Engine> engine_;
 };
 
 // ---- Manifest ---------------------------------------------------------------

@@ -10,9 +10,7 @@
 #include "models/head_calibration.hpp"
 #include "models/weights.hpp"
 #include "train/trainer.hpp"
-#include "util/metrics.hpp"
 #include "util/stats.hpp"
-#include "util/trace.hpp"
 
 namespace rangerpp::models {
 
@@ -322,34 +320,11 @@ SteeringMetrics steering_metrics(const graph::Graph& g,
 }
 
 const Workload& WorkloadCache::get(ModelId id, ops::OpKind act) {
-  const auto key =
-      std::make_pair(static_cast<int>(id), static_cast<int>(act));
-  Entry* entry = nullptr;
-  {
-    util::MutexLock lock(mu_);
-    std::unique_ptr<Entry>& slot = cache_[key];
-    if (!slot) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  // Build outside the map lock: concurrent gets for different keys
-  // construct in parallel, and a second thread asking for this key
-  // blocks on the once_flag instead of the whole cache.
-  bool built_now = false;
-  std::call_once(entry->built, [&] {
-    util::trace::Span span("cache.workload.build");
+  return cache_.get({static_cast<int>(id), static_cast<int>(act)}, [&] {
     WorkloadOptions wo = base_;
     wo.act = act;
-    entry->workload = std::make_unique<Workload>(make_workload(id, wo));
-    built_now = true;
+    return make_workload(id, wo);
   });
-  util::metrics::counter_add(built_now ? "cache.workload.build"
-                                       : "cache.workload.hit");
-  return *entry->workload;
-}
-
-std::size_t WorkloadCache::size() const {
-  util::MutexLock lock(mu_);
-  return cache_.size();
 }
 
 std::size_t scaled_trials(ModelId id, std::size_t trials_small) {

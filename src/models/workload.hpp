@@ -4,17 +4,13 @@
 // and caching them on disk), and builds the unprotected inference graph.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "data/synthetic.hpp"
 #include "fi/sdc.hpp"
 #include "models/zoo.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
+#include "util/once_cache.hpp"
 
 namespace rangerpp::models {
 
@@ -55,14 +51,11 @@ Workload make_workload(ModelId id, const WorkloadOptions& options = {});
 //
 // Thread-safe: get() may be called concurrently from any number of
 // threads (the scheduler daemon shares one cache across concurrent
-// requests).  The map shape is guarded by a mutex held only for
-// find-or-insert; the expensive build runs outside it under a per-entry
-// once_flag, so two threads requesting the same key build it exactly
-// once (the second blocks until the first finishes) and requests for
-// different keys build in parallel.  Returned references stay stable
-// for the cache's lifetime (entries are heap-allocated and never
-// evicted), and a returned Workload is immutable, so post-build reads
-// need no further synchronisation.
+// requests).  It is a util::OnceCache (once_cache.hpp): two threads
+// requesting the same key build it exactly once, requests for different
+// keys build in parallel, and a returned Workload is immutable and stays
+// valid for the cache's lifetime.  Lookups run under a
+// cache.workload.get span and builds under cache.workload.build.
 class WorkloadCache {
  public:
   explicit WorkloadCache(WorkloadOptions base = {}) : base_(base) {}
@@ -72,18 +65,12 @@ class WorkloadCache {
   const Workload& get(ModelId id, ops::OpKind act = ops::OpKind::kInput);
 
   const WorkloadOptions& options() const { return base_; }
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
 
  private:
-  struct Entry {
-    std::once_flag built;
-    std::unique_ptr<Workload> workload;
-  };
-
   WorkloadOptions base_;
-  mutable util::Mutex mu_;  // held only for find-or-insert, never a build
-  std::map<std::pair<int, int>, std::unique_ptr<Entry>> cache_
-      RANGERPP_GUARDED_BY(mu_);
+  util::OnceCache<std::pair<int, int>, Workload> cache_{
+      {"cache.workload.get", "cache.workload.build", "cache.workload.hit"}};
 };
 
 // The shared trial-count rule for campaign suites and benches: the

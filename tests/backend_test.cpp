@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "core/restrict_op.hpp"
-#include "fi/campaign.hpp"
 #include "fi/equivalence.hpp"
+#include "fi/runner.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "graph/plan.hpp"
@@ -255,28 +255,31 @@ TEST(BatchedCampaignTest, BatchingAndBackendNeverChangeSdcCounts) {
   std::vector<fi::Feeds> inputs;
   for (int i = 0; i < 2; ++i)
     inputs.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
-  const fi::Top1Judge judge;
+  const std::vector<fi::JudgePtr> judges{std::make_shared<fi::Top1Judge>()};
 
-  std::vector<std::size_t> sdc_counts;
+  std::vector<fi::CampaignReport> reports;
   for (const ops::KernelBackend backend :
        {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
       for (const bool partial : {true, false}) {
-        fi::CampaignConfig cc;
-        cc.dtype = tensor::DType::kFixed32;
-        cc.trials_per_input = 60;
-        cc.seed = 2024;
-        cc.backend = backend;
-        cc.batch = batch;
-        cc.partial_reexecution = partial;
-        const fi::CampaignResult r = fi::Campaign(cc).run(g, inputs, judge);
-        EXPECT_EQ(r.trials, 120u);
-        sdc_counts.push_back(r.sdcs);
+        fi::RunnerConfig rc;
+        rc.campaign.dtype = tensor::DType::kFixed32;
+        rc.campaign.trials_per_input = 60;
+        rc.campaign.seed = 2024;
+        rc.campaign.backend = backend;
+        rc.campaign.batch = batch;
+        rc.campaign.partial_reexecution = partial;
+        reports.push_back(fi::CampaignRunner(rc).run(g, inputs, judges));
+        EXPECT_EQ(reports.back().executed(), 120u);
       }
     }
   }
-  for (std::size_t i = 1; i < sdc_counts.size(); ++i)
-    EXPECT_EQ(sdc_counts[i], sdc_counts[0])
+  // Positive control: the reference configuration must see SDCs, or
+  // "identical across configs" could hold with injection silently
+  // missing everywhere.
+  EXPECT_GT(reports[0].aggregate[0].sdcs, 0u);
+  for (std::size_t i = 1; i < reports.size(); ++i)
+    EXPECT_TRUE(fi::records_identical(reports[i].records, reports[0].records))
         << "configuration " << i
         << " diverged: backends/batching must be bit-identical";
 }
@@ -428,15 +431,17 @@ TEST(SimdBackendTest, CampaignSdcRatesStatisticallyEqualToScalar) {
   std::vector<fi::Feeds> inputs;
   for (int i = 0; i < 2; ++i)
     inputs.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
-  const fi::Top1Judge judge;
-  fi::CampaignConfig cc;
-  cc.dtype = tensor::DType::kFixed32;
-  cc.trials_per_input = 100;
-  cc.seed = 2024;
-  cc.backend = ops::KernelBackend::kScalar;
-  const fi::CampaignResult rs = fi::Campaign(cc).run(g, inputs, judge);
-  cc.backend = ops::KernelBackend::kSimd;
-  const fi::CampaignResult rv = fi::Campaign(cc).run(g, inputs, judge);
+  const std::vector<fi::JudgePtr> judges{std::make_shared<fi::Top1Judge>()};
+  fi::RunnerConfig rc;
+  rc.campaign.dtype = tensor::DType::kFixed32;
+  rc.campaign.trials_per_input = 100;
+  rc.campaign.seed = 2024;
+  rc.campaign.backend = ops::KernelBackend::kScalar;
+  const fi::CampaignResult rs =
+      fi::CampaignRunner(rc).run(g, inputs, judges).aggregate[0];
+  rc.campaign.backend = ops::KernelBackend::kSimd;
+  const fi::CampaignResult rv =
+      fi::CampaignRunner(rc).run(g, inputs, judges).aggregate[0];
   EXPECT_EQ(rs.trials, rv.trials);
   EXPECT_TRUE(fi::rates_statistically_equal(rs.sdcs, rs.trials, rv.sdcs,
                                             rv.trials))

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <numbers>
 
-#include "fi/campaign.hpp"
 #include "fi/fault_model.hpp"
+#include "fi/runner.hpp"
 #include "fi/sdc.hpp"
 #include "graph/builder.hpp"
 
@@ -162,54 +162,67 @@ TEST(Judges, NanOutputIsAlwaysSdc) {
 
 // ---- Campaign ----------------------------------------------------------------
 
-TEST(Campaign, DeterministicGivenSeed) {
-  const graph::Graph g = relu_net();
-  const std::vector<Feeds> inputs{
-      {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}};
-  CampaignConfig cfg;
-  cfg.trials_per_input = 200;
-  cfg.seed = 99;
-  const Campaign c(cfg);
-  // Judge: SDC iff element 0 deviates by > 1.
-  class Dev1Judge final : public SdcJudge {
-   public:
-    bool is_sdc(const Tensor& g, const Tensor& f) const override {
-      return std::abs(g.at(0) - f.at(0)) > 1.0f;
-    }
-  } judge;
-  const CampaignResult r1 = c.run(g, inputs, judge);
-  const CampaignResult r2 = c.run(g, inputs, judge);
-  EXPECT_EQ(r1.trials, 200u);
-  EXPECT_EQ(r1.sdcs, r2.sdcs);
-  EXPECT_GT(r1.sdcs, 0u);           // high-order bit flips must deviate
-  EXPECT_LT(r1.sdc_rate(), 1.0);    // low-order flips must not
+// SDC iff output element 0 deviates by more than `t`.
+class DevJudge final : public SdcJudge {
+ public:
+  explicit DevJudge(float t) : t_(t) {}
+  bool is_sdc(const Tensor& g, const Tensor& f) const override {
+    return std::abs(g.at(0) - f.at(0)) > t_;
+  }
+
+ private:
+  float t_;
+};
+
+std::vector<Feeds> ones_input() {
+  return {{{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}};
 }
 
-TEST(Campaign, MultiJudgeSharesTrials) {
+TEST(CampaignRunner, DeterministicGivenSeed) {
   const graph::Graph g = relu_net();
-  const std::vector<Feeds> inputs{
-      {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}};
-  CampaignConfig cfg;
-  cfg.trials_per_input = 100;
-  const Campaign c(cfg);
-  // Threshold family: a looser threshold can never yield more SDCs.
-  class DevJudge final : public SdcJudge {
-   public:
-    explicit DevJudge(float t) : t_(t) {}
-    bool is_sdc(const Tensor& g, const Tensor& f) const override {
-      return std::abs(g.at(0) - f.at(0)) > t_;
-    }
+  RunnerConfig rc;
+  rc.campaign.trials_per_input = 200;
+  rc.campaign.seed = 99;
+  const std::vector<JudgePtr> judges{std::make_shared<DevJudge>(1.0f)};
+  const CampaignReport r1 = CampaignRunner(rc).run(g, ones_input(), judges);
+  const CampaignReport r2 = CampaignRunner(rc).run(g, ones_input(), judges);
+  EXPECT_TRUE(records_identical(r1.records, r2.records));
+  const CampaignResult& r = r1.aggregate[0];
+  EXPECT_EQ(r.trials, 200u);
+  EXPECT_GT(r.sdcs, 0u);           // high-order bit flips must deviate
+  EXPECT_LT(r.sdc_rate(), 1.0);    // low-order flips must not
+}
 
-   private:
-    float t_;
-  };
-  const auto results = c.run_multi(
-      g, inputs,
-      {std::make_shared<DevJudge>(0.5f), std::make_shared<DevJudge>(5.0f),
-       std::make_shared<DevJudge>(500.0f)});
+TEST(CampaignRunner, MultiJudgeSharesTrials) {
+  const graph::Graph g = relu_net();
+  RunnerConfig rc;
+  rc.campaign.trials_per_input = 100;
+  const std::vector<JudgePtr> judges{std::make_shared<DevJudge>(0.5f),
+                                     std::make_shared<DevJudge>(5.0f),
+                                     std::make_shared<DevJudge>(500.0f)};
+  const CampaignReport report =
+      CampaignRunner(rc).run(g, ones_input(), judges);
+  // Threshold family: a looser threshold can never yield more SDCs.
+  const std::vector<CampaignResult>& results = report.aggregate;
   ASSERT_EQ(results.size(), 3u);
   EXPECT_GE(results[0].sdcs, results[1].sdcs);
   EXPECT_GE(results[1].sdcs, results[2].sdcs);
+  // One execution per trial, judged three times: the record stream is
+  // that of three single-judge campaigns with their verdicts merged into
+  // one mask, judge j in bit j.
+  std::vector<TrialRecord> merged;
+  for (std::size_t j = 0; j < judges.size(); ++j) {
+    const CampaignReport single =
+        CampaignRunner(rc).run(g, ones_input(), {judges[j]});
+    if (j == 0) {
+      merged = single.records;
+      continue;
+    }
+    ASSERT_EQ(single.records.size(), merged.size());
+    for (std::size_t i = 0; i < merged.size(); ++i)
+      merged[i].sdc_mask |= single.records[i].sdc_mask << j;
+  }
+  EXPECT_TRUE(records_identical(report.records, merged));
 }
 
 TEST(Campaign, ResultStatistics) {
@@ -219,26 +232,28 @@ TEST(Campaign, ResultStatistics) {
   EXPECT_NEAR(r.ci95_pct(), 2.21, 0.05);
 }
 
-TEST(Campaign, PairedRunReplaysIdenticalFaults) {
+TEST(CampaignRunner, PairedRunReplaysIdenticalFaults) {
   const graph::Graph g = relu_net();
-  // The "protected" graph here is an identical clone: paired outcomes must
-  // match exactly trial by trial.
+  // The "protected" graph here is an identical clone: faults planned on
+  // `g`, replayed on the clone and judged against `g`'s goldens (the
+  // ranger-paired cell setup) must reproduce the plain run's records
+  // exactly — fault sets, strata and verdicts, trial by trial.
   const graph::Graph clone = g.clone();
-  const std::vector<Feeds> inputs{
-      {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}};
-  CampaignConfig cfg;
-  cfg.trials_per_input = 100;
-  const Campaign c(cfg);
-  class Dev1Judge final : public SdcJudge {
-   public:
-    bool is_sdc(const Tensor& g, const Tensor& f) const override {
-      return std::abs(g.at(0) - f.at(0)) > 1.0f;
-    }
-  } judge;
-  const auto outcomes = c.run_paired(g, clone, inputs, judge);
-  EXPECT_EQ(outcomes.size(), 100u);
-  for (const auto& o : outcomes)
-    EXPECT_EQ(o.sdc_unprotected, o.sdc_protected);
+  const std::vector<Feeds> inputs = ones_input();
+  RunnerConfig rc;
+  rc.campaign.trials_per_input = 100;
+  const CampaignRunner runner(rc);
+  const std::vector<JudgePtr> judges{std::make_shared<DevJudge>(1.0f)};
+  const CampaignReport plain = runner.run(g, inputs, judges);
+  const TrialExecutor unprotected(g, rc.campaign, inputs, 1);
+  RunContext paired;
+  paired.plan_graph = &g;
+  paired.exec_graph = &clone;
+  paired.golden_executor = &unprotected;
+  const CampaignReport replay = runner.run(paired, inputs, judges);
+  EXPECT_EQ(replay.executed(), 100u);
+  EXPECT_GT(plain.aggregate[0].sdcs, 0u);
+  EXPECT_TRUE(records_identical(plain.records, replay.records));
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
-#include "fi/campaign.hpp"
+#include "fi/runner.hpp"
 #include "graph/dot_export.hpp"
 #include "models/workload.hpp"
 
@@ -36,17 +36,27 @@ Pipeline build_pipeline(ModelId id, bool trained = true) {
   return p;
 }
 
+// SDC result of an in-memory campaign of `cc` on `g` under `judge`.
+fi::CampaignResult campaign_sdc(const fi::CampaignConfig& cc,
+                                const graph::Graph& g,
+                                const std::vector<fi::Feeds>& inputs,
+                                fi::JudgePtr judge) {
+  fi::RunnerConfig rc;
+  rc.campaign = cc;
+  return fi::CampaignRunner(rc).run(g, inputs, {std::move(judge)})
+      .aggregate[0];
+}
+
 TEST(Integration, RangerCutsLeNetSdcRateSubstantially) {
   const Pipeline p = build_pipeline(ModelId::kLeNet);
   fi::CampaignConfig cc;
   cc.trials_per_input = 300;
   cc.seed = 5;
-  const fi::Campaign campaign(cc);
-  const fi::Top1Judge judge;
+  const auto judge = std::make_shared<fi::Top1Judge>();
   const fi::CampaignResult orig =
-      campaign.run(p.workload.graph, p.workload.eval_feeds, judge);
+      campaign_sdc(cc, p.workload.graph, p.workload.eval_feeds, judge);
   const fi::CampaignResult prot =
-      campaign.run(p.protected_graph, p.workload.eval_feeds, judge);
+      campaign_sdc(cc, p.protected_graph, p.workload.eval_feeds, judge);
   EXPECT_GT(orig.sdc_rate(), 0.05);  // unprotected LeNet is vulnerable
   EXPECT_LT(prot.sdc_rate(), orig.sdc_rate() / 3.0)
       << "Ranger must reduce the SDC rate by a large factor (paper: 3x-50x)";
@@ -59,17 +69,31 @@ TEST(Integration, RangerNeverIncreasesSdcOnPairedTrials) {
   // version: protected SDC count <= unprotected SDC count + slack for the
   // clamp ops' own (new) fault sites.
   const Pipeline p = build_pipeline(ModelId::kComma);
-  fi::CampaignConfig cc;
-  cc.trials_per_input = 300;
-  cc.seed = 6;
-  const fi::Campaign campaign(cc);
-  const fi::SteeringJudge judge(30.0, false);
-  const auto outcomes = campaign.run_paired(
-      p.workload.graph, p.protected_graph, p.workload.eval_feeds, judge);
+  fi::RunnerConfig rc;
+  rc.campaign.trials_per_input = 300;
+  rc.campaign.seed = 6;
+  const fi::CampaignRunner runner(rc);
+  const std::vector<fi::JudgePtr> judges{
+      std::make_shared<fi::SteeringJudge>(30.0, false)};
+  const fi::CampaignReport plain =
+      runner.run(p.workload.graph, p.workload.eval_feeds, judges);
+  // Faults planned on the unprotected graph, replayed on the protected
+  // twin (the transform preserves node names).
+  fi::RunContext paired;
+  paired.plan_graph = &p.workload.graph;
+  paired.exec_graph = &p.protected_graph;
+  const fi::CampaignReport replay =
+      runner.run(paired, p.workload.eval_feeds, judges);
+  // Both streams are complete and sorted: join them on trial index, as
+  // fi::paired_coverage does.
+  ASSERT_EQ(plain.records.size(), replay.records.size());
   std::size_t worse = 0, improved = 0;
-  for (const auto& o : outcomes) {
-    if (o.sdc_protected && !o.sdc_unprotected) ++worse;
-    if (!o.sdc_protected && o.sdc_unprotected) ++improved;
+  for (std::size_t i = 0; i < plain.records.size(); ++i) {
+    ASSERT_EQ(plain.records[i].trial, replay.records[i].trial);
+    const bool sdc_unprotected = plain.records[i].sdc_mask != 0;
+    const bool sdc_protected = replay.records[i].sdc_mask != 0;
+    if (sdc_protected && !sdc_unprotected) ++worse;
+    if (!sdc_protected && sdc_unprotected) ++improved;
   }
   EXPECT_GT(improved, 10u);
   EXPECT_LT(worse, improved / 5 + 3);
@@ -81,12 +105,11 @@ TEST(Integration, Fixed16CampaignAlsoImproves) {
   cc.dtype = tensor::DType::kFixed16;
   cc.trials_per_input = 300;
   cc.seed = 7;
-  const fi::Campaign campaign(cc);
-  const fi::Top1Judge judge;
+  const auto judge = std::make_shared<fi::Top1Judge>();
   const fi::CampaignResult orig =
-      campaign.run(p.workload.graph, p.workload.eval_feeds, judge);
+      campaign_sdc(cc, p.workload.graph, p.workload.eval_feeds, judge);
   const fi::CampaignResult prot =
-      campaign.run(p.protected_graph, p.workload.eval_feeds, judge);
+      campaign_sdc(cc, p.protected_graph, p.workload.eval_feeds, judge);
   EXPECT_LT(prot.sdc_rate(), orig.sdc_rate());
 }
 
@@ -95,17 +118,15 @@ TEST(Integration, MultiBitIndependentIsWorseThanSingleBit) {
   fi::CampaignConfig cc;
   cc.trials_per_input = 400;
   cc.seed = 8;
-  const fi::Top1Judge judge;
+  const auto judge = std::make_shared<fi::Top1Judge>();
   cc.n_bits = 1;
-  const double sdc1 = fi::Campaign(cc)
-                          .run(p.workload.graph, p.workload.eval_feeds,
-                               judge)
-                          .sdc_rate();
+  const double sdc1 =
+      campaign_sdc(cc, p.workload.graph, p.workload.eval_feeds, judge)
+          .sdc_rate();
   cc.n_bits = 4;
-  const double sdc4 = fi::Campaign(cc)
-                          .run(p.workload.graph, p.workload.eval_feeds,
-                               judge)
-                          .sdc_rate();
+  const double sdc4 =
+      campaign_sdc(cc, p.workload.graph, p.workload.eval_feeds, judge)
+          .sdc_rate();
   EXPECT_GT(sdc4, sdc1);  // more corrupted values, more SDCs (Fig 11)
 }
 

@@ -11,6 +11,7 @@
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "graph/passes.hpp"
+#include "models/zoo.hpp"
 #include "ops/activation_ops.hpp"
 #include "ops/basic_ops.hpp"
 #include "ops/elementwise_ops.hpp"
@@ -111,8 +112,7 @@ TEST(PlanMemory, ConstOutputsExcludedFromBothCounts) {
 
 // --- Compiled arena-mode plans ----------------------------------------------
 
-TEST(ArenaMode, OutputBitIdenticalAndIntermediatesDropped) {
-  util::Rng rng(23);
+Graph toy_conv_net(util::Rng& rng) {
   GraphBuilder b;
   b.input("input", tensor::Shape{1, 6, 6, 2});
   b.conv2d("conv1", random_tensor({3, 3, 2, 3}, rng),
@@ -122,41 +122,72 @@ TEST(ArenaMode, OutputBitIdenticalAndIntermediatesDropped) {
   b.dense("fc", random_tensor({6 * 6 * 3, 4}, rng),
           random_tensor({4}, rng));
   b.softmax("softmax");
-  const Graph g = b.finish();
-  const Feeds feeds{{"input", random_tensor({1, 6, 6, 2}, rng)}};
+  return b.finish();
+}
 
-  const Executor exec({tensor::DType::kFixed32});
-  const ExecutionPlan reference(g, tensor::DType::kFixed32);
-  Arena ref_arena;
-  const tensor::Tensor ref = exec.run(reference, feeds, ref_arena);
+// AlexNet with He-initialised weights (as zoo_sweep_test builds it): a
+// real conv tower, where the planner must cut the activation footprint.
+Graph he_alexnet() {
+  const models::ModelId id = models::ModelId::kAlexNet;
+  const ops::OpKind act = models::default_act(id);
+  return models::build_model(id, act, models::init_weights(id, act, 99));
+}
 
-  const ExecutionPlan arena_plan =
-      compile(g, {.dtype = tensor::DType::kFixed32,
-                  .observe = Observe::kNone,
-                  .memory = MemoryMode::kArena});
-  EXPECT_EQ(arena_plan.memory_mode(), MemoryMode::kArena);
-  Arena arena;
-  const tensor::Tensor got = exec.run(arena_plan, feeds, arena);
+// A random tensor of the declared shape for every Input node of `g`.
+Feeds random_feeds(const Graph& g, util::Rng& rng) {
+  Feeds feeds;
+  for (const Node& n : g.nodes())
+    if (n.op->kind() == ops::OpKind::kInput)
+      feeds[n.name] = random_tensor(
+          static_cast<const ops::InputOp&>(*n.op).shape(), rng);
+  return feeds;
+}
 
-  ASSERT_EQ(got.elements(), ref.elements());
-  EXPECT_EQ(std::memcmp(got.values().data(), ref.values().data(),
-                        ref.elements() * sizeof(float)),
-            0);
+TEST(ArenaMode, OutputBitIdenticalAndIntermediatesDropped) {
+  util::Rng rng(23);
+  const Graph graphs[] = {toy_conv_net(rng), he_alexnet()};
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(testing::Message() << g.size() << "-node graph");
+    const Feeds feeds = random_feeds(g, rng);
 
-  // Every droppable intermediate was released; Inputs and the output
-  // survive the run.
-  const Graph& cg = arena_plan.graph();
-  const auto& outs = arena.outputs();
-  ASSERT_EQ(outs.size(), cg.size());
-  for (const Node& n : cg.nodes()) {
-    const auto sz = outs[static_cast<std::size_t>(n.id)].elements();
-    const bool retained = n.op->kind() == ops::OpKind::kInput ||
-                          n.op->kind() == ops::OpKind::kConst ||
-                          n.id == cg.output();
-    if (retained)
-      EXPECT_GT(sz, 0u) << n.name;
-    else
-      EXPECT_EQ(sz, 0u) << n.name << " should have been dropped";
+    const Executor exec({tensor::DType::kFixed32});
+    const ExecutionPlan reference(g, tensor::DType::kFixed32);
+    Arena ref_arena;
+    const tensor::Tensor ref = exec.run(reference, feeds, ref_arena);
+
+    const ExecutionPlan arena_plan =
+        compile(g, {.dtype = tensor::DType::kFixed32,
+                    .observe = Observe::kNone,
+                    .memory = MemoryMode::kArena});
+    EXPECT_EQ(arena_plan.memory_mode(), MemoryMode::kArena);
+    Arena arena;
+    const tensor::Tensor got = exec.run(arena_plan, feeds, arena);
+
+    ASSERT_EQ(got.elements(), ref.elements());
+    EXPECT_EQ(std::memcmp(got.values().data(), ref.values().data(),
+                          ref.elements() * sizeof(float)),
+              0);
+
+    // Every droppable intermediate was released; Inputs and the output
+    // survive the run.
+    const Graph& cg = arena_plan.graph();
+    const auto& outs = arena.outputs();
+    ASSERT_EQ(outs.size(), cg.size());
+    for (const Node& n : cg.nodes()) {
+      const auto sz = outs[static_cast<std::size_t>(n.id)].elements();
+      const bool retained = n.op->kind() == ops::OpKind::kInput ||
+                            n.op->kind() == ops::OpKind::kConst ||
+                            n.id == cg.output();
+      if (retained)
+        EXPECT_GT(sz, 0u) << n.name;
+      else
+        EXPECT_EQ(sz, 0u) << n.name << " should have been dropped";
+    }
+
+    // Slot aliasing shrinks the peak below the retain-all footprint.
+    const CompileReport& report = *arena_plan.report();
+    EXPECT_GT(report.peak_arena_bytes, 0u);
+    EXPECT_LT(report.peak_arena_bytes, report.unplanned_bytes);
   }
 }
 
@@ -184,7 +215,7 @@ TEST(ArenaMode, ReportMatchesPlannedBytes) {
   GraphBuilder b;
   // Deep enough that after fusion (dense+bias_add+relu per layer) three
   // droppable intermediates remain and alias onto two slots — a strict
-  // peak reduction, which the campaign_throughput smoke check relies on.
+  // peak reduction.
   b.input("input", tensor::Shape{1, 16});
   for (int layer = 1; layer <= 4; ++layer) {
     const std::string n = std::to_string(layer);

@@ -24,6 +24,7 @@
 #include "fi/record_codec.hpp"
 #include "fi/scheduler.hpp"
 #include "util/metrics.hpp"
+#include "util/trace.hpp"
 
 namespace rangerpp::fi {
 namespace {
@@ -39,6 +40,17 @@ std::string slurp(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+// Complete spans named exactly `name` in a flushed trace file.
+std::size_t count_spans(const std::string& trace_json,
+                        const std::string& name) {
+  const std::string needle = "\"" + name + "\"";
+  std::size_t n = 0;
+  for (std::size_t pos = trace_json.find(needle); pos != std::string::npos;
+       pos = trace_json.find(needle, pos + needle.size()))
+    ++n;
+  return n;
 }
 
 // One workload cache for the whole binary: every spec below uses
@@ -283,7 +295,7 @@ TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {
 
 TEST(SchedulerIdentity, WarmCachesChangeNothing) {
   // Second request of the same grid hits every engine cache (workloads,
-  // bounds, executors, goldens) warm; records must not care.
+  // bounds, protected graphs, executors) warm; records must not care.
   SuiteSpec cold = tiny_spec("warm_a");
   SuiteSpec warm = tiny_spec("warm_b");
   const auto golden = one_shot_goldens(cold, "warm_golden");
@@ -291,11 +303,25 @@ TEST(SchedulerIdentity, WarmCachesChangeNothing) {
   SchedulerConfig cfg;
   cfg.workers = 2;
   cfg.partitions_per_cell = 2;
+  util::metrics::set_enabled(true);
+  util::metrics::reset();
   Scheduler sched(cfg, &shared_cache());
   const std::uint64_t ca = sched.submit(cold);
   sched.wait(ca);
+  const std::uint64_t cold_builds =
+      util::metrics::counter_value("cache.executor.build");
+  const std::uint64_t cold_hits =
+      util::metrics::counter_value("cache.executor.hit");
   const std::uint64_t wa = sched.submit(warm);
   sched.wait(wa);
+  util::metrics::set_enabled(false);
+  // The cold request builds one executor per variant ({unprotected,
+  // ranger}); the warm one only hits them.
+  EXPECT_EQ(cold_builds, 2u);
+  EXPECT_EQ(util::metrics::counter_value("cache.executor.build"),
+            cold_builds);
+  EXPECT_GT(util::metrics::counter_value("cache.executor.hit"), cold_hits);
+  util::metrics::reset();
 
   const auto cold_paths = sched.export_request_jsonl(ca, temp_dir("warm_o1"));
   const auto warm_paths = sched.export_request_jsonl(wa, temp_dir("warm_o2"));
@@ -631,6 +657,31 @@ TEST(SchedulerRetention, ExportRacingReleaseIsAllOrNothing) {
           << path << " truncated by a concurrent release";
     }
   }
+}
+
+// SchedulerConfig::verify_plans reaches every executor the daemon
+// builds (scheduler_cli serve --verify-plan), and every slice's engine
+// lookup runs under a cache.executor.get span.
+TEST(SchedulerEngine, VerifyPlansVerifiesEveryExecutorPlan) {
+  const std::string trace_path =
+      testing::TempDir() + "/scheduler_verify_trace.json";
+  ASSERT_TRUE(util::trace::start(trace_path));
+  {
+    SchedulerConfig cfg;
+    cfg.workers = 2;
+    cfg.verify_plans = true;
+    Scheduler sched(cfg, &shared_cache());
+    sched.wait(sched.submit(tiny_spec("sched_verify")));
+  }  // workers joined before the flush
+  ASSERT_TRUE(util::trace::stop_and_flush());
+  const std::string trace_json = slurp(trace_path);
+  std::filesystem::remove(trace_path);
+  // Two executors ({unprotected, ranger}), each compiling at least one
+  // plan.
+  EXPECT_GE(count_spans(trace_json, "compile.verify_plan"), 2u);
+  EXPECT_EQ(count_spans(trace_json, "cache.executor.build"), 2u);
+  EXPECT_GE(count_spans(trace_json, "cache.executor.get"),
+            count_spans(trace_json, "sched.slice"));
 }
 
 TEST(SchedulerEngine, WorkloadCacheConcurrentGetIsSafe) {

@@ -37,6 +37,17 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+// Complete spans named exactly `name` in a flushed trace file.
+std::size_t count_spans(const std::string& trace_json,
+                        const std::string& name) {
+  const std::string needle = "\"" + name + "\"";
+  std::size_t n = 0;
+  for (std::size_t pos = trace_json.find(needle); pos != std::string::npos;
+       pos = trace_json.find(needle, pos + needle.size()))
+    ++n;
+  return n;
+}
+
 SuiteSpec tiny_spec(const char* name) {
   SuiteSpec spec;
   spec.name = name;
@@ -136,12 +147,42 @@ TEST(Suite, WorkloadAndExecutorStateIsSharedAcrossCells) {
   SuiteSpec spec = tiny_spec("cache");
   spec.dtypes = {tensor::DType::kFixed32, tensor::DType::kFixed16};
   spec.faults = {{1, false}, {2, false}};
+  util::metrics::set_enabled(true);
+  util::metrics::reset();
   Suite suite(spec);
   const SuiteResult result = suite.run();
+  util::metrics::set_enabled(false);
   EXPECT_EQ(result.cells.size(), 8u);
   // 8 cells, one workload construction; bounds/protected graph built
-  // once per (model, act) regardless of dtype/fault/technique count.
+  // once per (model, act) regardless of dtype/fault/technique count;
+  // one executor per (dtype, variant): 2 dtypes × {unprotected, ranger},
+  // each reused by the other fault model's cell.
   EXPECT_EQ(suite.workloads().size(), 1u);
+  EXPECT_EQ(util::metrics::counter_value("cache.bounds.build"), 1u);
+  EXPECT_EQ(util::metrics::counter_value("cache.protected.build"), 1u);
+  EXPECT_EQ(util::metrics::counter_value("cache.executor.build"), 4u);
+  EXPECT_EQ(util::metrics::counter_value("cache.executor.hit"), 4u);
+  util::metrics::reset();
+}
+
+// SuiteSpec::verify_plan reaches every cell executor's compiled plans:
+// the static verifier runs even in release builds, where compile() skips
+// it by default (suite_cli --verify-plan relies on this).
+TEST(Suite, VerifyPlanVerifiesEveryExecutorPlan) {
+  SuiteSpec spec = tiny_spec("verify");
+  spec.verify_plan = true;
+  const std::string trace_path =
+      testing::TempDir() + "/suite_verify_trace.json";
+  ASSERT_TRUE(util::trace::start(trace_path));
+  Suite(spec).run();
+  ASSERT_TRUE(util::trace::stop_and_flush());
+  const std::string trace_json = slurp(trace_path);
+  std::filesystem::remove(trace_path);
+  // Two executors ({unprotected, ranger}), each looked up once and
+  // compiling at least one plan.
+  EXPECT_GE(count_spans(trace_json, "compile.verify_plan"), 2u);
+  EXPECT_EQ(count_spans(trace_json, "cache.executor.build"), 2u);
+  EXPECT_EQ(count_spans(trace_json, "cache.executor.get"), 2u);
 }
 
 TEST(Suite, ShardedRunsMergeBitIdenticalToUnsharded) {
