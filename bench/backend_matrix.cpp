@@ -24,6 +24,7 @@
 #include "core/calibration.hpp"
 #include "fi/equivalence.hpp"
 #include "graph/builder.hpp"
+#include "graph/passes.hpp"
 #include "ops/cpu_features.hpp"
 
 using namespace rangerpp;
@@ -97,11 +98,11 @@ std::vector<tensor::Tensor> clean_outputs(
     const graph::Graph& g, const std::vector<fi::Feeds>& inputs,
     tensor::DType dtype, ops::KernelBackend backend,
     const core::Int8Formats& formats) {
-  graph::PlanOptions po;
-  po.backend = backend;
-  if (dtype == tensor::DType::kInt8) po.int8_formats = formats;
-  const graph::ExecutionPlan plan(g, dtype, po);
-  const graph::Executor exec({dtype});
+  graph::CompileOptions co{
+      .dtype = dtype, .backend = backend, .observe = graph::Observe::kAll};
+  if (dtype == tensor::DType::kInt8) co.int8_formats = formats;
+  const graph::ExecutionPlan plan = graph::compile(g, co);
+  const graph::Executor exec;
   graph::Arena arena;
   std::vector<tensor::Tensor> outs;
   outs.reserve(inputs.size());

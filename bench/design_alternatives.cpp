@@ -17,6 +17,7 @@
 
 #include "bench/common.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "util/threadpool.hpp"
 
 using namespace rangerpp;
@@ -33,18 +34,27 @@ constexpr PolicyDef kPolicies[] = {
     {"Random in-bound replacement", core::RestrictionPolicy::kRandom},
 };
 
+// Float32 plan whose nodes are the graph's, so bound names match hooks.
+graph::ExecutionPlan float_plan(const graph::Graph& g) {
+  return graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+}
+
 // Indices of validation samples whose fault-free activations exceed the
 // profiled upper bound anywhere in the network.
 std::vector<std::size_t> exceeding_inputs(const models::Workload& w,
+                                          const graph::ExecutionPlan& plan,
                                           const core::Bounds& bounds) {
   std::vector<std::size_t> out;
-  std::vector<std::atomic<unsigned char>> flags(w.validation.samples.size());
-  const graph::Executor exec({tensor::DType::kFloat32});
-  util::parallel_for(w.validation.samples.size(), [&](std::size_t i) {
+  const std::size_t count = w.validation.samples.size();
+  std::vector<std::atomic<unsigned char>> flags(count);
+  const graph::Executor exec;
+  std::vector<graph::Arena> arenas(util::worker_count(count));
+  util::parallel_for_workers(count, [&](unsigned worker, std::size_t i) {
     bool exceeds = false;
-    exec.run(w.graph,
+    exec.run(plan,
              fi::Feeds{{w.input_name, w.validation.samples[i].image}},
-             [&](const graph::Node& n, tensor::Tensor& t) {
+             arenas[worker], [&](const graph::Node& n, tensor::Tensor& t) {
                if (exceeds) return;
                const auto it = bounds.find(n.name);
                if (it == bounds.end()) return;
@@ -81,7 +91,9 @@ int main() {
     const core::Bounds bounds =
         core::RangeProfiler{}.derive_bounds(w.graph, w.profile_feeds);
 
-    const std::vector<std::size_t> exceeding = exceeding_inputs(w, bounds);
+    const graph::ExecutionPlan base_plan = float_plan(w.graph);
+    const std::vector<std::size_t> exceeding =
+        exceeding_inputs(w, base_plan, bounds);
     std::printf("--- %s: %zu of %zu validation inputs exceed the profiled "
                 "bound fault-free ---\n",
                 models::model_name(id).c_str(), exceeding.size(),
@@ -92,7 +104,8 @@ int main() {
     cc.trials_per_input = cfg.trials_for(id);
     cc.seed = cfg.seed;
     const auto judges = models::default_judges(id);
-    const graph::Executor exec({tensor::DType::kFloat32});
+    const graph::Executor exec;
+    graph::Arena base_arena, prot_arena;
 
     util::Table table({"policy", "pred. changes on exceeding inputs",
                        "SDC rate (%)"});
@@ -103,12 +116,13 @@ int main() {
     for (const PolicyDef& p : kPolicies) {
       const graph::Graph protected_g =
           core::RangerTransform{{p.policy, cfg.seed}}.apply(w.graph, bounds);
+      const graph::ExecutionPlan prot_plan = float_plan(protected_g);
       std::size_t changed = 0;
       for (const std::size_t i : exceeding) {
         const fi::Feeds feeds{{w.input_name,
                                w.validation.samples[i].image}};
-        if (graph::argmax(exec.run(w.graph, feeds)) !=
-            graph::argmax(exec.run(protected_g, feeds)))
+        if (graph::argmax(exec.run(base_plan, feeds, base_arena)) !=
+            graph::argmax(exec.run(prot_plan, feeds, prot_arena)))
           ++changed;
       }
       const auto r =
@@ -136,13 +150,13 @@ int main() {
       shifted.push_back(std::move(img));
     }
     for (const PolicyDef& p : kPolicies) {
-      const graph::Graph protected_g =
-          core::RangerTransform{{p.policy, cfg.seed}}.apply(w.graph, bounds);
+      const graph::ExecutionPlan prot_plan = float_plan(
+          core::RangerTransform{{p.policy, cfg.seed}}.apply(w.graph, bounds));
       std::size_t changed = 0;
       for (const tensor::Tensor& img : shifted) {
         const fi::Feeds feeds{{w.input_name, img}};
-        if (graph::argmax(exec.run(w.graph, feeds)) !=
-            graph::argmax(exec.run(protected_g, feeds)))
+        if (graph::argmax(exec.run(base_plan, feeds, base_arena)) !=
+            graph::argmax(exec.run(prot_plan, feeds, prot_arena)))
           ++changed;
       }
       shifted_table.add_row(

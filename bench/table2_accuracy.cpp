@@ -8,6 +8,7 @@
 // and unprotected model on validation data, which is the property Table II
 // asserts (Ranger leaves fault-free behaviour unchanged).
 #include "bench/common.hpp"
+#include "graph/passes.hpp"
 
 using namespace rangerpp;
 
@@ -15,12 +16,17 @@ namespace {
 
 double agreement(const graph::Graph& a, const graph::Graph& b,
                  const std::string& input, const data::Dataset& ds) {
-  const graph::Executor exec({tensor::DType::kFloat32});
+  const graph::CompileOptions co{.dtype = tensor::DType::kFloat32,
+                                 .observe = graph::Observe::kAll};
+  const graph::ExecutionPlan plan_a = graph::compile(a, co);
+  const graph::ExecutionPlan plan_b = graph::compile(b, co);
+  const graph::Executor exec;
+  graph::Arena arena_a, arena_b;
   std::size_t same = 0;
   for (const data::Sample& s : ds.samples) {
     const fi::Feeds feeds{{input, s.image}};
-    if (graph::argmax(exec.run(a, feeds)) ==
-        graph::argmax(exec.run(b, feeds)))
+    if (graph::argmax(exec.run(plan_a, feeds, arena_a)) ==
+        graph::argmax(exec.run(plan_b, feeds, arena_b)))
       ++same;
   }
   return ds.samples.empty()

@@ -5,6 +5,7 @@
 // the ordering (bigger graph => longer insertion) holds.  The bound-
 // profiling time (the other one-time cost, §V-A) is reported alongside.
 #include "bench/common.hpp"
+#include "graph/passes.hpp"
 
 using namespace rangerpp;
 
@@ -34,18 +35,16 @@ int main() {
       "Paper (TensorFlow graphs, laptop): LeNet 3s ... VGG16 320s; both "
       "are one-time, pre-deployment costs.\n");
 
-  // The same insertion as a compiler pass: graph::compile() with the
-  // ranger option runs ranger_insert as stage one of the pipeline, so the
-  // per-pass trace breaks the one-time cost down further (validate /
-  // const_fold / dce / fuse / lowering — what --dump-passes prints).
-  std::printf("\ncompile pipeline per model (ranger option, %s):\n",
+  // Compiling the protected graph is the rest of the one-time cost; the
+  // per-pass trace breaks it down (validate / const_fold / dce / fuse /
+  // lowering — what --dump-passes prints).
+  std::printf("\ncompile pipeline per protected model (%s):\n",
               std::string(ops::backend_name(ops::default_backend())).c_str());
   for (const models::ModelId id : all) {
     const bench::ProtectedWorkload pw = bench::make_protected(id, cfg);
     const graph::ExecutionPlan probe = graph::compile(
-        pw.base.graph, {.dtype = tensor::DType::kFixed32,
-                        .observe = graph::Observe::kInjectable,
-                        .ranger = core::ranger_pass(pw.bounds)});
+        pw.protected_graph, {.dtype = tensor::DType::kFixed32,
+                             .observe = graph::Observe::kInjectable});
     std::printf("%s:\n%s\n", models::model_name(id).c_str(),
                 probe.report()->to_string().c_str());
   }

@@ -9,6 +9,7 @@
 
 #include "bench/common.hpp"
 #include "core/flops_profiler.hpp"
+#include "graph/passes.hpp"
 
 using namespace rangerpp;
 
@@ -31,10 +32,15 @@ void run_inference(benchmark::State& state, models::ModelId id,
                    bool with_ranger) {
   const bench::ProtectedWorkload& pw = cached_workload(id);
   const graph::Graph& g = with_ranger ? pw.protected_graph : pw.base.graph;
-  const graph::Executor exec({tensor::DType::kFixed32});
+  // One compiled plan and arena per benchmark: the loop times inference,
+  // not compilation.  kAll keeps the plan's nodes the graph's.
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFixed32, .observe = graph::Observe::kAll});
+  const graph::Executor exec;
+  graph::Arena arena;
   const fi::Feeds& feeds = pw.base.eval_feeds.front();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec.run(g, feeds));
+    benchmark::DoNotOptimize(exec.run(plan, feeds, arena));
   }
 }
 

@@ -30,6 +30,7 @@
 #include "baselines/tmr.hpp"
 #include "bench/common.hpp"
 #include "core/flops_profiler.hpp"
+#include "graph/passes.hpp"
 #include "util/threadpool.hpp"
 
 using namespace rangerpp;
@@ -57,7 +58,8 @@ void eval_technique(baselines::Technique& tech,
   cc.dtype = tensor::DType::kFixed32;
   cc.trials_per_input = cfg.trials_for(w.id) / 2;
   cc.seed = cfg.seed;
-  const graph::ExecutionPlan plan(w.graph, cc.dtype);
+  const graph::ExecutionPlan plan = graph::compile(
+      w.graph, {.dtype = cc.dtype, .observe = graph::Observe::kAll});
   tech.prepare(plan, w.profile_feeds);
 
   const auto judges = models::default_judges(w.id);

@@ -18,6 +18,7 @@
 
 #include "bench/common.hpp"
 #include "fi/weight_fault.hpp"
+#include "graph/passes.hpp"
 
 using namespace rangerpp;
 
@@ -85,13 +86,15 @@ SweepMeasurement run_naive(const models::Workload& w,
                            const fi::TrialPlanner& planner,
                            const fi::CampaignConfig& cc,
                            std::size_t n_faults) {
-  const graph::Executor exec({cc.dtype});
+  const graph::Executor exec;
+  const graph::CompileOptions co{.dtype = cc.dtype,
+                                 .observe = graph::Observe::kAll};
   const auto judges = models::default_judges(w.id);
   // Goldens once (both modes amortise goldens; the comparison isolates
   // per-trial recompilation against patched-plan reuse).
   std::vector<tensor::Tensor> golden;
   {
-    const graph::ExecutionPlan plan(w.graph, cc.dtype);
+    const graph::ExecutionPlan plan = graph::compile(w.graph, co);
     graph::Arena arena;
     for (const fi::Feeds& f : w.eval_feeds)
       golden.push_back(exec.run(plan, f, arena));
@@ -102,7 +105,7 @@ SweepMeasurement run_naive(const models::Workload& w,
   for (std::size_t f = 0; f < n_faults; ++f) {
     const fi::TrialSpec first = planner.plan(f * w.eval_feeds.size());
     for (std::size_t i = 0; i < w.eval_feeds.size(); ++i) {
-      const graph::ExecutionPlan plan(w.graph, cc.dtype);  // recompile
+      const graph::ExecutionPlan plan = graph::compile(w.graph, co);
       const auto overrides = fi::make_const_overrides(plan, first.applied);
       const tensor::Tensor out =
           exec.run(plan, w.eval_feeds[i], arena, overrides);

@@ -13,6 +13,7 @@
 #include "core/ranger_transform.hpp"
 #include "fi/fault_model.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "models/workload.hpp"
 
 using namespace rangerpp;
@@ -37,9 +38,16 @@ int main() {
   const graph::Graph protected_g =
       core::RangerTransform{}.apply(w.graph, bounds);
 
-  const graph::Executor exec({tensor::DType::kFixed32});
+  // One plan per graph, reused by every run below.  kAll keeps every node
+  // of the graph in the plan, so the injection hooks see the same nodes.
+  const graph::CompileOptions co{.dtype = tensor::DType::kFixed32,
+                                 .observe = graph::Observe::kAll};
+  const graph::ExecutionPlan plan = graph::compile(w.graph, co);
+  const graph::ExecutionPlan plan_prot = graph::compile(protected_g, co);
+  const graph::Executor exec;
+  graph::Arena arena, arena_prot;
   const fi::Feeds& frame = w.eval_feeds.front();
-  const double golden = degrees(exec.run(w.graph, frame), rad);
+  const double golden = degrees(exec.run(plan, frame, arena), rad);
   std::printf("fault-free steering angle: %.2f deg\n\n", golden);
 
   // Pick a positive-valued element of the conv3 output as the fault site:
@@ -47,7 +55,7 @@ int main() {
   // following ReLU (which is itself part of the paper's §III-A story).
   const char* site = "conv3/bias_add";
   std::size_t element = 0;
-  exec.run(w.graph, frame,
+  exec.run(plan, frame, arena,
            [&](const graph::Node& n, tensor::Tensor& t) {
              if (n.name != site) return;
              for (std::size_t i = 0; i < t.elements(); ++i)
@@ -62,12 +70,12 @@ int main() {
   for (int bit = 31; bit >= 0; bit -= 3) {
     const fi::FaultSet fault{{site, element, bit}};
     const double plain = degrees(
-        exec.run(w.graph, frame,
+        exec.run(plan, frame, arena,
                  fi::make_injection_hook(w.graph, tensor::DType::kFixed32,
                                          fault)),
         rad);
     const double prot = degrees(
-        exec.run(protected_g, frame,
+        exec.run(plan_prot, frame, arena_prot,
                  fi::make_injection_hook(protected_g,
                                          tensor::DType::kFixed32, fault)),
         rad);

@@ -2,9 +2,8 @@
 //
 //   1. build (or load) a model as a rangerpp dataflow graph;
 //   2. derive restriction bounds by profiling training data;
-//   3. compile a protected plan straight from the unprotected graph —
-//      graph::compile()'s ranger option runs the Ranger transform as the
-//      first compiler pass;
+//   3. protect the graph with the Ranger transform and compile both the
+//      unprotected and the protected graph into plans;
 //   4. run both plans: fault-free outputs are identical;
 //   5. inject a transient fault: the unprotected model misclassifies,
 //      the protected one does not;
@@ -18,6 +17,7 @@
 #include "fi/fault_model.hpp"
 #include "fi/runner.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "models/workload.hpp"
 
 using namespace rangerpp;
@@ -37,22 +37,21 @@ int main() {
   for (const auto& [layer, b] : bounds)
     std::printf("  %-8s -> [%.3f, %.3f]\n", layer.c_str(), b.low, b.up);
 
-  // 3. Compile both plans (schedule, reachability sets, pre-quantized
-  //    weights).  The protected plan is compiled straight from the
-  //    unprotected graph: CompileOptions::ranger splices the clamp
-  //    operators as the first pass of the compile pipeline — the old
-  //    separate protect -> RangerTransform -> plan dance in one call.
-  //    Plans + arenas are what every campaign runs on.
+  // 3. The Ranger transform splices a clamp after every bounded
+  //    activation (and the pooling/flatten ops it feeds).  Then compile
+  //    both graphs (schedule, reachability sets, pre-quantized weights):
+  //    plans + arenas are what every campaign runs on.
   const tensor::DType dtype = tensor::DType::kFixed32;
-  const graph::Executor exec({dtype});
+  const core::RangerTransform transform;
+  const graph::Graph transformed = transform.apply(w.graph, bounds);
+  std::printf("Ranger transform: %zu -> %zu nodes in %.2f ms\n",
+              w.graph.size(), transformed.size(),
+              transform.last_stats().elapsed_seconds * 1e3);
+  const graph::Executor exec;
   const graph::ExecutionPlan plan = graph::compile(w.graph, {.dtype = dtype});
-  const graph::ExecutionPlan plan_prot = graph::compile(
-      w.graph, {.dtype = dtype, .ranger = core::ranger_pass(bounds)});
+  const graph::ExecutionPlan plan_prot =
+      graph::compile(transformed, {.dtype = dtype});
   const graph::Graph& protected_g = plan_prot.graph();
-  for (const graph::PassTrace& t : plan_prot.report()->passes)
-    if (t.name == "ranger_insert")
-      std::printf("ranger_insert pass: %zu -> %zu nodes in %.2f ms\n",
-                  t.nodes_before, t.nodes_after, t.ms);
 
   // 4. Check fault-free behaviour is unchanged by the protection.
   graph::Arena arena, arena_prot;

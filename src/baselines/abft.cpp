@@ -10,7 +10,7 @@ namespace rangerpp::baselines {
 TrialOutcome AbftConv::run_trial(const graph::ExecutionPlan& plan,
                                  graph::Arena& arena, const fi::Feeds& feeds,
                                  const fi::FaultSet& faults) const {
-  const graph::Executor exec({plan.dtype()});
+  const graph::Executor exec;
   const graph::PostOpHook inject =
       fi::make_injection_hook(plan.graph(), plan.dtype(), faults);
 

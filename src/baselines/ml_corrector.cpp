@@ -5,6 +5,7 @@
 
 #include "core/flops_profiler.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "ops/op.hpp"
 
 namespace rangerpp::baselines {
@@ -13,8 +14,9 @@ void MlCorrector::prepare(const graph::ExecutionPlan& plan,
                           const std::vector<fi::Feeds>& profile_feeds) {
   const graph::Graph& g = plan.graph();
   layers_.clear();
-  const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan fplan(g, tensor::DType::kFloat32);
+  const graph::Executor exec;
+  const graph::ExecutionPlan fplan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
   graph::Arena arena;
 
   // Pass 1: fault-free feature ranges for every activation layer.
@@ -60,7 +62,7 @@ TrialOutcome MlCorrector::run_trial(const graph::ExecutionPlan& plan,
                                     graph::Arena& arena,
                                     const fi::Feeds& feeds,
                                     const fi::FaultSet& faults) const {
-  const graph::Executor exec({plan.dtype()});
+  const graph::Executor exec;
   const graph::PostOpHook inject =
       fi::make_injection_hook(plan.graph(), plan.dtype(), faults);
 

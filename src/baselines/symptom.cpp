@@ -4,14 +4,17 @@
 
 #include "core/flops_profiler.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 
 namespace rangerpp::baselines {
 
 void SymptomDetector::prepare(const graph::ExecutionPlan& plan,
                               const std::vector<fi::Feeds>& profile_feeds) {
   max_abs_.clear();
-  const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan fplan(plan.graph(), tensor::DType::kFloat32);
+  const graph::Executor exec;
+  const graph::ExecutionPlan fplan = graph::compile(
+      plan.graph(),
+      {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
   graph::Arena arena;
   for (const fi::Feeds& feeds : profile_feeds) {
     exec.run(fplan, feeds, arena,
@@ -27,7 +30,7 @@ TrialOutcome SymptomDetector::run_trial(const graph::ExecutionPlan& plan,
                                         graph::Arena& arena,
                                         const fi::Feeds& feeds,
                                         const fi::FaultSet& faults) const {
-  const graph::Executor exec({plan.dtype()});
+  const graph::Executor exec;
   const graph::PostOpHook inject =
       fi::make_injection_hook(plan.graph(), plan.dtype(), faults);
 

@@ -7,7 +7,7 @@ namespace rangerpp::baselines {
 TrialOutcome Tmr::run_trial(const graph::ExecutionPlan& plan,
                             graph::Arena& arena, const fi::Feeds& feeds,
                             const fi::FaultSet& faults) const {
-  const graph::Executor exec({plan.dtype()});
+  const graph::Executor exec;
   // The transient fault hits exactly one of the three replicas.
   const tensor::Tensor faulty = exec.run(
       plan, feeds, arena,

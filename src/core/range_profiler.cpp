@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "graph/passes.hpp"
+
 namespace rangerpp::core {
 
 namespace {
@@ -92,8 +94,9 @@ RangeProfile RangeProfiler::profile(
 
   // One compiled plan + arena for the whole profiling stream: constants
   // are materialised once and the schedule is reused per sample.
-  const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan plan(g, tensor::DType::kFloat32);
+  const graph::Executor exec;
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
   graph::Arena arena;
   for (const fi::Feeds& feeds : samples) {
     exec.run(plan, feeds, arena,

@@ -102,32 +102,4 @@ graph::Graph RangerTransform::apply(const graph::Graph& g,
   return out;
 }
 
-namespace {
-
-// Adapts RangerTransform's graph-to-graph rewrite to the pass interface by
-// round-tripping through Graph — the transform's import_with_remap splice
-// logic stays the single implementation of Algorithm 1.
-class RangerInsertionPass final : public graph::Pass {
- public:
-  RangerInsertionPass(Bounds bounds, TransformOptions options)
-      : bounds_(std::move(bounds)), transform_(options) {}
-
-  std::string_view name() const override { return "ranger_insert"; }
-
-  void run(graph::OpModel& m, graph::PassContext&) const override {
-    m = graph::OpModel::from_graph(
-        transform_.apply(m.to_graph(), bounds_));
-  }
-
- private:
-  Bounds bounds_;
-  RangerTransform transform_;
-};
-
-}  // namespace
-
-graph::PassPtr ranger_pass(Bounds bounds, TransformOptions options) {
-  return std::make_shared<RangerInsertionPass>(std::move(bounds), options);
-}
-
 }  // namespace rangerpp::core

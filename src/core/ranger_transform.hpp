@@ -21,13 +21,17 @@
 //  * kZero   — reset out-of-bound values to 0 (Reagen et al., Minerva);
 //  * kRandom — replace out-of-bound values with a uniform random value
 //              inside [low, up].
+//
+// apply() is the one way to protect a graph: compile its result with
+// graph::compile like any other graph.  The inserted restriction nodes are
+// injectable, hence observable under the default Observe::kInjectable, so
+// no rewrite pass folds or fuses them away.
 #pragma once
 
 #include <cstdint>
 
 #include "core/bounds.hpp"
 #include "graph/graph.hpp"
-#include "graph/passes.hpp"
 
 namespace rangerpp::core {
 
@@ -76,17 +80,5 @@ class RangerTransform {
   TransformOptions options_;
   mutable TransformStats stats_;
 };
-
-// RangerTransform as a compiler pass (the "ranger_insert" stage): set
-// graph::CompileOptions::ranger to compile a protected plan straight from
-// the unprotected graph —
-//
-//   auto plan = graph::compile(g, {.ranger = core::ranger_pass(bounds)});
-//
-// replaces the historical three-step protect -> RangerTransform::apply ->
-// ExecutionPlan dance.  The inserted restriction nodes are injectable
-// (hence observable under the default Observe::kInjectable), so later
-// rewrite passes never fold or fuse them away.
-graph::PassPtr ranger_pass(Bounds bounds, TransformOptions options = {});
 
 }  // namespace rangerpp::core

@@ -26,8 +26,8 @@ std::vector<graph::NodeId> fault_roots(const graph::Graph& g,
 // Observe::kInjectable: every injection site (and profiled ceiling) lives
 // on an injectable node, so rewrites only ever touch the non-injectable
 // output head — site replay and golden snapshots are unaffected, and the
-// fused plan stays bit-identical to the legacy one (the
-// campaign-throughput identity gate checks this).
+// fused plan stays bit-identical to the pass-free Observe::kAll plan
+// (passes_test's fusion gates check this).
 graph::CompileOptions campaign_compile_options(const CampaignConfig& config,
                                                std::size_t batch) {
   graph::CompileOptions opts;
@@ -208,7 +208,6 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
                              unsigned workers)
     : config_(config),
       inputs_(&inputs),
-      exec_({config.dtype}),
       plan_(graph::compile(g, campaign_compile_options(config, 1))),
       arenas_(workers == 0 ? 1 : workers) {
   if (inputs.empty())

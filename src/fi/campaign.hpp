@@ -73,7 +73,7 @@ struct CampaignConfig {
   // Per-node activation formats (node name -> format), normally
   // core::int8_calibration(bounds) from the model's RangeProfiler bounds —
   // the same bounds Ranger derives its restriction thresholds from.
-  // Forwarded into PlanOptions::int8_formats; ignored for other dtypes.
+  // Forwarded into CompileOptions::int8_formats; ignored for other dtypes.
   // Deterministic given (model, seed, inputs), so it needs no checkpoint
   // fingerprint entry of its own: `dtype` already covers it.
   std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats;

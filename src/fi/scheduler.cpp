@@ -80,9 +80,8 @@ struct Scheduler::Request {
 
   struct CellState {
     // header is published by call_once, not `mu`: built at most once
-    // inside header_once, readable without locks after header_ready.
+    // inside header_once and read only through ensure_cell_header.
     std::once_flag header_once;
-    std::atomic<bool> header_ready{false};
     CheckpointHeader header;  // export-form (shard 0/1)
   };
   std::vector<std::unique_ptr<CellState>> cells;
@@ -304,19 +303,6 @@ SuiteResult Scheduler::wait(std::uint64_t id) {
                             parse_strata_weights(header.strata_weights))});
   }
   return out;
-}
-
-CheckpointHeader Scheduler::cell_header(std::uint64_t id,
-                                        std::size_t cell_index) const {
-  const std::shared_ptr<Request> req = find_request(id);
-  if (!req) throw std::invalid_argument("Scheduler: unknown request id");
-  if (cell_index >= req->cells.size())
-    throw std::invalid_argument("Scheduler: cell index out of range");
-  const Request::CellState& cs = *req->cells[cell_index];
-  if (!cs.header_ready.load(std::memory_order_acquire))
-    throw std::runtime_error(
-        "Scheduler: cell has not run yet — header unavailable");
-  return cs.header;
 }
 
 std::vector<std::string> Scheduler::export_request_jsonl(
@@ -546,7 +532,6 @@ const CheckpointHeader& Scheduler::ensure_cell_header(Request& req,
     h.strata_weights = format_strata_weights(weights);
     cs.header = std::move(h);
   });
-  cs.header_ready.store(true, std::memory_order_release);
   return cs.header;
 }
 

@@ -150,12 +150,6 @@ class Scheduler {
   // the request failed, with the failure message.
   SuiteResult wait(std::uint64_t id);
 
-  // The export-form (shard 0/1) header of a cell — what to_jsonl pairs
-  // with the request's records to reproduce the one-shot checkpoint.
-  // Valid once any slice of the cell has run; throws otherwise.
-  CheckpointHeader cell_header(std::uint64_t id,
-                               std::size_t cell_index) const;
-
   // Writes each cell of a settled request to
   // <dir>/<name>.<cell-id>.s0of1.jsonl — byte-identical to the
   // checkpoints a one-shot unsharded suite_cli run of the same spec

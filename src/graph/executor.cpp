@@ -76,9 +76,6 @@ tensor::Tensor Executor::execute(
     const std::vector<tensor::Tensor>* golden,
     std::span<const NodeId> roots,
     std::span<const ConstOverride> overrides) const {
-  if (plan.dtype() != options_.dtype)
-    throw std::invalid_argument(
-        "Executor: plan dtype does not match executor dtype");
   for (const ConstOverride& ov : overrides) {
     if (!plan.is_const(ov.node))
       throw std::invalid_argument(
@@ -256,7 +253,7 @@ tensor::Tensor Executor::execute(
       } else {
         ++t_feed_builds;
         slot.key = std::move(key);
-        if (options_.dtype == tensor::DType::kFloat32) {
+        if (plan.dtype() == tensor::DType::kFloat32) {
           slot.quantized = it->second;  // shares storage, no copy
         } else {
           slot.quantized = it->second.clone();
@@ -316,58 +313,6 @@ tensor::Tensor Executor::run(
   return execute(plan, feeds, arena, hook, nullptr, {});
 }
 
-std::vector<tensor::Tensor> Executor::run_batched(
-    const ExecutionPlan& plan,
-    std::span<const std::unordered_map<std::string, tensor::Tensor>> feeds,
-    Arena& arena, const PostOpHook& hook) const {
-  const std::size_t batch = feeds.size();
-  if (batch == 0)
-    throw std::invalid_argument("Executor::run_batched: no feeds");
-  if (plan.batch() != batch)
-    throw std::invalid_argument(
-        "Executor::run_batched: plan batch (" +
-        std::to_string(plan.batch()) + ") != feeds (" +
-        std::to_string(batch) + ")");
-
-  std::unordered_map<std::string, tensor::Tensor> packed;
-  std::vector<tensor::Tensor> images(batch);
-  for (const Node& n : plan.graph().nodes()) {
-    if (!plan.is_input(n.id)) continue;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto it = feeds[b].find(n.name);
-      if (it == feeds[b].end())
-        throw std::invalid_argument(
-            "Executor::run_batched: missing feed for input '" + n.name +
-            "'");
-      images[b] = it->second;
-    }
-    packed.emplace(n.name, pack_batch(images));
-  }
-
-  const tensor::Tensor out = execute(plan, packed, arena, hook, nullptr, {});
-  const tensor::Shape& os = out.shape();
-  if (os.rank() < 2 || os.dim(0) != static_cast<int>(batch))
-    throw std::logic_error(
-        "Executor::run_batched: output lost its batch dimension");
-  tensor::Shape single;
-  switch (os.rank()) {
-    case 2:
-      single = tensor::Shape{1, os.dim(1)};
-      break;
-    case 3:
-      single = tensor::Shape{1, os.dim(1), os.dim(2)};
-      break;
-    default:
-      single = tensor::Shape{1, os.dim(1), os.dim(2), os.dim(3)};
-      break;
-  }
-  std::vector<tensor::Tensor> results;
-  results.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b)
-    results.push_back(slice_batch(out, b, batch, single));
-  return results;
-}
-
 tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
                                   const std::vector<tensor::Tensor>& golden,
                                   std::span<const NodeId> roots, Arena& arena,
@@ -397,25 +342,6 @@ tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
                                   std::span<const ConstOverride> overrides,
                                   const PostOpHook& hook) const {
   return execute(plan, {}, arena, hook, &golden, roots, overrides);
-}
-
-tensor::Tensor Executor::run_all(
-    const Graph& g,
-    const std::unordered_map<std::string, tensor::Tensor>& feeds,
-    std::vector<tensor::Tensor>& all_outputs, const PostOpHook& hook) const {
-  const ExecutionPlan plan(g, options_.dtype);
-  Arena arena;
-  tensor::Tensor result = execute(plan, feeds, arena, hook, nullptr, {});
-  all_outputs = arena.outputs();  // shared-storage copies
-  return result;
-}
-
-tensor::Tensor Executor::run(
-    const Graph& g,
-    const std::unordered_map<std::string, tensor::Tensor>& feeds,
-    const PostOpHook& hook) const {
-  std::vector<tensor::Tensor> outputs;
-  return run_all(g, feeds, outputs, hook);
 }
 
 int argmax(const tensor::Tensor& t) {

@@ -13,8 +13,9 @@
 // (see plan.hpp) and then run any number of times through a reusable Arena.
 // `run_from` resumes from cached golden activations and recomputes only the
 // downstream cone of the injected node(s) — the partial re-execution that
-// makes fault-injection campaigns cheap.  The graph-based overloads remain
-// for one-shot callers; they compile a transient plan internally.
+// makes fault-injection campaigns cheap.  A one-shot caller compiles its
+// graph with Observe::kAll (graph/passes.hpp), so every node's output stays
+// in arena.outputs() and every hook fires as on the source graph.
 #pragma once
 
 #include <functional>
@@ -28,10 +29,6 @@
 
 namespace rangerpp::graph {
 
-struct ExecOptions {
-  tensor::DType dtype = tensor::DType::kFloat32;
-};
-
 // Called after a node's output is computed and quantised.  May mutate the
 // tensor in place (mutations are re-quantised by the caller via the hook
 // contract: hooks that write values are expected to write representable
@@ -40,32 +37,19 @@ struct ExecOptions {
 using PostOpHook =
     std::function<void(const Node& node, tensor::Tensor& output)>;
 
+// Stateless: the plan carries the dtype, backend and batch size.
 class Executor {
  public:
-  explicit Executor(ExecOptions options = {}) : options_(options) {}
-
-  // --- Plan-based execution (the fast path) -----------------------------
-
   // Runs the full plan with `feeds` bound to Input nodes (keyed by node
-  // name), reusing `arena`'s buffers and caches.  The executor's dtype
-  // must match the plan's.  Returns the designated output node's tensor;
-  // every node's output remains available via arena.outputs().
+  // name), reusing `arena`'s buffers and caches.  Returns the designated
+  // output node's tensor; every node's output remains available via
+  // arena.outputs().  A batched plan takes feeds packed along the leading
+  // dimension (pack_batch) and returns the batched output (slice_batch
+  // recovers each image's row).
   tensor::Tensor run(const ExecutionPlan& plan,
                      const std::unordered_map<std::string, tensor::Tensor>&
                          feeds,
                      Arena& arena, const PostOpHook& hook = nullptr) const;
-
-  // Batched execution: runs a plan compiled with batch == feeds.size()
-  // once over all images, packing each input's per-image feeds along the
-  // leading dimension, and returns one output tensor per image (leading
-  // dimension restored to 1).  Because every supported op treats batch
-  // rows independently, result[b] is bit-identical to running image b
-  // through a single-image plan of the same graph/dtype/backend.  The
-  // hook (if any) observes *batched* node outputs.
-  std::vector<tensor::Tensor> run_batched(
-      const ExecutionPlan& plan,
-      std::span<const std::unordered_map<std::string, tensor::Tensor>> feeds,
-      Arena& arena, const PostOpHook& hook = nullptr) const;
 
   // Partial re-execution from cached golden activations: recomputes only
   // the nodes reachable from `roots` (the fault-injection sites) and
@@ -119,25 +103,6 @@ class Executor {
                           std::span<const ConstOverride> overrides,
                           const PostOpHook& hook = nullptr) const;
 
-  // --- Graph-based execution (one-shot convenience) ---------------------
-
-  // Compiles a transient plan and runs it once.
-  tensor::Tensor run(const Graph& g,
-                     const std::unordered_map<std::string, tensor::Tensor>&
-                         feeds,
-                     const PostOpHook& hook = nullptr) const;
-
-  // As `run`, but also exposes every node's output (indexed by NodeId) via
-  // `all_outputs`; used by the profiler and by detection baselines that
-  // need intermediate activations.
-  tensor::Tensor run_all(const Graph& g,
-                         const std::unordered_map<std::string,
-                                                  tensor::Tensor>& feeds,
-                         std::vector<tensor::Tensor>& all_outputs,
-                         const PostOpHook& hook = nullptr) const;
-
-  const ExecOptions& options() const { return options_; }
-
  private:
   tensor::Tensor execute(const ExecutionPlan& plan,
                          const std::unordered_map<std::string,
@@ -146,8 +111,6 @@ class Executor {
                          const std::vector<tensor::Tensor>* golden,
                          std::span<const NodeId> roots,
                          std::span<const ConstOverride> overrides = {}) const;
-
-  ExecOptions options_;
 };
 
 // Argmax over the output tensor — predicted class id for classifiers.

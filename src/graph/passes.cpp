@@ -394,11 +394,10 @@ PassPtr fusion_pass() { return std::make_shared<FusionPass>(); }
 
 PassManager PassManager::standard(const CompileOptions& options) {
   PassManager pm;
-  if (options.ranger) pm.add(options.ranger);
   pm.add(validate_pass());
-  if (options.const_fold) pm.add(const_fold_pass());
-  if (options.dce) pm.add(dce_pass());
-  if (options.fuse) pm.add(fusion_pass());
+  pm.add(const_fold_pass());
+  pm.add(dce_pass());
+  pm.add(fusion_pass());
   for (const PassPtr& p : options.extra_passes) pm.add(p);
   return pm;
 }
@@ -498,10 +497,7 @@ ExecutionPlan compile(Graph g, const CompileOptions& options) {
   const PassManager pm = PassManager::standard(options);
   Graph lowered = pm.run(std::move(g), options, *report);
 
-  ExecutionPlan plan(
-      ExecutionPlan::ForCompile{}, std::move(lowered), options.dtype,
-      PlanOptions{options.backend, options.batch, options.int8_formats},
-      report.get());
+  ExecutionPlan plan(std::move(lowered), options, report.get());
 
   {
     util::trace::Span span("compile.memory_plan");

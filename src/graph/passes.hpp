@@ -6,26 +6,24 @@
 // managers, followed by the lowering stages that were historically one
 // monolithic ExecutionPlan constructor:
 //
-//   rewrite passes (PassManager, each optional and observability-gated)
-//     1. ranger_insert   — CompileOptions::ranger (core::ranger_pass):
-//                          splice range-restriction ops after bounded
-//                          activations; replaces the old separate
-//                          protect -> RangerTransform -> plan dance;
-//     2. validate        — int8_formats keys must name graph nodes
+//   rewrite passes (PassManager; the rewrites are observability-gated)
+//     1. validate        — int8_formats keys must name graph nodes
 //                          (silent mismatch used to hide calibration
 //                          bugs); emits warnings, never mutates;
-//     3. const_fold      — fold op nodes whose inputs are all Const
+//     2. const_fold      — fold op nodes whose inputs are all Const
 //                          (skipped under int8, where Const schemes
 //                          self-calibrate from their values);
-//     4. dce             — erase nodes that neither reach the output nor
+//     3. dce             — erase nodes that neither reach the output nor
 //                          are observable (see Observe below);
-//     5. fuse            — collapse producer->consumer chains
+//     4. fuse            — collapse producer->consumer chains
 //                          (Conv2D/MatMul/BiasAdd/BatchNorm + elementwise
 //                          activations/Clamp/BiasAdd) into FusedOp nodes
 //                          with per-stage QSchemes baked in, replacing
 //                          hand-fused kernel special cases with a rewrite
 //                          rule;
 //     …plus CompileOptions::extra_passes.
+//   Range restriction is not a pass: protect a graph with
+//   core::RangerTransform::apply and compile the result.
 //   lowering stages (traced like passes)
 //     infer_shapes, assign_schemes, select_kernels, reachability,
 //     memory_plan (graph/memory_plan.hpp — arena-slot aliasing and
@@ -44,10 +42,10 @@
 // site, a profiled activation) must survive compilation untouched.
 // Rewrites only ever remove or absorb NON-observable nodes:
 //
-//  * kAll        — every op node is observable; no rewrite touches
-//                  anything.  The legacy ExecutionPlan constructor and
-//                  every hook-driven client (RangeProfiler, baselines)
-//                  compile at this level.
+//  * kAll        — every op node is observable; no rewrite touches an
+//                  op node, so the plan's nodes are the graph's.  Every
+//                  hook-driven client (RangeProfiler, baselines, one-shot
+//                  runs that read arena.outputs()) compiles at this level.
 //  * kInjectable — nodes with Node::injectable are observable.  The
 //                  default: fault-injection campaigns plan sites by name
 //                  on injectable nodes, so those survive; the
@@ -140,15 +138,16 @@ struct CompileOptions {
   tensor::DType dtype = tensor::DType::kFixed32;
   ops::KernelBackend backend = ops::default_backend();
   std::size_t batch = 1;
-  // Per-node int8 calibration, as PlanOptions::int8_formats; compile()
-  // additionally warns about keys that match no node (validate pass).
+  // Per-node int8 calibration (node name -> format), normally built by
+  // core::int8_calibration from RangeProfiler bounds.  Only consulted when
+  // dtype is kInt8; nodes not in the map inherit their first input's
+  // scheme (Const nodes self-calibrate from their own values, and
+  // sourceless nodes fall back to the canonical Q4.3 format).  compile()
+  // warns about keys that match no node (validate pass).
   std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats;
 
   // Which nodes rewrites must leave untouched (see Observe above).
   Observe observe = Observe::kInjectable;
-  bool const_fold = true;
-  bool dce = true;
-  bool fuse = true;
   // kArena drops each activation after its last consumer and aliases
   // arena slots (memory_plan.hpp); kRetainAll keeps the golden-snapshot
   // behaviour campaigns need.
@@ -167,13 +166,6 @@ struct CompileOptions {
   bool verify = true;
 #endif
 
-  // Ranger insertion as pipeline configuration: set to
-  // core::ranger_pass(bounds) to compile a protected plan directly from
-  // the unprotected graph — no separate RangerTransform step.  Runs
-  // first, so every later pass sees the restriction ops (which are
-  // injectable, hence observable, hence never fused away under the
-  // default observe level).
-  PassPtr ranger;
   // Appended after the built-in rewrites, before lowering.
   std::vector<PassPtr> extra_passes;
 };
@@ -218,8 +210,8 @@ struct CompileReport {
 class PassManager {
  public:
   PassManager() = default;
-  // The standard rewrite pipeline for `options` (ranger, validate,
-  // const_fold, dce, fuse, extra_passes — each gated by its option).
+  // The standard rewrite pipeline: validate, const_fold, dce, fuse, then
+  // options.extra_passes.
   static PassManager standard(const CompileOptions& options);
 
   void add(PassPtr pass);

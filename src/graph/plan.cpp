@@ -100,41 +100,17 @@ bool plan_supports_batch(const Graph& g) {
   return true;
 }
 
-namespace {
-
-// The pass-pipeline configuration that reproduces the pre-compiler
-// constructor exactly: no rewrite may touch the graph (hook-driven
-// clients observe every node) and every activation is retained.
-CompileOptions legacy_options(tensor::DType dtype, PlanOptions options) {
-  CompileOptions o;
-  o.dtype = dtype;
-  o.backend = options.backend;
-  o.batch = options.batch;
-  o.int8_formats = std::move(options.int8_formats);
-  o.observe = Observe::kAll;
-  o.const_fold = false;
-  o.dce = false;
-  o.fuse = false;
-  o.memory = MemoryMode::kRetainAll;
-  return o;
-}
-
-}  // namespace
-
-ExecutionPlan::ExecutionPlan(Graph g, tensor::DType dtype,
-                             PlanOptions options)
-    : ExecutionPlan(
-          compile(std::move(g), legacy_options(dtype, std::move(options)))) {}
-
-ExecutionPlan::ExecutionPlan(ForCompile, Graph g, tensor::DType dtype,
-                             PlanOptions options, CompileReport* report)
-    : graph_(std::move(g)), dtype_(dtype), options_(std::move(options)) {
+ExecutionPlan::ExecutionPlan(Graph g, const CompileOptions& options,
+                             CompileReport* report)
+    : graph_(std::move(g)),
+      dtype_(options.dtype),
+      backend_(options.backend),
+      batch_(options.batch),
+      int8_formats_(options.int8_formats) {
   static std::atomic<std::uint64_t> next_serial{1};
   serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
   if (graph_.size() == 0)
     throw std::invalid_argument("ExecutionPlan: empty graph");
-  if (options_.batch == 0)
-    throw std::invalid_argument("ExecutionPlan: batch == 0");
   lower(report);
 }
 
@@ -147,7 +123,7 @@ void ExecutionPlan::lower(CompileReport* report) {
 
   {
     util::Timer timer;
-    shapes_ = infer_plan_shapes(graph_, options_.batch);
+    shapes_ = infer_plan_shapes(graph_, batch_);
     trace("infer_shapes", timer);
   }
 
@@ -155,7 +131,7 @@ void ExecutionPlan::lower(CompileReport* report) {
     // Scheme rules live in graph/passes.cpp (assign_schemes), shared with
     // the fusion pass so baked stage schemes always match the plan's.
     util::Timer timer;
-    schemes_ = assign_schemes(graph_, dtype_, options_.int8_formats);
+    schemes_ = assign_schemes(graph_, dtype_, int8_formats_);
     trace("assign_schemes", timer);
   }
 
@@ -178,7 +154,7 @@ void ExecutionPlan::lower(CompileReport* report) {
           break;
         default:
           kernels_[i] =
-              ops::select_kernel(*node.op, schemes_[i], options_.backend);
+              ops::select_kernel(*node.op, schemes_[i], backend_);
           break;
       }
     }
@@ -214,7 +190,7 @@ std::size_t ExecutionPlan::per_image_elements(NodeId id) const {
   check_id(id);
   const std::size_t elems = shapes_[static_cast<std::size_t>(id)].elements();
   return is_const_[static_cast<std::size_t>(id)] ? elems
-                                                 : elems / options_.batch;
+                                                 : elems / batch_;
 }
 
 const ops::CompiledKernel& ExecutionPlan::kernel(NodeId id) const {

@@ -16,12 +16,15 @@
 //  * input-feed quantisation caching (in the Arena): a campaign re-runs the
 //    same input thousands of times, so the quantised feed is cached keyed
 //    by the feed's storage identity;
-//  * the compiled kernel per node: PlanOptions::backend picks the kernel
+//  * the compiled kernel per node: CompileOptions::backend picks the kernel
 //    backend (see ops/backend.hpp) at compile time — under the blocked
 //    backend hot ops run blocked, multi-threaded, quantisation-fused
 //    kernels that are bit-identical to the scalar reference.
 //
-// Batched plans: PlanOptions::batch = N compiles the same graph for N
+// Plans are built only by graph::compile() (graph/passes.hpp), which runs
+// the rewrite passes and then the lowering stages below.
+//
+// Batched plans: CompileOptions::batch = N compiles the same graph for N
 // images per run — every Input shape's leading dimension becomes N and all
 // downstream shapes follow (Flatten keeps the batch axis: [N, h, w, c] ->
 // [N, h*w*c]).  Because every supported operator treats batch rows
@@ -33,9 +36,10 @@
 // with batch > 1.
 //
 // The plan owns its own copy of the graph, so it stays valid independently
-// of the graph object it was compiled from.  Node ids, names and shapes are
-// identical to the source graph's (Graph copies preserve ids), which is
-// what lets fault sites planned on one graph replay against its plan.
+// of the graph object it was compiled from.  Under Observe::kAll node ids,
+// names and shapes are identical to the source graph's; under the default
+// Observe::kInjectable every injectable node keeps its name, which is what
+// lets fault sites planned on one graph replay against its plan.
 //
 // Thread-safety / determinism contract:
 //  * An ExecutionPlan is immutable after construction and safe to share
@@ -67,28 +71,11 @@
 
 namespace rangerpp::graph {
 
-// The pass-based compiler entry point (graph/passes.hpp).  ExecutionPlan's
-// public constructor is a thin compatibility wrapper over it.
+// The plan compiler (graph/passes.hpp): the only way to build a plan.
 struct CompileOptions;
 struct CompileReport;
 class ExecutionPlan;
 ExecutionPlan compile(Graph g, const CompileOptions& options);
-
-struct PlanOptions {
-  // Kernel backend for every node's dense compute; defaults to
-  // RANGERPP_BACKEND (blocked when unset).
-  ops::KernelBackend backend = ops::default_backend();
-  // Images per plan run (1 = the classic single-image plan).
-  std::size_t batch = 1;
-  // Per-node int8 calibration (node name -> format), normally built by
-  // core::int8_calibration from RangeProfiler bounds.  Only consulted when
-  // the plan dtype is kInt8; nodes not in the map inherit their first
-  // input's scheme (Const nodes self-calibrate from their own values, and
-  // sourceless nodes fall back to the canonical Q4.3 format).  Keeping
-  // this a name->format map keeps the graph layer ignorant of how bounds
-  // are derived.
-  std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats;
-};
 
 // True when `g` can be compiled with batch > 1: every Input is rank-2/4
 // with a leading dimension of 1, and no node is a Reshape.
@@ -104,17 +91,6 @@ std::vector<tensor::Shape> infer_plan_shapes(const Graph& g,
 
 class ExecutionPlan {
  public:
-  // Compiles `g` for execution under `dtype`.  Takes the graph by value:
-  // pass a copy (cheap — ops are shared) or std::move a graph you no
-  // longer need.
-  //
-  // Compatibility wrapper over graph::compile() with every rewrite pass
-  // disabled (Observe::kAll, no fold/DCE/fusion, retain-all memory) — the
-  // compiled plan is identical to what this constructor built before the
-  // pass pipeline existed.  New code should call graph::compile()
-  // directly.
-  ExecutionPlan(Graph g, tensor::DType dtype, PlanOptions options = {});
-
   const Graph& graph() const { return graph_; }
   tensor::DType dtype() const { return dtype_; }
 
@@ -125,8 +101,8 @@ class ExecutionPlan {
   // patching) must use this, not the bare dtype.
   const tensor::QScheme& qscheme(NodeId id) const;
 
-  ops::KernelBackend backend() const { return options_.backend; }
-  std::size_t batch() const { return options_.batch; }
+  ops::KernelBackend backend() const { return backend_; }
+  std::size_t batch() const { return batch_; }
   std::size_t size() const { return graph_.size(); }
 
   // The per-node int8 calibration the plan was compiled with (empty for
@@ -134,7 +110,7 @@ class ExecutionPlan {
   // it when proving scheme consistency.
   const std::unordered_map<std::string, tensor::FixedPointFormat>&
   int8_formats() const {
-    return options_.int8_formats;
+    return int8_formats_;
   }
 
   // Output shape of every node (indexed by NodeId), under the plan's
@@ -189,8 +165,7 @@ class ExecutionPlan {
   const MemoryPlan& memory_plan() const { return memory_plan_; }
 
   // The compile report (per-pass trace, warnings, arena sizing) of the
-  // compilation that produced this plan.  Never null: the legacy
-  // constructor routes through graph::compile() too.
+  // compilation that produced this plan.  Never null.
   const std::shared_ptr<const CompileReport>& report() const {
     return report_;
   }
@@ -198,10 +173,9 @@ class ExecutionPlan {
  private:
   friend ExecutionPlan compile(Graph g, const CompileOptions& options);
 
-  // Tag-dispatched constructor used by graph::compile(): lowers an
-  // already-rewritten graph without re-entering the pass pipeline.
-  struct ForCompile {};
-  ExecutionPlan(ForCompile, Graph g, tensor::DType dtype, PlanOptions options,
+  // Lowers an already-rewritten graph under `options`' dtype, backend,
+  // batch and int8 formats.
+  ExecutionPlan(Graph g, const CompileOptions& options,
                 CompileReport* report);
   // The lowering stages (shape inference, scheme assignment, kernel
   // selection, reachability), traced into `report` when non-null.
@@ -212,7 +186,9 @@ class ExecutionPlan {
 
   Graph graph_;
   tensor::DType dtype_;
-  PlanOptions options_;
+  ops::KernelBackend backend_;
+  std::size_t batch_;
+  std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats_;
   std::uint64_t serial_ = 0;
   std::vector<tensor::Shape> shapes_;
   // Per-node output quantisation scheme (canonical except under int8).

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -30,8 +31,9 @@ CalibratedHead calibrate_softmax_head(const graph::Graph& g,
   const std::size_t n = train_set.samples.size();
   std::vector<std::vector<float>> features(n);
   std::vector<int> labels(n);
-  const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan plan(g, tensor::DType::kFloat32);
+  const graph::Executor exec;
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
   std::vector<graph::Arena> arenas(util::worker_count(n));
   util::parallel_for_workers(n, [&](unsigned worker, std::size_t i) {
     const data::Sample& s = train_set.samples[i];

@@ -186,7 +186,7 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
   // ImageNet stand-ins), correctness is unattainable, so the faithful
   // analogue is confidence: pick the validation inputs with the largest
   // fault-free top-1 logit margin.  Steering models use any frames.
-  const graph::Executor exec({tensor::DType::kFloat32});
+  const graph::Executor exec;
   // Pure inference (only the graph output is read): compile with every
   // rewrite enabled and arena memory — exact by the compiler's
   // determinism contract, so selection is unchanged.
@@ -265,7 +265,7 @@ std::vector<std::string> judge_labels(ModelId id) {
 
 double top1_accuracy(const graph::Graph& g, const std::string& input_name,
                      const data::Dataset& validation) {
-  const graph::Executor exec({tensor::DType::kFloat32});
+  const graph::Executor exec;
   const graph::ExecutionPlan plan =
       graph::compile(g, inference_compile_options());
   graph::Arena arena;
@@ -280,29 +280,11 @@ double top1_accuracy(const graph::Graph& g, const std::string& input_name,
              : static_cast<double>(correct) / validation.samples.size();
 }
 
-double top5_accuracy(const graph::Graph& g, const std::string& input_name,
-                     const data::Dataset& validation) {
-  const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan plan =
-      graph::compile(g, inference_compile_options());
-  graph::Arena arena;
-  std::size_t correct = 0;
-  for (const data::Sample& s : validation.samples) {
-    const tensor::Tensor out =
-        exec.run(plan, fi::Feeds{{input_name, s.image}}, arena);
-    const std::vector<int> t5 = graph::top_k(out, 5);
-    if (std::find(t5.begin(), t5.end(), s.label) != t5.end()) ++correct;
-  }
-  return validation.samples.empty()
-             ? 0.0
-             : static_cast<double>(correct) / validation.samples.size();
-}
-
 SteeringMetrics steering_metrics(const graph::Graph& g,
                                  const std::string& input_name,
                                  const data::Dataset& validation,
                                  bool radians) {
-  const graph::Executor exec({tensor::DType::kFloat32});
+  const graph::Executor exec;
   const graph::ExecutionPlan plan =
       graph::compile(g, inference_compile_options());
   graph::Arena arena;

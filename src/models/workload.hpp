@@ -85,12 +85,9 @@ std::size_t scaled_trials(ModelId id, std::size_t trials_small);
 std::vector<fi::JudgePtr> default_judges(ModelId id);
 std::vector<std::string> judge_labels(ModelId id);
 
-// Fault-free accuracy of `g` on `validation`:
-//  * classifiers: top-1 accuracy in [0, 1] (`top5_accuracy` for top-5);
-//  * steering: negative; use steering_metrics instead.
+// Fault-free top-1 accuracy of classifier `g` on `validation`, in [0, 1]
+// (steering models: use steering_metrics instead).
 double top1_accuracy(const graph::Graph& g, const std::string& input_name,
-                     const data::Dataset& validation);
-double top5_accuracy(const graph::Graph& g, const std::string& input_name,
                      const data::Dataset& validation);
 
 struct SteeringMetrics {

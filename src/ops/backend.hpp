@@ -44,7 +44,8 @@
 //
 // Selection: the RANGERPP_BACKEND environment variable ("scalar" |
 // "blocked" | "simd", read once per process) sets the default;
-// PlanOptions can override it per plan.  Blocked is the default.
+// CompileOptions::backend can override it per plan.  Blocked is the
+// default.
 #pragma once
 
 #include <functional>

@@ -13,15 +13,6 @@ FusedOp::FusedOp(std::vector<Stage> stages) : stages_(std::move(stages)) {
     throw std::invalid_argument("FusedOp: stage 0 must consume inputs");
 }
 
-std::string FusedOp::describe() const {
-  std::string out;
-  for (const Stage& s : stages_) {
-    if (!out.empty()) out.push_back('+');
-    out += op_kind_name(s.op->kind());
-  }
-  return out;
-}
-
 tensor::Tensor FusedOp::compute(
     std::span<const tensor::Tensor> inputs) const {
   std::size_t cursor = 0;

@@ -50,8 +50,6 @@ class FusedOp final : public Op {
   const tensor::QScheme& output_scheme() const {
     return stages_.back().scheme;
   }
-  // "Conv2D+BiasAdd+Relu" — for reports and --dump-passes.
-  std::string describe() const;
 
   tensor::Tensor compute(
       std::span<const tensor::Tensor> inputs) const override;

@@ -19,6 +19,7 @@
 #include "fi/runner.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "graph/plan.hpp"
 #include "ops/backend.hpp"
 #include "util/rng.hpp"
@@ -46,6 +47,18 @@ void expect_bit_identical(const tensor::Tensor& a, const tensor::Tensor& b,
   }
 }
 
+// A plan of `g` that keeps every node (Observe::kAll), so arena outputs
+// line up node for node across backends and batch sizes.
+graph::ExecutionPlan backend_plan(
+    const graph::Graph& g, tensor::DType dtype,
+    ops::KernelBackend backend = ops::default_backend(),
+    std::size_t batch = 1) {
+  return graph::compile(g, {.dtype = dtype,
+                            .backend = backend,
+                            .batch = batch,
+                            .observe = graph::Observe::kAll});
+}
+
 // Runs one op as a tiny graph under both backends and checks bit-identity
 // (which implies any numeric tolerance) of the full executor pipeline,
 // including quantisation.
@@ -53,12 +66,12 @@ void check_backend_equivalence(graph::Graph g,
                                const fi::Feeds& feeds,
                                tensor::DType dtype,
                                const std::string& what) {
-  const graph::Executor exec({dtype});
+  const graph::Executor exec;
   graph::Arena a_scalar, a_blocked;
-  const graph::ExecutionPlan scalar(
-      g, dtype, {.backend = ops::KernelBackend::kScalar});
-  const graph::ExecutionPlan blocked(
-      g, dtype, {.backend = ops::KernelBackend::kBlocked});
+  const graph::ExecutionPlan scalar =
+      backend_plan(g, dtype, ops::KernelBackend::kScalar);
+  const graph::ExecutionPlan blocked =
+      backend_plan(g, dtype, ops::KernelBackend::kBlocked);
   const tensor::Tensor out_s = exec.run(scalar, feeds, a_scalar);
   const tensor::Tensor out_b = exec.run(blocked, feeds, a_blocked);
   for (std::size_t i = 0; i < scalar.size(); ++i) {
@@ -165,10 +178,9 @@ TEST(BackendTest, BlockedBackendRunToRunBitIdentity) {
   b.activation("relu", ops::OpKind::kRelu);
   const graph::Graph g = b.finish();
   const fi::Feeds feeds{{"input", random_tensor({1, 16, 16, 8}, rng)}};
-  const graph::ExecutionPlan plan(
-      g, tensor::DType::kFixed32,
-      {.backend = ops::KernelBackend::kBlocked});
-  const graph::Executor exec({tensor::DType::kFixed32});
+  const graph::ExecutionPlan plan =
+      backend_plan(g, tensor::DType::kFixed32, ops::KernelBackend::kBlocked);
+  const graph::Executor exec;
   graph::Arena a1, a2;
   const tensor::Tensor first = exec.run(plan, feeds, a1);
   for (int i = 0; i < 3; ++i)
@@ -194,25 +206,28 @@ TEST(BatchedPlanTest, BatchedRunMatchesPerImageRunsBitIdentically) {
   util::Rng rng(47);
   const graph::Graph g = small_classifier(rng);
   ASSERT_TRUE(graph::plan_supports_batch(g));
-  const graph::Executor exec({tensor::DType::kFixed32});
-  const graph::ExecutionPlan single(g, tensor::DType::kFixed32);
+  const graph::Executor exec;
+  const graph::ExecutionPlan single =
+      backend_plan(g, tensor::DType::kFixed32);
   // Odd batch sizes included: nothing in the contract requires powers of
-  // two.
+  // two.  Images are packed along the leading dimension and each output
+  // row cut back out, as TrialExecutor batches trials.
   for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
                                   std::size_t{5}, std::size_t{8}}) {
-    const graph::ExecutionPlan batched(g, tensor::DType::kFixed32,
-                                       {.batch = batch});
-    std::vector<fi::Feeds> feeds;
+    const graph::ExecutionPlan batched = backend_plan(
+        g, tensor::DType::kFixed32, ops::default_backend(), batch);
+    std::vector<tensor::Tensor> images;
     for (std::size_t i = 0; i < batch; ++i)
-      feeds.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
+      images.push_back(random_tensor({1, 10, 10, 2}, rng));
     graph::Arena ab;
-    const std::vector<tensor::Tensor> rows =
-        exec.run_batched(batched, feeds, ab);
-    ASSERT_EQ(rows.size(), batch);
+    const tensor::Tensor out =
+        exec.run(batched, {{"input", graph::pack_batch(images)}}, ab);
+    ASSERT_EQ(out.shape().dim(0), static_cast<int>(batch));
     for (std::size_t i = 0; i < batch; ++i) {
       graph::Arena a;
+      const tensor::Tensor want = exec.run(single, {{"input", images[i]}}, a);
       expect_bit_identical(
-          rows[i], exec.run(single, feeds[i], a),
+          graph::slice_batch(out, i, batch, want.shape()), want,
           "batch " + std::to_string(batch) + " row " + std::to_string(i));
     }
   }
@@ -225,7 +240,7 @@ TEST(BatchedPlanTest, ReshapeGraphsRefuseBatch) {
   const graph::Graph g = b.finish();
   EXPECT_FALSE(graph::plan_supports_batch(g));
   EXPECT_THROW(
-      graph::ExecutionPlan(g, tensor::DType::kFloat32, {.batch = 2}),
+      backend_plan(g, tensor::DType::kFloat32, ops::default_backend(), 2),
       std::invalid_argument);
 }
 
@@ -324,12 +339,12 @@ TEST(BatchedCampaignTest, TrialBatchOutputsMatchPerTrialOutputs) {
 
 void check_simd_tolerance(graph::Graph g, const fi::Feeds& feeds,
                           tensor::DType dtype, const std::string& what) {
-  const graph::Executor exec({dtype});
+  const graph::Executor exec;
   graph::Arena a_scalar, a_simd;
-  const graph::ExecutionPlan scalar(
-      g, dtype, {.backend = ops::KernelBackend::kScalar});
-  const graph::ExecutionPlan simd(
-      g, dtype, {.backend = ops::KernelBackend::kSimd});
+  const graph::ExecutionPlan scalar =
+      backend_plan(g, dtype, ops::KernelBackend::kScalar);
+  const graph::ExecutionPlan simd =
+      backend_plan(g, dtype, ops::KernelBackend::kSimd);
   const tensor::Tensor out_s = exec.run(scalar, feeds, a_scalar);
   const tensor::Tensor out_v = exec.run(simd, feeds, a_simd);
   for (std::size_t i = 0; i < scalar.size(); ++i) {
@@ -387,11 +402,11 @@ TEST(SimdBackendTest, ConvToleranceAcrossShapesStridesPaddings) {
 TEST(SimdBackendTest, MixedGraphToleranceAndArgmaxAgreement) {
   util::Rng rng(61);
   const graph::Graph g = small_classifier(rng);
-  const graph::Executor exec({tensor::DType::kFixed32});
-  const graph::ExecutionPlan scalar(
-      g, tensor::DType::kFixed32, {.backend = ops::KernelBackend::kScalar});
-  const graph::ExecutionPlan simd(
-      g, tensor::DType::kFixed32, {.backend = ops::KernelBackend::kSimd});
+  const graph::Executor exec;
+  const graph::ExecutionPlan scalar =
+      backend_plan(g, tensor::DType::kFixed32, ops::KernelBackend::kScalar);
+  const graph::ExecutionPlan simd =
+      backend_plan(g, tensor::DType::kFixed32, ops::KernelBackend::kSimd);
   std::vector<tensor::Tensor> outs_s, outs_v;
   graph::Arena a1, a2;
   for (int i = 0; i < 8; ++i) {
@@ -415,9 +430,9 @@ TEST(SimdBackendTest, RunToRunBitIdentity) {
   b.activation("relu", ops::OpKind::kRelu);
   const graph::Graph g = b.finish();
   const fi::Feeds feeds{{"input", random_tensor({1, 16, 16, 8}, rng)}};
-  const graph::ExecutionPlan plan(
-      g, tensor::DType::kFixed32, {.backend = ops::KernelBackend::kSimd});
-  const graph::Executor exec({tensor::DType::kFixed32});
+  const graph::ExecutionPlan plan =
+      backend_plan(g, tensor::DType::kFixed32, ops::KernelBackend::kSimd);
+  const graph::Executor exec;
   graph::Arena a1, a2;
   const tensor::Tensor first = exec.run(plan, feeds, a1);
   for (int i = 0; i < 3; ++i)

@@ -6,6 +6,7 @@
 #include "baselines/symptom.hpp"
 #include "baselines/tmr.hpp"
 #include "graph/builder.hpp"
+#include "graph/passes.hpp"
 #include "graph/plan.hpp"
 
 namespace rangerpp::baselines {
@@ -38,6 +39,12 @@ std::vector<fi::Feeds> profile_feeds() {
   return out;
 }
 
+// Techniques hook every node, so their plans keep every node.
+graph::ExecutionPlan fixed32_plan(const graph::Graph& g) {
+  return graph::compile(
+      g, {.dtype = DType::kFixed32, .observe = graph::Observe::kAll});
+}
+
 // A high-order-bit fault at a conv output (large deviation, SDC-prone).
 fi::FaultSet big_fault() { return {{"conv1", 5, 28}}; }
 // A low-order-bit fault (benign).
@@ -45,13 +52,13 @@ fi::FaultSet small_fault() { return {{"conv1", 5, 0}}; }
 
 TEST(Tmr, CorrectsAnySingleFault) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
   graph::Arena arena;
   Tmr tmr;
   tmr.prepare(plan, {});
-  const graph::Executor exec({DType::kFixed32});
+  const graph::Executor exec;
   const fi::Feeds feeds = profile_feeds()[0];
-  const Tensor golden = exec.run(g, feeds);
+  const Tensor golden = exec.run(plan, feeds, arena);
 
   // The high-order-bit fault must reach the output and be outvoted; the
   // low-order-bit one may be masked by the maxpool (no mismatch to see),
@@ -68,7 +75,7 @@ TEST(Tmr, CorrectsAnySingleFault) {
 
 TEST(Tmr, NoFalsePositiveWithoutFault) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
   graph::Arena arena;
   Tmr tmr;
   const TrialOutcome o = tmr.run_trial(plan, arena, profile_feeds()[0], {});
@@ -77,7 +84,7 @@ TEST(Tmr, NoFalsePositiveWithoutFault) {
 
 TEST(SelectiveDuplication, SelectsWithinBudgetAndDetectsCoveredFaults) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
   graph::Arena arena;
   SelectiveDuplication dup(30.0);
   dup.prepare(plan, {});
@@ -105,13 +112,13 @@ TEST(SelectiveDuplication, SelectsWithinBudgetAndDetectsCoveredFaults) {
 
 TEST(SymptomDetector, FlagsLargeDeviationsAndReExecutes) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
   graph::Arena arena;
   SymptomDetector det(1.1);
   det.prepare(plan, profile_feeds());
-  const graph::Executor exec({DType::kFixed32});
+  const graph::Executor exec;
   const fi::Feeds feeds = profile_feeds()[0];
-  const Tensor golden = exec.run(g, feeds);
+  const Tensor golden = exec.run(plan, feeds, arena);
 
   const TrialOutcome big = det.run_trial(plan, arena, feeds, big_fault());
   EXPECT_TRUE(big.detected);
@@ -126,13 +133,13 @@ TEST(SymptomDetector, FlagsLargeDeviationsAndReExecutes) {
 
 TEST(MlCorrector, CorrectsFlaggedLayerInPlace) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
   graph::Arena arena;
   MlCorrector ml(/*calibration_trials=*/50);
   ml.prepare(plan, profile_feeds());
-  const graph::Executor exec({DType::kFixed32});
+  const graph::Executor exec;
   const fi::Feeds feeds = profile_feeds()[0];
-  const Tensor golden = exec.run(g, feeds);
+  const Tensor golden = exec.run(plan, feeds, arena);
 
   // Fault directly at an activation layer: flagged and clamped back.
   const TrialOutcome o = ml.run_trial(plan, arena, feeds, {{"relu1", 3, 28}});
@@ -148,7 +155,7 @@ TEST(MlCorrector, CorrectsFlaggedLayerInPlace) {
 
 TEST(AbftConv, DetectsConvFaultsOnly) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
   graph::Arena arena;
   AbftConv abft;
   abft.prepare(plan, {});

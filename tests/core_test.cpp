@@ -8,6 +8,8 @@
 #include "core/restrict_op.hpp"
 #include "fi/campaign.hpp"
 #include "graph/builder.hpp"
+#include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "util/metrics.hpp"
 
 namespace rangerpp::core {
@@ -54,6 +56,12 @@ std::vector<fi::Feeds> const_feeds(float v, int n = 3) {
                       Tensor::full(Shape{1, 4, 4, 1},
                                    v + 0.1f * static_cast<float>(i))}});
   return feeds;
+}
+
+// A float32 plan whose nodes are `g`'s, so hooks see every node.
+graph::ExecutionPlan float_plan(const graph::Graph& g) {
+  return graph::compile(g, {.dtype = tensor::DType::kFloat32,
+                            .observe = graph::Observe::kAll});
 }
 
 // ---- RangeProfiler ----------------------------------------------------------
@@ -135,10 +143,13 @@ TEST(RangerTransform, PreservesFaultFreeOutput) {
   const Bounds bounds = prof.derive_bounds(g, const_feeds(1.0f));
   const graph::Graph protected_g = RangerTransform{}.apply(g, bounds);
 
+  const graph::ExecutionPlan plan = float_plan(g);
+  const graph::ExecutionPlan plan_prot = float_plan(protected_g);
   const graph::Executor exec;
+  graph::Arena arena, arena_prot;
   for (const fi::Feeds& feeds : const_feeds(1.0f)) {
-    const Tensor y0 = exec.run(g, feeds);
-    const Tensor y1 = exec.run(protected_g, feeds);
+    const Tensor y0 = exec.run(plan, feeds, arena);
+    const Tensor y1 = exec.run(plan_prot, feeds, arena_prot);
     ASSERT_EQ(y0.elements(), y1.elements());
     for (std::size_t i = 0; i < y0.elements(); ++i)
       EXPECT_FLOAT_EQ(y0.at(i), y1.at(i));
@@ -149,7 +160,10 @@ TEST(RangerTransform, RestrictsInjectedFault) {
   const graph::Graph g = relu_pool_net();
   const Bounds bounds{{"relu", {0.0f, 4.0f}}};
   const graph::Graph protected_g = RangerTransform{}.apply(g, bounds);
+  const graph::ExecutionPlan plan = float_plan(g);
+  const graph::ExecutionPlan plan_prot = float_plan(protected_g);
   const graph::Executor exec;
+  graph::Arena arena, arena_prot;
   const fi::Feeds feeds{{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}};
 
   // Corrupt the relu output with a huge value; the protected graph's
@@ -157,8 +171,8 @@ TEST(RangerTransform, RestrictsInjectedFault) {
   const auto corrupt = [](const graph::Node& n, Tensor& out) {
     if (n.name == "relu") out.set(0, 1e9f);
   };
-  const Tensor bad = exec.run(g, feeds, corrupt);
-  const Tensor good = exec.run(protected_g, feeds, corrupt);
+  const Tensor bad = exec.run(plan, feeds, arena, corrupt);
+  const Tensor good = exec.run(plan_prot, feeds, arena_prot, corrupt);
   float bad_max = 0.0f, good_max = 0.0f;
   for (float v : bad.values()) bad_max = std::max(bad_max, v);
   for (float v : good.values()) good_max = std::max(good_max, v);
@@ -224,11 +238,13 @@ TEST(RestrictionPolicies, TransformHonoursPolicyChoice) {
   const Bounds bounds{{"relu", {0.0f, 1.0f}}};
   const graph::Graph zeroed =
       RangerTransform{{RestrictionPolicy::kZero}}.apply(g, bounds);
+  const graph::ExecutionPlan plan = float_plan(zeroed);
   const graph::Executor exec;
+  graph::Arena arena;
   const fi::Feeds feeds{{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}};
   // relu outputs exceed 1.0 for this input, so zero-reset nukes them and
   // the final output collapses to 0 — the accuracy catastrophe of §VI-C.
-  const Tensor y = exec.run(zeroed, feeds);
+  const Tensor y = exec.run(plan, feeds, arena);
   for (float v : y.values()) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 

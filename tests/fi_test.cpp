@@ -7,6 +7,7 @@
 #include "fi/runner.hpp"
 #include "fi/sdc.hpp"
 #include "graph/builder.hpp"
+#include "graph/passes.hpp"
 
 namespace rangerpp::fi {
 namespace {
@@ -25,6 +26,12 @@ graph::Graph relu_net() {
   b.max_pool("pool", {2, 2, 2, 2, ops::Padding::kValid});
   b.flatten("flatten");
   return b.finish();
+}
+
+// A fixed32 plan whose nodes are `g`'s, so injection hooks see every node.
+graph::ExecutionPlan fixed32_plan(const graph::Graph& g) {
+  return graph::compile(
+      g, {.dtype = DType::kFixed32, .observe = graph::Observe::kAll});
 }
 
 TEST(SiteSpace, CountsInjectableElements) {
@@ -70,14 +77,16 @@ TEST(SiteSpace, MultiBitSamplesIndependentPoints) {
 
 TEST(InjectionHook, FlipsExactlyTheTargetedValue) {
   const graph::Graph g = relu_net();
-  const graph::Executor exec({DType::kFixed32});
+  const graph::ExecutionPlan plan = fixed32_plan(g);
+  const graph::Executor exec;
+  graph::Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 1.0f);
 
-  const Tensor golden = exec.run(g, {{"input", x}});
+  const Tensor golden = exec.run(plan, {{"input", x}}, arena);
   const FaultSet faults{{"pool", 3, 12}};
   const Tensor faulty =
-      exec.run(g, {{"input", x}}, make_injection_hook(g, DType::kFixed32,
-                                                      faults));
+      exec.run(plan, {{"input", x}}, arena,
+               make_injection_hook(g, DType::kFixed32, faults));
   // Output = flatten(pool): element 3 differs, all others equal.
   for (std::size_t i = 0; i < golden.elements(); ++i) {
     if (i == 3) {
@@ -90,14 +99,16 @@ TEST(InjectionHook, FlipsExactlyTheTargetedValue) {
 
 TEST(InjectionHook, DeterministicGivenFaultSet) {
   const graph::Graph g = relu_net();
-  const graph::Executor exec({DType::kFixed32});
+  const graph::ExecutionPlan plan = fixed32_plan(g);
+  const graph::Executor exec;
+  graph::Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 0.5f);
   const FaultSet faults{{"conv", 7, 29}};
   const Tensor a =
-      exec.run(g, {{"input", x}},
+      exec.run(plan, {{"input", x}}, arena,
                make_injection_hook(g, DType::kFixed32, faults));
   const Tensor b =
-      exec.run(g, {{"input", x}},
+      exec.run(plan, {{"input", x}}, arena,
                make_injection_hook(g, DType::kFixed32, faults));
   for (std::size_t i = 0; i < a.elements(); ++i)
     EXPECT_FLOAT_EQ(a.at(i), b.at(i));
@@ -105,11 +116,13 @@ TEST(InjectionHook, DeterministicGivenFaultSet) {
 
 TEST(InjectionHook, UnknownNodeNamesAreIgnored) {
   const graph::Graph g = relu_net();
-  const graph::Executor exec({DType::kFixed32});
+  const graph::ExecutionPlan plan = fixed32_plan(g);
+  const graph::Executor exec;
+  graph::Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 0.5f);
-  const Tensor golden = exec.run(g, {{"input", x}});
+  const Tensor golden = exec.run(plan, {{"input", x}}, arena);
   const Tensor out =
-      exec.run(g, {{"input", x}},
+      exec.run(plan, {{"input", x}}, arena,
                make_injection_hook(g, DType::kFixed32,
                                    {{"not_a_node", 0, 0}}));
   for (std::size_t i = 0; i < out.elements(); ++i)

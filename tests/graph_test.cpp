@@ -5,6 +5,7 @@
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "graph/graph.hpp"
+#include "graph/passes.hpp"
 
 namespace rangerpp::graph {
 namespace {
@@ -23,6 +24,11 @@ Graph tiny_graph() {
   b.max_pool("pool", {2, 2, 2, 2, ops::Padding::kValid});
   b.flatten("flatten");
   return b.finish();
+}
+
+// A plan whose nodes are `g`'s: every hook fires, every output is kept.
+ExecutionPlan plan_of(const Graph& g, DType dtype = DType::kFloat32) {
+  return compile(g, {.dtype = dtype, .observe = Observe::kAll});
 }
 
 TEST(Graph, AppendOnlyInvariants) {
@@ -70,21 +76,26 @@ TEST(Graph, InferShapesEndToEnd) {
 
 TEST(Executor, RunsAndFeedsValidation) {
   const Graph g = tiny_graph();
+  const ExecutionPlan plan = plan_of(g);
   const Executor exec;
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 1.0f);
-  const Tensor y = exec.run(g, {{"input", x}});
+  const Tensor y = exec.run(plan, {{"input", x}}, arena);
   EXPECT_EQ(y.elements(), 8u);
-  EXPECT_THROW(exec.run(g, {}), std::invalid_argument);  // missing feed
-  EXPECT_THROW(exec.run(g, {{"input", Tensor(Shape{1, 3, 3, 1})}}),
+  EXPECT_THROW(exec.run(plan, {}, arena),
+               std::invalid_argument);  // missing feed
+  EXPECT_THROW(exec.run(plan, {{"input", Tensor(Shape{1, 3, 3, 1})}}, arena),
                std::invalid_argument);  // shape mismatch
 }
 
 TEST(Executor, HookSeesEveryComputeNodeAndCanMutate) {
   const Graph g = tiny_graph();
+  const ExecutionPlan plan = plan_of(g);
   const Executor exec;
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 1.0f);
   std::vector<std::string> seen;
-  const Tensor y = exec.run(g, {{"input", x}},
+  const Tensor y = exec.run(plan, {{"input", x}}, arena,
                             [&](const Node& n, Tensor& out) {
                               seen.push_back(n.name);
                               if (n.name == "relu")
@@ -101,21 +112,24 @@ TEST(Executor, HookSeesEveryComputeNodeAndCanMutate) {
 
 TEST(Executor, QuantizesThroughDatatype) {
   const Graph g = tiny_graph();
-  const Executor fx({DType::kFixed16});
+  const ExecutionPlan plan = plan_of(g, DType::kFixed16);
+  const Executor exec;
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 0.37f);  // not Q13.2
-  const Tensor y = fx.run(g, {{"input", x}});
+  const Tensor y = exec.run(plan, {{"input", x}}, arena);
   // Every produced value must be representable in Q13.2 (multiples of .25).
   for (float v : y.values()) {
     EXPECT_FLOAT_EQ(v * 4.0f, std::round(v * 4.0f));
   }
 }
 
-TEST(Executor, RunAllExposesIntermediates) {
+TEST(Executor, ArenaExposesIntermediates) {
   const Graph g = tiny_graph();
+  const ExecutionPlan plan = plan_of(g);
   const Executor exec;
-  std::vector<Tensor> outputs;
-  exec.run_all(g, {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}},
-               outputs);
+  Arena arena;
+  exec.run(plan, {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}, arena);
+  const std::vector<Tensor>& outputs = arena.outputs();
   EXPECT_EQ(outputs.size(), g.size());
   EXPECT_EQ(outputs[static_cast<std::size_t>(g.find("relu"))].elements(),
             32u);
@@ -125,10 +139,12 @@ TEST(Graph, CloneIsStructurallyIdentical) {
   const Graph g = tiny_graph();
   const Graph copy = g.clone();
   ASSERT_EQ(copy.size(), g.size());
+  const ExecutionPlan plan = plan_of(g), plan_copy = plan_of(copy);
   const Executor exec;
+  Arena arena, arena_copy;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 0.5f);
-  const Tensor y1 = exec.run(g, {{"input", x}});
-  const Tensor y2 = exec.run(copy, {{"input", x}});
+  const Tensor y1 = exec.run(plan, {{"input", x}}, arena);
+  const Tensor y2 = exec.run(plan_copy, {{"input", x}}, arena_copy);
   for (std::size_t i = 0; i < y1.elements(); ++i)
     EXPECT_FLOAT_EQ(y1.at(i), y2.at(i));
 }
@@ -150,9 +166,11 @@ TEST(Graph, ImportWithRemapSplicesNodes) {
   EXPECT_EQ(spliced.node(pool.inputs[0]).name, "relu/clamp");
 
   // Effect: outputs are restricted.
+  const ExecutionPlan plan = plan_of(spliced);
   const Executor exec;
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 10.0f);
-  const Tensor y = exec.run(spliced, {{"input", x}});
+  const Tensor y = exec.run(plan, {{"input", x}}, arena);
   for (float v : y.values()) EXPECT_LE(v, 0.2f);
 }
 

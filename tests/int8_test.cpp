@@ -16,6 +16,7 @@
 #include "fi/runner.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "tensor/dtype.hpp"
 #include "util/rng.hpp"
 
@@ -168,10 +169,11 @@ TEST(Int8CampaignTest, PlanCalibratesPerNodeSchemes) {
   inputs.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
   const core::Bounds bounds =
       core::RangeProfiler{}.derive_bounds(g, inputs);
-  graph::PlanOptions po;
-  po.int8_formats = core::int8_calibration(bounds);
-  ASSERT_FALSE(po.int8_formats.empty());
-  const graph::ExecutionPlan plan(g, DType::kInt8, po);
+  graph::CompileOptions co{.dtype = DType::kInt8,
+                           .int8_formats = core::int8_calibration(bounds),
+                           .observe = graph::Observe::kAll};
+  ASSERT_FALSE(co.int8_formats.empty());
+  const graph::ExecutionPlan plan = graph::compile(g, co);
   bool any_calibrated = false;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const QScheme& s = plan.qscheme(static_cast<graph::NodeId>(i));
@@ -181,7 +183,8 @@ TEST(Int8CampaignTest, PlanCalibratesPerNodeSchemes) {
   EXPECT_TRUE(any_calibrated)
       << "calibration produced only canonical formats";
   // A non-int8 plan never consults the map: schemes stay canonical.
-  const graph::ExecutionPlan f32(g, DType::kFixed32, po);
+  co.dtype = DType::kFixed32;
+  const graph::ExecutionPlan f32 = graph::compile(g, co);
   for (std::size_t i = 0; i < f32.size(); ++i)
     EXPECT_EQ(f32.qscheme(static_cast<graph::NodeId>(i)),
               QScheme(DType::kFixed32));

@@ -8,6 +8,8 @@
 #include "core/ranger_transform.hpp"
 #include "fi/runner.hpp"
 #include "graph/dot_export.hpp"
+#include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "models/workload.hpp"
 
 namespace rangerpp {
@@ -34,6 +36,14 @@ Pipeline build_pipeline(ModelId id, bool trained = true) {
   p.protected_graph =
       core::RangerTransform{}.apply(p.workload.graph, p.bounds);
   return p;
+}
+
+// Fault-free float32 output of `g` on `feeds`.
+tensor::Tensor float_output(const graph::Graph& g, const fi::Feeds& feeds) {
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+  graph::Arena arena;
+  return graph::Executor{}.run(plan, feeds, arena);
 }
 
 // SDC result of an in-memory campaign of `cc` on `g` under `judge`.
@@ -169,11 +179,10 @@ TEST(Integration, ActOnlyTransformInsertsFewerOpsAndProtectsLess) {
   EXPECT_EQ(act_transform.last_stats().transparent_ops_bounded, 0u);
 
   // Both preserve fault-free behaviour.
-  const graph::Executor exec;
-  const tensor::Tensor y0 =
-      exec.run(p.workload.graph, p.workload.eval_feeds[0]);
-  const tensor::Tensor ya = exec.run(g_act, p.workload.eval_feeds[0]);
-  const tensor::Tensor yf = exec.run(g_full, p.workload.eval_feeds[0]);
+  const fi::Feeds& feeds = p.workload.eval_feeds[0];
+  const tensor::Tensor y0 = float_output(p.workload.graph, feeds);
+  const tensor::Tensor ya = float_output(g_act, feeds);
+  const tensor::Tensor yf = float_output(g_full, feeds);
   for (std::size_t i = 0; i < y0.elements(); ++i) {
     EXPECT_FLOAT_EQ(y0.at(i), ya.at(i));
     EXPECT_FLOAT_EQ(y0.at(i), yf.at(i));
@@ -253,9 +262,8 @@ TEST(Integration, WeightCacheMakesWorkloadsReproducible) {
   wo.validation_samples = 10;
   const models::Workload a = models::make_workload(ModelId::kLeNet, wo);
   const models::Workload b = models::make_workload(ModelId::kLeNet, wo);
-  const graph::Executor exec;
-  const tensor::Tensor ya = exec.run(a.graph, a.eval_feeds[0]);
-  const tensor::Tensor yb = exec.run(b.graph, a.eval_feeds[0]);
+  const tensor::Tensor ya = float_output(a.graph, a.eval_feeds[0]);
+  const tensor::Tensor yb = float_output(b.graph, a.eval_feeds[0]);
   for (std::size_t i = 0; i < ya.elements(); ++i)
     EXPECT_FLOAT_EQ(ya.at(i), yb.at(i));
 }

@@ -150,8 +150,9 @@ TEST(ArenaMode, OutputBitIdenticalAndIntermediatesDropped) {
     SCOPED_TRACE(testing::Message() << g.size() << "-node graph");
     const Feeds feeds = random_feeds(g, rng);
 
-    const Executor exec({tensor::DType::kFixed32});
-    const ExecutionPlan reference(g, tensor::DType::kFixed32);
+    const Executor exec;
+    const ExecutionPlan reference = compile(
+        g, {.dtype = tensor::DType::kFixed32, .observe = Observe::kAll});
     Arena ref_arena;
     const tensor::Tensor ref = exec.run(reference, feeds, ref_arena);
 
@@ -203,7 +204,7 @@ TEST(ArenaMode, RefusesPartialReexecution) {
       compile(g, {.dtype = tensor::DType::kFixed32,
                   .observe = Observe::kNone,
                   .memory = MemoryMode::kArena});
-  const Executor exec({tensor::DType::kFixed32});
+  const Executor exec;
   const std::vector<tensor::Tensor> golden(plan.size());
   Arena arena;
   EXPECT_THROW(exec.run_from(plan, golden, NodeId{0}, arena),

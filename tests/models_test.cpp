@@ -6,6 +6,7 @@
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "models/build.hpp"
 #include "models/weights.hpp"
 #include "models/workload.hpp"
@@ -14,9 +15,16 @@
 namespace rangerpp::models {
 namespace {
 
-using graph::Executor;
 using tensor::Shape;
 using tensor::Tensor;
+
+// Fault-free float32 output of `g` on `feeds`.
+Tensor float_output(const graph::Graph& g, const fi::Feeds& feeds) {
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+  graph::Arena arena;
+  return graph::Executor{}.run(plan, feeds, arena);
+}
 
 Tensor input_for(ModelId id) {
   switch (id) {
@@ -40,8 +48,7 @@ TEST_P(ZooModelTest, BuildsAndRunsEndToEnd) {
   const ModelId id = GetParam();
   const Weights w = init_weights(id, default_act(id), 42);
   const graph::Graph g = build_model(id, default_act(id), w);
-  const Executor exec;
-  const Tensor out = exec.run(g, {{"input", input_for(id)}});
+  const Tensor out = float_output(g, {{"input", input_for(id)}});
   if (is_steering(id)) {
     EXPECT_EQ(out.elements(), 1u);
   } else {
@@ -78,9 +85,8 @@ TEST_P(ZooModelTest, RangerTransformPreservesFaultFreeOutput) {
   const graph::Graph protected_g = core::RangerTransform{}.apply(g, bounds);
   EXPECT_GT(protected_g.size(), g.size());
 
-  const Executor exec;
-  const Tensor y0 = exec.run(g, {{"input", input_for(id)}});
-  const Tensor y1 = exec.run(protected_g, {{"input", input_for(id)}});
+  const Tensor y0 = float_output(g, {{"input", input_for(id)}});
+  const Tensor y1 = float_output(protected_g, {{"input", input_for(id)}});
   ASSERT_EQ(y0.elements(), y1.elements());
   for (std::size_t i = 0; i < y0.elements(); ++i)
     EXPECT_FLOAT_EQ(y0.at(i), y1.at(i)) << model_name(id);
@@ -161,8 +167,7 @@ TEST(Workload, UntrainedClassifierWorkload) {
   EXPECT_EQ(w.profile_feeds.size(), 5u);
   EXPECT_EQ(w.validation.samples.size(), 10u);
   // The graph runs on its own eval feeds.
-  const Executor exec;
-  const Tensor out = exec.run(w.graph, w.eval_feeds[0]);
+  const Tensor out = float_output(w.graph, w.eval_feeds[0]);
   EXPECT_EQ(out.elements(), 10u);
 }
 

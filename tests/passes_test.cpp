@@ -1,7 +1,8 @@
 // Per-pass unit tests for the plan compiler (graph/passes.hpp): constant
-// folding, dead-node elimination, the fusion rewrite, Ranger insertion as
-// a pass, int8-format validation — plus the compiler's determinism
-// contract: compiled output bit-identical to the pass-free legacy plan.
+// folding, dead-node elimination, the fusion rewrite, int8-format
+// validation — plus the compiler's determinism contract: compiled output
+// bit-identical to the pass-free reference plan (Observe::kAll), and that
+// reference equal to its source graph node for node across the zoo.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,6 +13,7 @@
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "graph/passes.hpp"
+#include "models/zoo.hpp"
 #include "ops/basic_ops.hpp"
 #include "ops/elementwise_ops.hpp"
 #include "ops/fused_op.hpp"
@@ -81,11 +83,17 @@ Feeds conv_feed(std::uint64_t seed) {
   return {{"input", random_tensor({1, 8, 8, 2}, rng, 1.0f)}};
 }
 
+// The pass-free reference every rewrite is judged against: under kAll no
+// pass touches an op node.
+ExecutionPlan reference_plan(const Graph& g, tensor::DType dtype) {
+  return compile(g, {.dtype = dtype, .observe = Observe::kAll});
+}
+
 // --- Constant folding --------------------------------------------------------
 
 TEST(ConstFoldPass, FoldsUnobservableConstOnlyNode) {
-  const ExecutionPlan legacy(const_expr_graph(false),
-                             tensor::DType::kFixed32);
+  const ExecutionPlan reference =
+      reference_plan(const_expr_graph(false), tensor::DType::kFixed32);
   const ExecutionPlan fused =
       compile(const_expr_graph(false), {.dtype = tensor::DType::kFixed32});
 
@@ -99,9 +107,9 @@ TEST(ConstFoldPass, FoldsUnobservableConstOnlyNode) {
 
   const Feeds feeds{
       {"in", tensor::Tensor(tensor::Shape{1, 4}, {1.f, 2.f, -3.f, 0.5f})}};
-  const Executor exec({tensor::DType::kFixed32});
+  const Executor exec;
   Arena a1, a2;
-  EXPECT_TRUE(bits_equal(exec.run(legacy, feeds, a1),
+  EXPECT_TRUE(bits_equal(exec.run(reference, feeds, a1),
                          exec.run(fused, feeds, a2)));
 }
 
@@ -206,18 +214,18 @@ TEST(FusionPass, ChainsThroughActivations) {
   EXPECT_NE(p.graph().find("flatten"), kInvalidNode);
 }
 
-TEST(FusionPass, BitIdenticalToLegacyAcrossDtypes) {
+TEST(FusionPass, BitIdenticalToReferenceAcrossDtypes) {
   const Feeds feeds = conv_feed(11);
   for (const tensor::DType dtype :
        {tensor::DType::kFloat32, tensor::DType::kFixed32,
         tensor::DType::kFixed16, tensor::DType::kInt8}) {
-    const Executor exec({dtype});
-    const ExecutionPlan legacy(conv_net(7), dtype);
+    const Executor exec;
+    const ExecutionPlan reference = reference_plan(conv_net(7), dtype);
     const ExecutionPlan fused = compile(
         conv_net(7), {.dtype = dtype, .observe = Observe::kNone});
-    ASSERT_LT(fused.size(), legacy.size());
+    ASSERT_LT(fused.size(), reference.size());
     Arena a1, a2;
-    EXPECT_TRUE(bits_equal(exec.run(legacy, feeds, a1),
+    EXPECT_TRUE(bits_equal(exec.run(reference, feeds, a1),
                            exec.run(fused, feeds, a2)))
         << "dtype " << static_cast<int>(dtype);
   }
@@ -226,8 +234,9 @@ TEST(FusionPass, BitIdenticalToLegacyAcrossDtypes) {
 TEST(FusionPass, BitIdenticalUnderBlockedAndToleratedUnderSimd) {
   const Feeds feeds = conv_feed(13);
   const tensor::DType dtype = tensor::DType::kFixed32;
-  const Executor exec({dtype});
-  const ExecutionPlan reference(conv_net(7), dtype);  // scalar-equal
+  const Executor exec;
+  const ExecutionPlan reference =
+      reference_plan(conv_net(7), dtype);  // scalar-equal
   Arena a0;
   const tensor::Tensor ref = exec.run(reference, feeds, a0);
 
@@ -251,47 +260,24 @@ TEST(FusionPass, BitIdenticalUnderBlockedAndToleratedUnderSimd) {
       << report.mismatched << " elements outside tolerance";
 }
 
-TEST(FusionPass, Int8SchemesMatchLegacyPlan) {
+TEST(FusionPass, Int8SchemesMatchReferencePlan) {
   // The fused node's plan scheme must equal the erased last stage's —
   // otherwise downstream inheritance (and hooks) would quantise under a
   // different format than the unfused plan.
-  const ExecutionPlan legacy(conv_net(7), tensor::DType::kInt8);
+  const ExecutionPlan reference =
+      reference_plan(conv_net(7), tensor::DType::kInt8);
   const ExecutionPlan fused = compile(
       conv_net(7),
       {.dtype = tensor::DType::kInt8, .observe = Observe::kNone});
-  const NodeId l = legacy.graph().find("act1");
+  const NodeId r = reference.graph().find("act1");
   const NodeId f = fused.graph().find("act1");
-  ASSERT_NE(l, kInvalidNode);
+  ASSERT_NE(r, kInvalidNode);
   ASSERT_NE(f, kInvalidNode);
-  EXPECT_EQ(legacy.qscheme(l).fmt.frac_bits, fused.qscheme(f).fmt.frac_bits);
+  EXPECT_EQ(reference.qscheme(r).fmt.frac_bits,
+            fused.qscheme(f).fmt.frac_bits);
 }
 
-// --- Ranger insertion as a pass ----------------------------------------------
-
-TEST(RangerPass, EquivalentToSeparateTransform) {
-  core::Bounds bounds;
-  bounds["act1"] = core::Bound{0.0f, 1.5f};
-  const Graph g = conv_net(7);
-
-  const Graph transformed = core::RangerTransform{}.apply(g, bounds);
-  const ExecutionPlan two_step(transformed, tensor::DType::kFixed32);
-  // kAll: the only pipeline difference is the ranger pass itself.
-  const ExecutionPlan one_step =
-      compile(g, {.dtype = tensor::DType::kFixed32,
-                  .observe = Observe::kAll,
-                  .ranger = core::ranger_pass(bounds)});
-
-  ASSERT_EQ(one_step.size(), two_step.size());
-  for (const Node& n : two_step.graph().nodes())
-    EXPECT_EQ(one_step.graph().find(n.name), n.id) << n.name;
-  EXPECT_NE(one_step.graph().find("act1/ranger"), kInvalidNode);
-
-  const Feeds feeds = conv_feed(17);
-  const Executor exec({tensor::DType::kFixed32});
-  Arena a1, a2;
-  EXPECT_TRUE(bits_equal(exec.run(two_step, feeds, a1),
-                         exec.run(one_step, feeds, a2)));
-}
+// --- Range restriction -------------------------------------------------------
 
 TEST(RangerPass, RestrictionOpsSurviveDefaultPipeline) {
   core::Bounds bounds;
@@ -299,8 +285,8 @@ TEST(RangerPass, RestrictionOpsSurviveDefaultPipeline) {
   // Default observe (kInjectable) with all rewrites on: the inserted
   // clamp is injectable, so fold/dce/fuse must leave it alone.
   const ExecutionPlan p =
-      compile(conv_net(7), {.dtype = tensor::DType::kFixed32,
-                            .ranger = core::ranger_pass(bounds)});
+      compile(core::RangerTransform{}.apply(conv_net(7), bounds),
+              {.dtype = tensor::DType::kFixed32});
   EXPECT_NE(p.graph().find("act1/ranger"), kInvalidNode);
 }
 
@@ -319,15 +305,61 @@ TEST(ValidatePass, WarnsOnUnknownInt8FormatKeys) {
 
 // --- Entry point / report ----------------------------------------------------
 
-TEST(Compile, LegacyConstructorIsPassFree) {
-  const Graph g = conv_net(7);
-  const ExecutionPlan legacy(g, tensor::DType::kFixed32);
-  // No rewrite fired: every source node survives by name.
-  ASSERT_EQ(legacy.size(), g.size());
-  for (const Node& n : g.nodes())
-    EXPECT_EQ(legacy.graph().find(n.name), n.id);
-  EXPECT_EQ(legacy.memory_mode(), MemoryMode::kRetainAll);
-  ASSERT_NE(legacy.report(), nullptr);
+// Under kAll every rewrite pass runs and changes nothing: the plan's graph
+// is the source graph node for node (name, op, inputs, injectable flag,
+// shape), and each Const holds its source value quantised under `dtype`.
+// Hook-driven clients (profiler, baselines, one-shot runs) rely on this.
+void expect_pass_free(const Graph& g, tensor::DType dtype) {
+  const ExecutionPlan p = reference_plan(g, dtype);
+  ASSERT_EQ(p.size(), g.size());
+  EXPECT_EQ(p.graph().output(), g.output());
+  EXPECT_EQ(p.memory_mode(), MemoryMode::kRetainAll);
+  ASSERT_NE(p.report(), nullptr);
+  const std::vector<tensor::Shape> shapes = g.infer_shapes();
+  for (const Node& n : g.nodes()) {
+    const auto i = static_cast<std::size_t>(n.id);
+    const Node& m = p.graph().node(n.id);
+    EXPECT_EQ(m.name, n.name);
+    EXPECT_EQ(m.op.get(), n.op.get()) << n.name;
+    EXPECT_EQ(m.inputs, n.inputs) << n.name;
+    EXPECT_EQ(m.injectable, n.injectable) << n.name;
+    EXPECT_EQ(p.shapes()[i], shapes[i]) << n.name;
+    if (n.op->kind() != ops::OpKind::kConst) continue;
+    tensor::Tensor want = n.op->compute({}).clone();
+    tensor::q_quantize_span(tensor::QScheme(dtype), want.mutable_values());
+    EXPECT_TRUE(bits_equal(p.const_output(n.id), want)) << n.name;
+  }
+}
+
+TEST(Compile, ObserveAllIsPassFree) {
+  constexpr tensor::DType kDtypes[] = {tensor::DType::kFloat32,
+                                       tensor::DType::kFixed32,
+                                       tensor::DType::kFixed16};
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("conv_net", conv_net(7));
+  for (const models::ModelId id :
+       {models::ModelId::kLeNet, models::ModelId::kAlexNet,
+        models::ModelId::kVgg11, models::ModelId::kVgg16,
+        models::ModelId::kResNet18, models::ModelId::kSqueezeNet,
+        models::ModelId::kDave, models::ModelId::kDaveDegrees,
+        models::ModelId::kComma}) {
+    // He-init weights, as zoo_sweep_test builds them.
+    const ops::OpKind act = models::default_act(id);
+    Graph g = models::build_model(id, act, models::init_weights(id, act, 99));
+    core::Bounds bounds;
+    for (const Node& n : g.nodes())
+      if (ops::is_activation(n.op->kind()))
+        bounds.emplace(n.name, core::Bound{-10.0f, 10.0f});
+    graphs.emplace_back(models::model_name(id) + "+ranger",
+                        core::RangerTransform{}.apply(g, bounds));
+    graphs.emplace_back(models::model_name(id), std::move(g));
+  }
+  for (const auto& [name, g] : graphs)
+    for (const tensor::DType dtype : kDtypes) {
+      SCOPED_TRACE(name + " dtype " +
+                   std::to_string(static_cast<int>(dtype)));
+      expect_pass_free(g, dtype);
+    }
 }
 
 TEST(Compile, ReportTracesPassesAndArenaBytes) {

@@ -2,7 +2,7 @@
 //
 // The load-bearing property: for any graph, any injected node, and any
 // datatype, run_from over a compiled plan is *bit-identical* to a full
-// run_all with the same injection hook.  Randomised graphs exercise the
+// run with the same injection hook.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
 // concat, residual add, row-sparse matmul) as well as the dense fallbacks
 // (single-row matmul, softmax).
@@ -28,6 +28,12 @@ namespace {
 using tensor::DType;
 using tensor::Shape;
 using tensor::Tensor;
+
+// The plans below keep every node of their graph (Observe::kAll), so node
+// ids, names and hooks line up with the source graph's.
+ExecutionPlan plan_of(const Graph& g, DType dtype) {
+  return compile(g, {.dtype = dtype, .observe = Observe::kAll});
+}
 
 Tensor random_tensor(Shape shape, util::Rng& rng, float scale = 1.0f) {
   std::vector<float> v(shape.elements());
@@ -193,7 +199,7 @@ PartialRun run_batched_trial(const Executor& exec, const ExecutionPlan& plan,
 }
 
 // For random graphs, every injectable node k and all three dtypes:
-// run_from(plan, golden, k, hook) must equal a full run_all with the same
+// run_from(plan, golden, k, hook) must equal a full run with the same
 // hook, node by node, bit for bit.
 TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
   const DType dtypes[] = {DType::kFloat32, DType::kFixed32, DType::kFixed16};
@@ -203,9 +209,9 @@ TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
     const Tensor x = random_tensor(g.node(0).op->infer_shape({}), rng);
     const std::unordered_map<std::string, Tensor> feeds{{"input", x}};
     for (const DType dtype : dtypes) {
-      const Executor exec({dtype});
-      const ExecutionPlan plan(g, dtype);
-      Arena arena;
+      const Executor exec;
+      const ExecutionPlan plan = plan_of(g, dtype);
+      Arena arena, full_arena;
       exec.run(plan, feeds, arena);
       const std::vector<Tensor> golden = arena.outputs();
 
@@ -221,8 +227,8 @@ TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
         const fi::FaultSet faults{{n.name, element, bit}};
         const PostOpHook hook = fi::make_injection_hook(g, dtype, faults);
 
-        std::vector<Tensor> full_outputs;
-        const Tensor full = exec.run_all(g, feeds, full_outputs, hook);
+        const Tensor full = exec.run(plan, feeds, full_arena, hook);
+        const std::vector<Tensor>& full_outputs = full_arena.outputs();
         const Tensor partial = exec.run_from(plan, golden, n.id, arena, hook);
         expect_bitwise_equal(partial, full,
                              "output (seed " + std::to_string(seed) +
@@ -247,9 +253,9 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
   util::Rng rng(99);
   const Tensor x = random_tensor(g.node(0).op->infer_shape({}), rng);
   const std::unordered_map<std::string, Tensor> feeds{{"input", x}};
-  const Executor exec({DType::kFixed32});
-  const ExecutionPlan plan(g, DType::kFixed32);
-  Arena arena;
+  const Executor exec;
+  const ExecutionPlan plan = plan_of(g, DType::kFixed32);
+  Arena arena, full_arena;
   exec.run(plan, feeds, arena);
   const std::vector<Tensor> golden = arena.outputs();
 
@@ -260,8 +266,8 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
     for (const auto& f : faults) roots.push_back(g.find(f.node_name));
     const PostOpHook hook = fi::make_injection_hook(g, DType::kFixed32,
                                                     faults);
-    std::vector<Tensor> full_outputs;
-    const Tensor full = exec.run_all(g, feeds, full_outputs, hook);
+    const Tensor full = exec.run(plan, feeds, full_arena, hook);
+    const std::vector<Tensor>& full_outputs = full_arena.outputs();
     const Tensor partial = exec.run_from(plan, golden, roots, arena, hook);
     expect_bitwise_equal(partial, full, "multi-root trial");
     expect_all_nodes_equal(arena.outputs(), full_outputs, g,
@@ -371,7 +377,7 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
 TEST(ExecutionPlan, ReachabilityMatchesBruteForce) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     const Graph g = random_graph(seed);
-    const ExecutionPlan plan(g, DType::kFloat32);
+    const ExecutionPlan plan = plan_of(g, DType::kFloat32);
     const std::size_t n = g.size();
     // Brute force closure.
     std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
@@ -402,7 +408,7 @@ TEST(ExecutionPlan, ReachabilityMatchesBruteForce) {
 
 TEST(ExecutionPlan, MarkDirtyIsUnionOfCones) {
   const Graph g = random_graph(21);
-  const ExecutionPlan plan(g, DType::kFixed32);
+  const ExecutionPlan plan = plan_of(g, DType::kFixed32);
   const NodeId a = g.find("conv_a");
   const NodeId b = g.find("conv_b");
   ASSERT_NE(a, kInvalidNode);
@@ -426,7 +432,7 @@ TEST(ExecutionPlan, MarkDirtyIsUnionOfCones) {
 TEST(ExecutionPlan, ConstCacheIsPreQuantized) {
   const Graph g = random_graph(31);
   for (const DType dtype : {DType::kFixed32, DType::kFixed16}) {
-    const ExecutionPlan plan(g, dtype);
+    const ExecutionPlan plan = plan_of(g, dtype);
     for (const Node& n : g.nodes()) {
       if (n.op->kind() != ops::OpKind::kConst) continue;
       const Tensor raw = n.op->compute({});
@@ -447,8 +453,8 @@ TEST(Arena, ReuseAcrossRunsAndFeeds) {
   util::Rng rng(5);
   const Tensor x1 = random_tensor(g.node(0).op->infer_shape({}), rng);
   const Tensor x2 = random_tensor(g.node(0).op->infer_shape({}), rng);
-  const Executor exec({DType::kFixed32});
-  const ExecutionPlan plan(g, DType::kFixed32);
+  const Executor exec;
+  const ExecutionPlan plan = plan_of(g, DType::kFixed32);
 
   Arena fresh1, fresh2;
   const Tensor y1 = exec.run(plan, {{"input", x1}}, fresh1);
@@ -463,11 +469,10 @@ TEST(Arena, ReuseAcrossRunsAndFeeds) {
   }
 
   // Rebinding to a different plan resets cleanly.
-  const ExecutionPlan plan16(g, DType::kFixed16);
-  const Executor exec16({DType::kFixed16});
-  const Tensor y16 = exec16.run(plan16, {{"input", x1}}, reused);
+  const ExecutionPlan plan16 = plan_of(g, DType::kFixed16);
+  const Tensor y16 = exec.run(plan16, {{"input", x1}}, reused);
   Arena fresh16;
-  expect_bitwise_equal(y16, exec16.run(plan16, {{"input", x1}}, fresh16),
+  expect_bitwise_equal(y16, exec.run(plan16, {{"input", x1}}, fresh16),
                        "rebound arena");
 }
 
@@ -487,9 +492,9 @@ TEST(ExecutionPlan, ProtectedGraphReplaysByName) {
   ASSERT_GT(prot.size(), g.size());
 
   const DType dtype = DType::kFixed32;
-  const Executor exec({dtype});
-  const ExecutionPlan plan(prot, dtype);
-  Arena arena;
+  const Executor exec;
+  const ExecutionPlan plan = plan_of(prot, dtype);
+  Arena arena, full_arena;
   exec.run(plan, {{"input", x}}, arena);
   const std::vector<Tensor> golden = arena.outputs();
 
@@ -508,7 +513,7 @@ TEST(ExecutionPlan, ProtectedGraphReplaysByName) {
     ASSERT_NE(replay, kInvalidNode) << n.name;
     const fi::FaultSet faults{{n.name, 0, 28}};
     const PostOpHook hook = fi::make_injection_hook(prot, dtype, faults);
-    const Tensor full = exec.run(prot, {{"input", x}}, hook);
+    const Tensor full = exec.run(plan, {{"input", x}}, full_arena, hook);
     const Tensor partial =
         exec.run_from(plan, golden, replay, arena, hook);
     expect_bitwise_equal(partial, full, "protected replay at " + n.name);

@@ -4,17 +4,15 @@
 //    randomized shapes and values;
 //  * quantisation properties of every datatype;
 //  * the monotone fault-deviation property (§III-B) across datatypes;
-//  * clamp algebra (idempotence, ordering, NaN suppression);
-//  * protect() round trips and bounds (de)serialisation.
+//  * clamp algebra (idempotence, ordering, NaN suppression).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 
-#include "core/protect.hpp"
-#include "graph/builder.hpp"
+#include "ops/activation_ops.hpp"
 #include "ops/nn_ops.hpp"
 #include "ops/pool_ops.hpp"
+#include "tensor/dtype.hpp"
 #include "util/rng.hpp"
 
 namespace rangerpp {
@@ -213,56 +211,6 @@ TEST(ClampAlgebra, IdempotentAndOrderPreserving) {
         clamp.compute(std::array{Tensor::scalar(a + 0.25f)}).at(0);
     EXPECT_LE(ca, cb);
   }
-}
-
-// ---- protect() and bounds serialisation -------------------------------------------
-
-TEST(Protect, OneCallApiMatchesManualPipeline) {
-  graph::GraphBuilder b;
-  b.input("input", Shape{1, 4, 4, 1});
-  b.conv2d("conv", Tensor::full(Shape{3, 3, 1, 2}, 0.3f), Tensor(Shape{2}),
-           {1, 1, ops::Padding::kSame});
-  b.activation("relu", ops::OpKind::kRelu);
-  b.max_pool("pool", {2, 2, 2, 2, ops::Padding::kValid});
-  const graph::Graph g = b.finish();
-
-  std::vector<fi::Feeds> samples;
-  for (int i = 0; i < 3; ++i)
-    samples.push_back({{"input", Tensor::full(Shape{1, 4, 4, 1},
-                                              0.5f + 0.1f * i)}});
-  const core::ProtectResult r = core::protect(g, samples);
-  EXPECT_EQ(r.stats.restriction_ops_inserted, 2u);  // relu + pool
-  EXPECT_TRUE(r.bounds.contains("relu"));
-  EXPECT_NE(r.protected_graph.find("relu/ranger"), graph::kInvalidNode);
-
-  // Fault-free equality.
-  const graph::Executor exec;
-  const Tensor y0 = exec.run(g, samples[0]);
-  const Tensor y1 = exec.run(r.protected_graph, samples[0]);
-  for (std::size_t i = 0; i < y0.elements(); ++i)
-    EXPECT_FLOAT_EQ(y0.at(i), y1.at(i));
-}
-
-TEST(Protect, BoundsSaveLoadRoundTrip) {
-  core::Bounds bounds{{"act1", {0.0f, 3.5f}}, {"act2", {-1.25f, 8.0f}}};
-  const std::string path = ::testing::TempDir() + "/bounds.txt";
-  core::save_bounds(bounds, path);
-  core::Bounds loaded;
-  ASSERT_TRUE(core::load_bounds(loaded, path));
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_FLOAT_EQ(loaded.at("act1").up, 3.5f);
-  EXPECT_FLOAT_EQ(loaded.at("act2").low, -1.25f);
-  EXPECT_FALSE(core::load_bounds(loaded, "/nonexistent/bounds.txt"));
-}
-
-TEST(Protect, LoadRejectsCorruptBounds) {
-  const std::string path = ::testing::TempDir() + "/bad_bounds.txt";
-  {
-    std::ofstream out(path);
-    out << "layer 5.0 1.0\n";  // low > up
-  }
-  core::Bounds loaded;
-  EXPECT_FALSE(core::load_bounds(loaded, path));
 }
 
 }  // namespace

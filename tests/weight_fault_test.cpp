@@ -14,6 +14,7 @@
 #include "fi/suite.hpp"
 #include "fi/weight_fault.hpp"
 #include "graph/builder.hpp"
+#include "graph/passes.hpp"
 #include "ops/backend.hpp"
 
 namespace rangerpp::fi {
@@ -41,6 +42,13 @@ graph::Graph weight_net() {
   b.dense("fc2", Tensor::full(Shape{8, 4}, 0.1f), Tensor(Shape{4}),
           /*injectable=*/false);
   return b.finish();
+}
+
+// A fixed32 plan whose nodes are `g`'s: every Const keeps its name and
+// every hook fires.
+graph::ExecutionPlan fixed32_plan(const graph::Graph& g) {
+  return graph::compile(
+      g, {.dtype = DType::kFixed32, .observe = graph::Observe::kAll});
 }
 
 std::vector<Feeds> two_inputs() {
@@ -193,10 +201,9 @@ TEST(EccModel, TokensRoundTrip) {
 // rebuilding the graph with the corrupted weight value — in a full run
 // and in a golden-prefix partial run.
 TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
-  const DType dtype = DType::kFixed32;
   const graph::Graph g = weight_net();
-  const graph::ExecutionPlan plan(g, dtype);
-  const graph::Executor exec({dtype});
+  const graph::ExecutionPlan plan = fixed32_plan(g);
+  const graph::Executor exec;
   const Feeds feeds = two_inputs()[0];
 
   const FaultSet fault{{"conv/filter", 7, 28}};
@@ -222,8 +229,7 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
           /*injectable=*/false);
   const graph::Graph rebuilt = b.finish();
   graph::Arena ra;
-  const Tensor expected =
-      exec.run(graph::ExecutionPlan(rebuilt, dtype), feeds, ra);
+  const Tensor expected = exec.run(fixed32_plan(rebuilt), feeds, ra);
 
   graph::Arena arena;
   const Tensor full = exec.run(plan, feeds, arena, overrides);
@@ -245,9 +251,8 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
 }
 
 TEST(ConstOverride, CrossGraphReplayIgnoresAbsentAndForeignNames) {
-  const DType dtype = DType::kFixed32;
   const graph::Graph g = weight_net();
-  const graph::ExecutionPlan plan(g, dtype);
+  const graph::ExecutionPlan plan = fixed32_plan(g);
 
   // Names absent from the graph — and names that resolve to non-Const
   // nodes — produce no overrides (the make_injection_hook contract,
@@ -263,7 +268,7 @@ TEST(ConstOverride, CrossGraphReplayIgnoresAbsentAndForeignNames) {
     EXPECT_EQ(oob[0].value.at(i), golden_bias.at(i));
 
   // And the executor treats an empty patch as the golden run.
-  const graph::Executor exec({dtype});
+  const graph::Executor exec;
   const Feeds feeds = two_inputs()[0];
   graph::Arena a1, a2;
   const Tensor golden = exec.run(plan, feeds, a1);
@@ -292,19 +297,21 @@ TEST(InjectionHookReplay, AbsentNodeNamesAreIgnoredAcrossGraphs) {
   const SiteSpace sites(graph_a, DType::kFixed32);
   ASSERT_GT(sites.elements_of("extra"), 0u);
   const Feeds feeds{{"input", Tensor::full(Shape{1, 4}, 1.0f)}};
-  const graph::Executor exec({DType::kFixed32});
-  const Tensor golden_b = exec.run(graph_b, feeds);
+  const graph::ExecutionPlan plan_b = fixed32_plan(graph_b);
+  const graph::Executor exec;
+  graph::Arena arena;
+  const Tensor golden_b = exec.run(plan_b, feeds, arena);
 
   // A fault on the node graph B lacks is a no-op there...
   const Tensor replay_absent = exec.run(
-      graph_b, feeds,
+      plan_b, feeds, arena,
       make_injection_hook(graph_b, DType::kFixed32, {{"extra", 0, 30}}));
   for (std::size_t i = 0; i < replay_absent.elements(); ++i)
     EXPECT_EQ(replay_absent.at(i), golden_b.at(i));
 
   // ...while a fault on a shared name still injects.
   const Tensor replay_shared = exec.run(
-      graph_b, feeds,
+      plan_b, feeds, arena,
       make_injection_hook(graph_b, DType::kFixed32,
                           {{"fc/bias_add", 0, 30}}));
   EXPECT_NE(replay_shared.at(0), golden_b.at(0));

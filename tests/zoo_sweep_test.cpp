@@ -11,6 +11,7 @@
 #include "core/ranger_transform.hpp"
 #include "fi/fault_model.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "models/workload.hpp"
 #include "models/zoo.hpp"
 #include "util/metrics.hpp"
@@ -133,7 +134,10 @@ class DtypeModelTest
 TEST_P(DtypeModelTest, QuantisedForwardProducesFiniteRepresentableValues) {
   const auto [id, dtype] = GetParam();
   const graph::Graph g = he_graph(id);
-  const graph::Executor exec({dtype});
+  const graph::ExecutionPlan plan =
+      graph::compile(g, {.dtype = dtype, .observe = graph::Observe::kAll});
+  const graph::Executor exec;
+  graph::Arena arena;
   tensor::Shape in;
   switch (id) {
     case ModelId::kLeNet: in = tensor::Shape{1, 28, 28, 1}; break;
@@ -141,7 +145,7 @@ TEST_P(DtypeModelTest, QuantisedForwardProducesFiniteRepresentableValues) {
     default: in = tensor::Shape{1, 32, 32, 3}; break;
   }
   const tensor::Tensor out =
-      exec.run(g, {{"input", tensor::Tensor::full(in, 0.5f)}});
+      exec.run(plan, {{"input", tensor::Tensor::full(in, 0.5f)}}, arena);
   for (float v : out.values()) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_EQ(tensor::dtype_quantize(dtype, v), v)
