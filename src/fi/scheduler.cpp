@@ -52,7 +52,8 @@ struct Scheduler::Unit {
 
 struct Scheduler::Request {
   // Immutable after submit() publishes the request: id, plan, sink (the
-  // *field*; calls through it serialise under `mu`), and the shape of
+  // *field*; calls through it serialise under `mu`, and only a submit
+  // that loses to shutdown() clears it, under `mu`), and the shape of
   // `cells` (its entries' mutable state is guarded individually).
   std::uint64_t id = 0;
   SuitePlan plan;
@@ -155,7 +156,7 @@ std::uint64_t Scheduler::submit(SuiteSpec spec, RecordSink sink) {
     for (auto& u : req->units) unit_ptrs.push_back(u.get());
   }
 
-  Request* raw = nullptr;
+  Request* raw = req.get();
   {
     util::MutexLock lk(requests_mu_);
     for (auto& [id, other] : requests_)
@@ -166,44 +167,71 @@ std::uint64_t Scheduler::submit(SuiteSpec spec, RecordSink sink) {
             "Scheduler: a request named '" + req->plan.spec.name +
             "' is already running (names key checkpoint files)");
     req->id = next_id_++;
-    raw = req.get();
-    requests_[raw->id] = std::move(req);
+    // `req` keeps the request alive below: shutdown() may settle it
+    // while a cell builds, and a concurrent submit may then reap it.
+    requests_[raw->id] = req;
     reap_settled();
   }
 
   if (!config_.checkpoint_dir.empty())
     std::filesystem::create_directories(config_.checkpoint_dir);
 
+  // Each cell's engine state (workload, bounds, protected graph,
+  // executors) is built here, on the submitting thread, before the
+  // cell's units are queued.  A cold build therefore never holds a
+  // worker: other requests keep running while it builds instead of
+  // queueing behind workers blocked on its once-flags, and this
+  // request's first cell runs while its later cells build.  As on a
+  // worker, kernel-level parallelism runs inline.  Nothing here takes
+  // the request's lock, which a worker holds across sink calls.  A
+  // build that throws is left to the cell's first slice: it rebuilds,
+  // throws again and fails the request with the diagnostic.
   bool lost_shutdown_race = false;
-  {
-    util::MutexLock lk(queue_mu_);
-    // shutdown() may have won the race since the entry check: the
-    // workers are gone (or going), so enqueued units would never settle
-    // and a wait() on this id would hang forever.  Refuse instead.
-    if (shutdown_) {
-      lost_shutdown_race = true;
-    } else {
-      // Round-robin the units across worker deques; stealing rebalances
-      // whatever this initial placement gets wrong.
-      std::size_t w = 0;
-      for (Unit* u : unit_ptrs) queues_[w++ % workers_].push_back(u);
+  bool built = true;  // false once a build threw: skip the later cells
+  std::size_t w = 0;
+  for (std::size_t ci = 0; ci < raw->plan.cells.size(); ++ci) {
+    if (built) {
+      const util::ScopedPoolWorker inline_kernels;
+      try {
+        engine_->prepare(raw->plan.spec, raw->plan.cells[ci]);
+      } catch (const std::exception&) {
+        built = false;
+      }
     }
+    {
+      util::MutexLock lk(queue_mu_);
+      // shutdown() may have won the race since the entry check: the
+      // workers are gone (or going), so enqueued units would never
+      // settle and a wait() on this id would hang forever.  Refuse
+      // instead.
+      if (shutdown_) {
+        lost_shutdown_race = true;
+        break;
+      }
+      // Round-robin the units across worker deques; stealing
+      // rebalances whatever this initial placement gets wrong.
+      for (std::size_t p = 0; p < config_.partitions_per_cell; ++p)
+        queues_[w++ % workers_].push_back(
+            unit_ptrs[ci * config_.partitions_per_cell + p]);
+    }
+    queue_cv_.notify_all();
   }
   if (lost_shutdown_race) {
     // Settle the already-registered request ourselves: shutdown()'s own
     // kFailed sweep may have run before the insert above, and a running
-    // request is never reaped.
+    // request is never reaped.  Earlier cells may be mid-slice: dropping
+    // the sink under `mu` means no call reaches it after this throw.
     {
       util::MutexLock lk(raw->mu);
+      raw->sink = nullptr;
       if (raw->state == RequestState::kRunning) {
         raw->state = RequestState::kFailed;
-        raw->error = "scheduler shut down before the request started";
+        raw->error = "scheduler shut down before the request was queued";
         raw->cv.notify_all();
       }
     }
     throw std::runtime_error("Scheduler: submit after shutdown");
   }
-  queue_cv_.notify_all();
   return raw->id;
 }
 

@@ -133,7 +133,10 @@ class Scheduler {
   // (the scheduler owns partitioning), or a name already running (two
   // live requests with one name would share checkpoint files).  The
   // spec's checkpoint_dir / max_new_trials / threads are scheduler
-  // concerns and are overridden.
+  // concerns and are overridden.  Cold engine state is built on the
+  // calling thread, one cell at a time, each cell's units queued once
+  // its state is ready: a cold submit returns after its builds, and its
+  // first cell may stream records before it returns.
   std::uint64_t submit(SuiteSpec spec, RecordSink sink = nullptr);
 
   std::optional<RequestStatus> status(std::uint64_t id) const;

@@ -684,6 +684,31 @@ TEST(SchedulerEngine, VerifyPlansVerifiesEveryExecutorPlan) {
             count_spans(trace_json, "sched.slice"));
 }
 
+TEST(SchedulerEngine, SubmitBuildsColdStateBeforeQueueing) {
+  // A cold cell's engine state is built on the submitting thread before
+  // its units queue, so no worker blocks on a build (and a warm request
+  // never waits behind one): both executors exist when submit()
+  // returns, and running the request builds nothing more.
+  SchedulerConfig cfg;
+  cfg.workers = 2;
+  util::metrics::set_enabled(true);
+  util::metrics::reset();
+  Scheduler sched(cfg, &shared_cache());
+  const std::uint64_t id = sched.submit(tiny_spec("cold_submit"));
+  const std::uint64_t at_submit =
+      util::metrics::counter_value("cache.executor.build");
+  const std::uint64_t bounds_at_submit =
+      util::metrics::counter_value("cache.bounds.build");
+  sched.wait(id);
+  const std::uint64_t after_wait =
+      util::metrics::counter_value("cache.executor.build");
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
+  EXPECT_EQ(at_submit, 2u);  // {unprotected, ranger}
+  EXPECT_EQ(bounds_at_submit, 1u);
+  EXPECT_EQ(after_wait, at_submit);
+}
+
 TEST(SchedulerEngine, WorkloadCacheConcurrentGetIsSafe) {
   // TSan regression for the find-or-insert + per-entry once_flag cache:
   // concurrent get() for the same and different keys must race-free

@@ -179,10 +179,12 @@ void handle_connection(util::ipc::Conn conn, fi::Scheduler& sched,
         const fi::SuiteSpec spec = fi::parse_suite_spec(payload);
         const fi::SuitePlan plan = fi::compile_suite(spec);
         // Sink calls are serialised per request by the scheduler, but
-        // they start racing this thread's 'P' plan ack the instant
-        // submit() returns (a warm-cache first slice can stream within
-        // microseconds), and send_frame writes prefix and payload as
-        // two send()s — concurrent writers would interleave frames.
+        // they start racing this thread's 'P' plan ack as soon as
+        // submit() queues the first cell (a warm-cache first slice can
+        // stream within microseconds; a cold request's first cell
+        // streams while submit() still builds the later cells), and
+        // send_frame writes prefix and payload as two send()s —
+        // concurrent writers would interleave frames.
         // ipc.hpp requires external serialisation, so every send on
         // this connection goes through one shared mutex.  A vanished
         // client (send failure) stops the stream but not the request:
