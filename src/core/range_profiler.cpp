@@ -4,10 +4,16 @@
 #include <stdexcept>
 
 #include "graph/passes.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::core {
 
 namespace {
+
+// Samples per worker in one profiling chunk: enough to keep every worker
+// busy while the previous chunk merges, few enough that two chunks of
+// captured activations stay small.
+constexpr std::size_t kChunkPerWorker = 2;
 
 bool has_analytic_bound(ops::OpKind k, Bound& out) {
   switch (k) {
@@ -92,22 +98,62 @@ RangeProfile RangeProfiler::profile(
     }
   }
 
-  // One compiled plan + arena for the whole profiling stream: constants
-  // are materialised once and the schedule is reused per sample.
+  // One compiled plan for the whole profiling stream (constants are
+  // materialised once), one arena per worker.  Samples run across
+  // workers in chunks; while a chunk runs, each layer merges the previous
+  // chunk's outputs as one more task.  A layer therefore sees its values
+  // in sample order, then element order — the exact sequence a serial
+  // stream produces, which the reservoir's draws depend on — and merges
+  // only ever touch their own layer.
   const graph::Executor exec;
   const graph::ExecutionPlan plan = graph::compile(
       g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
-  graph::Arena arena;
-  for (const fi::Feeds& feeds : samples) {
-    exec.run(plan, feeds, arena,
-             [&prof](const graph::Node& node, tensor::Tensor& out) {
-               const auto it = prof.layers_.find(node.name);
-               if (it == prof.layers_.end() || it->second.analytic) return;
-               for (float v : out.values()) {
-                 it->second.range.observe(v);
-                 it->second.reservoir.observe(v);
-               }
-             });
+  using LayerStats = RangeProfile::LayerStats;
+  std::vector<LayerStats*> observed;  // one merge task each
+  for (auto& [name, stats] : prof.layers_)
+    if (!stats.analytic) observed.push_back(&stats);
+  std::vector<LayerStats*> slot(plan.size(), nullptr);  // by node id
+  for (const graph::Node& n : plan.graph().nodes()) {
+    const auto it = prof.layers_.find(n.name);
+    if (it != prof.layers_.end() && !it->second.analytic)
+      slot[static_cast<std::size_t>(n.id)] = &it->second;
+  }
+  // A sample's observed outputs in hook order (tensors share storage
+  // with the run's outputs, so capturing copies nothing).
+  using Captured = std::vector<std::pair<LayerStats*, tensor::Tensor>>;
+  const unsigned workers = util::worker_count(samples.size());
+  const std::size_t chunk = kChunkPerWorker * workers;
+  std::vector<graph::Arena> arenas(
+      util::worker_count(chunk + observed.size()));
+  std::vector<Captured> pending, running;
+  for (std::size_t base = 0;; base += chunk) {
+    const std::size_t n =
+        base < samples.size() ? std::min(chunk, samples.size() - base) : 0;
+    const std::size_t merges = pending.empty() ? 0 : observed.size();
+    running.assign(n, {});
+    util::parallel_for_workers(merges + n, [&](unsigned worker,
+                                               std::size_t i) {
+      if (i < merges) {
+        LayerStats* layer = observed[i];
+        for (const Captured& c : pending)
+          for (const auto& [stats, out] : c) {
+            if (stats != layer) continue;
+            for (float v : out.values()) {
+              layer->range.observe(v);
+              layer->reservoir.observe(v);
+            }
+          }
+        return;
+      }
+      Captured& c = running[i - merges];
+      exec.run(plan, samples[base + i - merges], arenas[worker],
+               [&](const graph::Node& node, tensor::Tensor& out) {
+                 if (LayerStats* s = slot[static_cast<std::size_t>(node.id)])
+                   c.emplace_back(s, out);
+               });
+    });
+    if (n == 0) break;
+    pending = std::move(running);
   }
   return prof;
 }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::data {
 
@@ -40,8 +41,8 @@ std::vector<fi::Feeds> Dataset::feeds(const std::string& input_name,
 Dataset synthetic_digits(std::size_t n, std::uint64_t seed) {
   constexpr int kH = 28, kW = 28;
   Dataset ds;
-  ds.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  ds.samples.resize(n);
+  util::parallel_for(n, [&](std::size_t i) {
     util::Rng rng(util::derive_seed(seed, i));
     const int label = static_cast<int>(rng.uniform_index(10));
     tensor::Tensor img(tensor::Shape{1, kH, kW, 1});
@@ -77,8 +78,8 @@ Dataset synthetic_digits(std::size_t n, std::uint64_t seed) {
       v = std::clamp(v, 0.0f, 1.0f);
     }
 
-    ds.samples.push_back(Sample{std::move(img), label, 0.0f});
-  }
+    ds.samples[i] = Sample{std::move(img), label, 0.0f};
+  });
   return ds;
 }
 
@@ -86,8 +87,8 @@ Dataset synthetic_objects(std::size_t n, int classes, int height, int width,
                           std::uint64_t seed) {
   if (classes <= 0) throw std::invalid_argument("synthetic_objects: classes");
   Dataset ds;
-  ds.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  ds.samples.resize(n);
+  util::parallel_for(n, [&](std::size_t i) {
     util::Rng rng(util::derive_seed(seed, i));
     const int label = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(classes)));
@@ -122,16 +123,16 @@ Dataset synthetic_objects(std::size_t n, int classes, int height, int width,
                    static_cast<float>(std::clamp(v, 0.0, 1.0)));
         }
       }
-    ds.samples.push_back(Sample{std::move(img), label, 0.0f});
-  }
+    ds.samples[i] = Sample{std::move(img), label, 0.0f};
+  });
   return ds;
 }
 
 Dataset synthetic_driving(std::size_t n, int height, int width,
                           std::uint64_t seed) {
   Dataset ds;
-  ds.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  ds.samples.resize(n);
+  util::parallel_for(n, [&](std::size_t i) {
     util::Rng rng(util::derive_seed(seed, i));
 
     // Road curvature in [-1, 1]; steering angle proportional, in degrees.
@@ -178,8 +179,8 @@ Dataset synthetic_driving(std::size_t n, int height, int width,
                      b + rng.normal(0.0, 0.03), 0.0, 1.0)));
       }
     }
-    ds.samples.push_back(Sample{std::move(img), 0, angle_deg});
-  }
+    ds.samples[i] = Sample{std::move(img), 0, angle_deg};
+  });
   return ds;
 }
 

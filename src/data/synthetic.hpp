@@ -1,5 +1,7 @@
 // Procedural dataset generators.  All generators are deterministic given
-// (seed, index) so every bench and test sees identical data.
+// (seed, index) so every bench and test sees identical data: image i
+// draws only from its own stream, derive_seed(seed, i), which is what
+// lets the generators build images in parallel (util::parallel_for).
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "graph/passes.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::fi {
 
@@ -212,15 +213,15 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
       arenas_(workers == 0 ? 1 : workers) {
   if (inputs.empty())
     throw std::invalid_argument("TrialExecutor: no inputs");
-  // Goldens per input, computed once under the campaign datatype.
-  golden_.reserve(inputs.size());
-  graph::Arena arena;
-  for (const Feeds& f : inputs) {
-    GoldenState gs;
-    gs.output = exec_.run(plan_, f, arena);
-    gs.activations = arena.outputs();  // cheap: tensors share storage
-    golden_.push_back(std::move(gs));
-  }
+  // Goldens per input, computed once under the campaign datatype, across
+  // inputs with one arena per worker.
+  golden_.resize(inputs.size());
+  std::vector<graph::Arena> golden_arenas(util::worker_count(inputs.size()));
+  util::parallel_for_workers(inputs.size(), [&](unsigned w, std::size_t i) {
+    graph::Arena& arena = golden_arenas[w];
+    golden_[i].output = exec_.run(plan_, inputs[i], arena);
+    golden_[i].activations = arena.outputs();  // tensors share storage
+  });
 
   // Weight campaigns never batch: batch rows share the const tensors, so
   // two different persistent faults cannot ride one plan run.
@@ -234,7 +235,11 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
     // Only the state the configured mode will read is materialised:
     // partial re-execution resumes from tiled goldens, full re-execution
     // re-runs from tiled feeds.
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (config_.partial_reexecution)
+      batch_golden_.resize(inputs.size());
+    else
+      batch_feeds_.resize(inputs.size());
+    util::parallel_for(inputs.size(), [&](std::size_t i) {
       if (config_.partial_reexecution) {
         // Batched goldens are the single-image goldens tiled across rows
         // (consts are shared, not per-row), so a batched partial run
@@ -249,7 +254,7 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
                                       config_.batch,
                                       batch_plan_->shapes()[id]);
         }
-        batch_golden_.push_back(std::move(tiled));
+        batch_golden_[i] = std::move(tiled);
       } else {
         Feeds packed;
         for (const graph::Node& n : plan_.graph().nodes()) {
@@ -264,9 +269,9 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
                   it->second, config_.batch,
                   batch_plan_->shapes()[static_cast<std::size_t>(n.id)]));
         }
-        batch_feeds_.push_back(std::move(packed));
+        batch_feeds_[i] = std::move(packed);
       }
-    }
+    });
     batch_arenas_.resize(arenas_.size());
   }
 }

@@ -250,6 +250,17 @@ class TrialExecutor {
   const tensor::Tensor& golden_output(std::size_t input_idx) const {
     return golden_[input_idx].output;
   }
+  // Input `input_idx`'s golden activations (indexed by NodeId), and the
+  // batched twin partial re-execution resumes from (empty unless batch()
+  // > 1 with partial re-execution on).
+  std::span<const tensor::Tensor> golden_activations(
+      std::size_t input_idx) const {
+    return golden_[input_idx].activations;
+  }
+  std::span<const tensor::Tensor> batch_golden(std::size_t input_idx) const {
+    if (batch_golden_.empty()) return {};
+    return batch_golden_[input_idx];
+  }
   std::size_t inputs() const { return golden_.size(); }
   const graph::ExecutionPlan& plan() const { return plan_; }
   const CampaignConfig& config() const { return config_; }

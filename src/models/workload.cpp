@@ -11,6 +11,7 @@
 #include "models/weights.hpp"
 #include "train/trainer.hpp"
 #include "util/stats.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::models {
 
@@ -192,7 +193,19 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
   // determinism contract, so selection is unchanged.
   const graph::ExecutionPlan plan =
       graph::compile(w.graph, inference_compile_options());
-  graph::Arena arena;
+  const std::vector<data::Sample>& val = w.validation.samples;
+  std::vector<graph::Arena> arenas(util::worker_count(val.size()));
+  // Fault-free outputs of validation samples [begin, end), run across
+  // workers with one arena each.
+  const auto outputs = [&](std::size_t begin, std::size_t end) {
+    std::vector<tensor::Tensor> out(end - begin);
+    util::parallel_for_workers(end - begin, [&](unsigned worker,
+                                                std::size_t i) {
+      out[i] = exec.run(plan, fi::Feeds{{w.input_name, val[begin + i].image}},
+                        arenas[worker]);
+    });
+    return out;
+  };
   std::vector<fi::Feeds> eval;
   if (!is_steering(id) && options.trained && !is_trainable(id)) {
     struct Scored {
@@ -201,13 +214,11 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
     };
     std::vector<Scored> scored;
     const std::size_t pool =
-        std::min<std::size_t>(w.validation.samples.size(),
-                              std::max<std::size_t>(
-                                  4 * options.eval_inputs, 40));
+        std::min<std::size_t>(val.size(), std::max<std::size_t>(
+                                              4 * options.eval_inputs, 40));
+    const std::vector<tensor::Tensor> outs = outputs(0, pool);
     for (std::size_t i = 0; i < pool; ++i) {
-      const tensor::Tensor out = exec.run(
-          plan, fi::Feeds{{w.input_name, w.validation.samples[i].image}},
-          arena);
+      const tensor::Tensor& out = outs[i];
       const std::vector<int> top2 = graph::top_k(out, 2);
       const double margin =
           top2.size() > 1 ? out.at(static_cast<std::size_t>(top2[0])) -
@@ -221,17 +232,27 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
               });
     for (std::size_t k = 0;
          k < scored.size() && eval.size() < options.eval_inputs; ++k)
-      eval.push_back(fi::Feeds{
-          {w.input_name, w.validation.samples[scored[k].index].image}});
+      eval.push_back(fi::Feeds{{w.input_name, val[scored[k].index].image}});
+  } else if (options.trained && is_trainable(id) && !is_steering(id)) {
+    // The first correctly classified inputs in validation order, scored
+    // a chunk at a time (at least what is still missing).
+    for (std::size_t begin = 0;
+         begin < val.size() && eval.size() < options.eval_inputs;) {
+      const std::size_t end = std::min(
+          val.size(), begin + std::max<std::size_t>(
+                                  options.eval_inputs - eval.size(),
+                                  arenas.size()));
+      const std::vector<tensor::Tensor> outs = outputs(begin, end);
+      for (std::size_t i = begin;
+           i < end && eval.size() < options.eval_inputs; ++i)
+        if (graph::argmax(outs[i - begin]) == val[i].label)
+          eval.push_back(fi::Feeds{{w.input_name, val[i].image}});
+      begin = end;
+    }
   } else {
-    for (const data::Sample& s : w.validation.samples) {
+    for (const data::Sample& s : val) {
       if (eval.size() >= options.eval_inputs) break;
-      fi::Feeds feeds{{w.input_name, s.image}};
-      if (options.trained && is_trainable(id) && !is_steering(id)) {
-        const tensor::Tensor out = exec.run(plan, feeds, arena);
-        if (graph::argmax(out) != s.label) continue;
-      }
-      eval.push_back(std::move(feeds));
+      eval.push_back(fi::Feeds{{w.input_name, s.image}});
     }
   }
   if (eval.empty())

@@ -181,6 +181,12 @@ CompiledKernel select_kernel(const Op& op, const tensor::QScheme& scheme,
                 return blocked::relu(scheme, in);
               },
               true};
+    case OpKind::kLrn:
+      return {[o, scheme](std::span<const tensor::Tensor> in) {
+                return blocked::lrn(*static_cast<const LrnOp*>(o), scheme,
+                                    in);
+              },
+              true};
     case OpKind::kMaxPool:
     case OpKind::kAvgPool:
       if (const auto* pool = dynamic_cast<const PoolOpBase*>(&op)) {
@@ -219,7 +225,7 @@ CompiledKernel select_kernel(const Op& op, const tensor::QScheme& scheme,
               return blocked::binary(*b, scheme, in);
             },
             true};
-  // Softmax, shape ops, LRN, GlobalAvgPool, Const, Input, unknown ops:
+  // Softmax, shape ops, GlobalAvgPool, Const, Input, unknown ops:
   // scalar compute + executor-side quantisation.
   return {};
 }

@@ -508,6 +508,36 @@ tensor::Tensor batch_norm(const BatchNormOp& op, tensor::QScheme scheme,
   return y;
 }
 
+tensor::Tensor lrn(const LrnOp& op, tensor::QScheme scheme,
+                   std::span<const tensor::Tensor> in) {
+  const tensor::Shape& s = in[0].shape();
+  op.infer_shape(std::array{s});
+  const LrnParams& p = op.params();
+  const int c = s.c();
+  Tensor y(s);
+  const std::span<float> yv = y.mutable_values();
+  const std::span<const float> xv = in[0].values();
+  const std::size_t cs = static_cast<std::size_t>(c);
+  const std::size_t rows = cs == 0 ? 0 : xv.size() / cs;
+  run_rows(rows, cs * static_cast<std::size_t>(2 * p.depth_radius + 1),
+           [&](std::size_t r) {
+             const float* x = &xv[r * cs];
+             float* out = &yv[r * cs];
+             for (int ch = 0; ch < c; ++ch) {
+               // Exact replica of LrnOp::compute's element arithmetic.
+               float sum_sq = 0.0f;
+               const int lo = std::max(0, ch - p.depth_radius);
+               const int hi = std::min(c - 1, ch + p.depth_radius);
+               for (int k = lo; k <= hi; ++k) sum_sq += x[k] * x[k];
+               const float denom =
+                   std::pow(p.bias + p.alpha * sum_sq, p.beta);
+               out[ch] = x[ch] / denom;
+             }
+             tensor::q_quantize_span(scheme, {out, cs});
+           });
+  return y;
+}
+
 void run_elementwise(std::size_t total,
                      util::FunctionRef<void(std::size_t, std::size_t)> fn) {
   constexpr std::size_t kElementBlock = 4096;

@@ -93,6 +93,12 @@ tensor::Tensor bias_add(tensor::QScheme scheme,
 tensor::Tensor batch_norm(const BatchNormOp& op, tensor::QScheme scheme,
                           std::span<const tensor::Tensor> in);
 
+// Cross-channel LRN over contiguous channel rows: LrnOp::compute's
+// per-element arithmetic (ascending window sum from 0, std::pow, divide)
+// without its bounds-checked accessors, quantised per row.
+tensor::Tensor lrn(const LrnOp& op, tensor::QScheme scheme,
+                   std::span<const tensor::Tensor> in);
+
 // Fused restriction kernel: clamp + quantise in one sweep (the Ranger
 // restriction op is on every protected graph's hot path).
 tensor::Tensor clamp(float low, float high, tensor::QScheme scheme,

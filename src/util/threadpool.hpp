@@ -7,8 +7,9 @@
 // Thread-safety analysis (util/thread_annotations.hpp): this file holds
 // no lockable capabilities on purpose — the only shared state is the
 // task cursor (an atomic claimed with fetch_add, so each index runs
-// exactly once) and the thread-local nesting mark, neither of which a
-// mutex annotation can describe.  The join at the end of
+// exactly once), the first-exception slot (written only by the thread
+// that wins an atomic exchange) and the thread-local nesting mark, none
+// of which a mutex annotation can describe.  The join at the end of
 // parallel_for_workers is the publication point for everything the
 // workers wrote.
 #pragma once
@@ -24,9 +25,10 @@ namespace rangerpp::util {
 
 // Runs `fn(i)` for every i in [0, n) on up to `threads` workers.  Blocks
 // until all indices complete.  `fn` must be safe to call concurrently for
-// distinct indices.  Exceptions thrown by `fn` terminate the process (tasks
-// are expected to be noexcept in practice); keeping the contract simple
-// avoids cross-thread exception marshalling in the hot path.
+// distinct indices.  If `fn` throws, workers stop claiming new indices
+// and, once all have joined, the first exception caught is rethrown to
+// the caller (which indices ran is then unspecified) — so a set-up loop
+// that validates its inputs fails as its serial form would.
 //
 // Nesting: a parallel_for issued from inside a pool worker (e.g. a blocked
 // kernel running within a trial that the campaign already parallelised)
@@ -34,6 +36,12 @@ namespace rangerpp::util {
 // of threads — the outer loop already owns the cores, and oversubscribing
 // would only add contention.  Results never depend on where tasks ran, so
 // this is purely a scheduling decision.
+//
+// One-thread cap: a loop called with `threads == 1` runs inline under the
+// same mark, so the loops nested in it stay on the calling thread too —
+// `--threads 1` means one thread, kernels included.  A loop with any
+// other cap that merely gets one worker (n == 1) leaves the mark alone,
+// and its nested loops may still spread.
 //
 // `fn` is a non-owning FunctionRef rather than a std::function: both calls
 // block until every index completes, so the callable outlives every

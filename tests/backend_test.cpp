@@ -146,6 +146,7 @@ TEST(BackendTest, MixedOpGraphEquivalence) {
   b2.batch_norm("bn", std::vector<float>(12, 1.1f),
                 std::vector<float>(12, -0.05f));
   b2.activation("relu", ops::OpKind::kRelu);
+  b2.lrn("lrn", {2, 1.0f, 0.05f, 0.75f});
   b2.max_pool("maxpool", {2, 2, 2, 2, ops::Padding::kValid});
   b2.avg_pool("avgpool", {3, 3, 1, 1, ops::Padding::kSame});
   b2.activation("tanh", ops::OpKind::kTanh);
@@ -167,6 +168,20 @@ TEST(BackendTest, MixedOpGraphEquivalence) {
        {tensor::DType::kFixed32, tensor::DType::kFixed16,
         tensor::DType::kFloat32})
     check_backend_equivalence(g, feeds, dtype, "mixed graph");
+}
+
+TEST(BackendTest, LrnWindowWiderThanChannels) {
+  // C = 3 with radius 2: every channel's window is clipped on both sides.
+  util::Rng rng(29);
+  graph::GraphBuilder b;
+  b.input("input", tensor::Shape{1, 5, 4, 3});
+  b.lrn("lrn", {2, 2.0f, 0.3f, 0.75f});
+  const graph::Graph g = b.finish();
+  const fi::Feeds feeds{{"input", random_tensor({1, 5, 4, 3}, rng, 3.0f)}};
+  for (const tensor::DType dtype :
+       {tensor::DType::kFixed32, tensor::DType::kFixed16,
+        tensor::DType::kFloat32})
+    check_backend_equivalence(g, feeds, dtype, "lrn c3 r2");
 }
 
 TEST(BackendTest, BlockedBackendRunToRunBitIdentity) {
@@ -229,6 +244,54 @@ TEST(BatchedPlanTest, BatchedRunMatchesPerImageRunsBitIdentically) {
       expect_bit_identical(
           graph::slice_batch(out, i, batch, want.shape()), want,
           "batch " + std::to_string(batch) + " row " + std::to_string(i));
+    }
+  }
+}
+
+TEST(BatchedPlanTest, BatchedLrnMatchesScalarPerImageRuns) {
+  // Large enough (4 x 32 x 32 rows of 16 channels) that the blocked LRN
+  // spreads its rows over workers.
+  util::Rng rng(53);
+  graph::GraphBuilder b;
+  b.input("input", tensor::Shape{1, 32, 32, 3});
+  b.conv2d("conv", random_tensor({3, 3, 3, 16}, rng, 0.5f),
+           random_tensor({16}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.activation("relu", ops::OpKind::kRelu);
+  b.lrn("lrn", {2, 1.0f, 0.05f, 0.75f});
+  b.max_pool("pool", {2, 2, 2, 2, ops::Padding::kValid});
+  b.flatten("flatten");
+  b.dense("fc", random_tensor({16 * 16 * 16, 4}, rng, 0.05f),
+          random_tensor({4}, rng, 0.05f));
+  const graph::Graph g = b.finish();
+  ASSERT_TRUE(graph::plan_supports_batch(g));
+  constexpr std::size_t batch = 4;
+  std::vector<tensor::Tensor> images;
+  for (std::size_t i = 0; i < batch; ++i)
+    images.push_back(random_tensor({1, 32, 32, 3}, rng));
+  const auto lrn_id = static_cast<std::size_t>(g.find("lrn"));
+  const graph::Executor exec;
+  // fixed32 is what campaigns run; float32 keeps every rounding visible.
+  for (const tensor::DType dtype :
+       {tensor::DType::kFixed32, tensor::DType::kFloat32}) {
+    const graph::ExecutionPlan batched =
+        backend_plan(g, dtype, ops::KernelBackend::kBlocked, batch);
+    const graph::ExecutionPlan single =
+        backend_plan(g, dtype, ops::KernelBackend::kScalar);
+    graph::Arena ab;
+    exec.run(batched, {{"input", graph::pack_batch(images)}}, ab);
+    for (std::size_t i = 0; i < batch; ++i) {
+      graph::Arena a;
+      exec.run(single, {{"input", images[i]}}, a);
+      for (std::size_t n = 0; n < single.size(); ++n) {
+        if (single.is_const(static_cast<graph::NodeId>(n))) continue;
+        const tensor::Tensor& want = a.outputs()[n];
+        expect_bit_identical(
+            graph::slice_batch(ab.outputs()[n], i, batch, want.shape()),
+            want,
+            std::string(tensor::dtype_name(dtype)) + " row " +
+                std::to_string(i) + " node " + std::to_string(n) +
+                (n == lrn_id ? " (lrn)" : ""));
+      }
     }
   }
 }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
 
 #include "core/flops_profiler.hpp"
 #include "core/range_profiler.hpp"
@@ -11,6 +15,8 @@
 #include "graph/executor.hpp"
 #include "graph/passes.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::core {
 namespace {
@@ -113,6 +119,116 @@ TEST(RangeProfiler, AnalyticBoundsForTanhSigmoid) {
   EXPECT_FLOAT_EQ(bounds.at("tanh").up, 1.0f);
   EXPECT_FLOAT_EQ(bounds.at("sigmoid").low, 0.0f);
   EXPECT_FLOAT_EQ(bounds.at("sigmoid").up, 1.0f);
+}
+
+// conv -> relu -> conv -> elu: two statistical ACT layers, the second
+// signed, so percentile bounds read both reservoir tails.
+graph::Graph two_act_net(util::Rng& rng) {
+  const auto random = [&rng](Shape shape, float scale) {
+    std::vector<float> v(shape.elements());
+    for (float& x : v) x = static_cast<float>(rng.uniform(-scale, scale));
+    return Tensor(shape, std::move(v));
+  };
+  GraphBuilder b;
+  b.input("input", Shape{1, 6, 6, 2});
+  b.conv2d("conv1", random(Shape{3, 3, 2, 4}, 0.5f), random(Shape{4}, 0.1f),
+           {1, 1, ops::Padding::kSame});
+  b.activation("relu1", ops::OpKind::kRelu);
+  b.conv2d("conv2", random(Shape{3, 3, 4, 3}, 0.5f), random(Shape{3}, 0.1f),
+           {1, 1, ops::Padding::kSame});
+  b.activation("elu2", ops::OpKind::kElu);
+  return b.finish();
+}
+
+void expect_same_bits(float a, float b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(a), std::bit_cast<std::uint32_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+// The stream the profiler must reproduce, computed the plain serial way:
+// every sample in order, each ACT output in element order, into a range
+// and a reservoir seeded as the profiler seeds them.
+struct StreamStats {
+  util::RunningRange range;
+  util::Reservoir reservoir;
+};
+std::map<std::string, StreamStats> serial_stream(
+    const graph::Graph& g, const std::vector<fi::Feeds>& feeds,
+    const ProfileOptions& o) {
+  std::map<std::string, StreamStats> ref;
+  for (const graph::Node& n : g.nodes())
+    if (ops::is_activation(n.op->kind()))
+      ref.emplace(n.name,
+                  StreamStats{{},
+                              util::Reservoir(
+                                  o.reservoir_capacity,
+                                  util::derive_seed(
+                                      o.seed,
+                                      static_cast<std::uint64_t>(n.id)))});
+  const graph::ExecutionPlan plan = float_plan(g);
+  const graph::Executor exec;
+  graph::Arena arena;
+  for (const fi::Feeds& f : feeds)
+    exec.run(plan, f, arena, [&](const graph::Node& node, Tensor& out) {
+      const auto it = ref.find(node.name);
+      if (it == ref.end()) return;
+      for (const float v : out.values()) {
+        it->second.range.observe(v);
+        it->second.reservoir.observe(v);
+      }
+    });
+  return ref;
+}
+
+TEST(RangeProfiler, SampleParallelProfileMatchesSerialBitwise) {
+  util::Rng rng(41);
+  const graph::Graph g = two_act_net(rng);
+  // Several chunks' worth of samples on any host, each contributing more
+  // values per layer than the small reservoir holds, so the sample a
+  // reservoir keeps depends on the order values arrive in.
+  std::vector<fi::Feeds> feeds;
+  for (std::size_t i = 0; i < 4 * util::default_thread_count() + 3; ++i) {
+    std::vector<float> v(72);
+    for (float& x : v) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+    feeds.push_back({{"input", Tensor(Shape{1, 6, 6, 2}, std::move(v))}});
+  }
+  const ProfileOptions options{.reservoir_capacity = 64};
+  const RangeProfiler profiler(options);
+  const RangeProfile parallel = profiler.profile(g, feeds);
+  const RangeProfile serial = [&] {
+    const util::ScopedPoolWorker inline_loops;  // every loop runs inline
+    return profiler.profile(g, feeds);
+  }();
+
+  for (const double q : {100.0, 99.0}) {
+    const Bounds a = parallel.bounds(q), b = serial.bounds(q);
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto& [name, bound] : b) {
+      ASSERT_TRUE(a.contains(name)) << name;
+      expect_same_bits(a.at(name).low, bound.low, name + " low");
+      expect_same_bits(a.at(name).up, bound.up, name + " up");
+    }
+  }
+  // Both runs must also equal the plain serial stream: a wrong merge
+  // order would move the parallel and the inline run together.
+  const std::map<std::string, StreamStats> stream =
+      serial_stream(g, feeds, options);
+  ASSERT_EQ(stream.size(), 2u);
+  for (const RangeProfile* p : {&parallel, &serial}) {
+    ASSERT_EQ(p->layers().size(), stream.size());
+    for (const auto& [name, want] : stream) {
+      const util::RunningRange r = p->range_of(name);
+      EXPECT_EQ(r.count, want.range.count) << name;
+      expect_same_bits(r.min_value, want.range.min_value, name + " min");
+      expect_same_bits(r.max_value, want.range.max_value, name + " max");
+      const auto want_sample = want.reservoir.values();
+      const auto got_sample = p->layers().at(name).reservoir.values();
+      EXPECT_GT(want.reservoir.seen(), want_sample.size()) << name;
+      ASSERT_EQ(got_sample.size(), want_sample.size()) << name;
+      for (std::size_t i = 0; i < want_sample.size(); ++i)
+        expect_same_bits(got_sample[i], want_sample[i], name + " reservoir");
+    }
+  }
 }
 
 // ---- RangerTransform ---------------------------------------------------------

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "data/synthetic.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::data {
 namespace {
@@ -162,6 +166,37 @@ TEST(Dataset, FeedsConversion) {
   ASSERT_EQ(feeds.size(), 4u);
   EXPECT_TRUE(feeds[0].contains("input"));
   EXPECT_EQ(ds.feeds("input").size(), 10u);  // n=0 -> all
+}
+
+void expect_same_dataset(const Dataset& a, const Dataset& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.samples.size(), b.samples.size()) << what;
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    const Sample& x = a.samples[i];
+    const Sample& y = b.samples[i];
+    EXPECT_EQ(x.label, y.label) << what << " sample " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(x.angle),
+              std::bit_cast<std::uint32_t>(y.angle))
+        << what << " sample " << i;
+    ASSERT_EQ(x.image.shape(), y.image.shape()) << what << " sample " << i;
+    const auto xv = x.image.values();
+    const auto yv = y.image.values();
+    for (std::size_t e = 0; e < xv.size(); ++e)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(xv[e]),
+                std::bit_cast<std::uint32_t>(yv[e]))
+          << what << " sample " << i << " element " << e;
+  }
+}
+
+TEST(SyntheticData, ImageParallelGenerationMatchesSerial) {
+  constexpr std::size_t n = 37;
+  const Dataset digits = synthetic_digits(n, 11);
+  const Dataset objects = synthetic_objects(n, 5, 9, 7, 11);
+  const Dataset driving = synthetic_driving(n, 12, 16, 11);
+  const util::ScopedPoolWorker inline_loops;  // every loop runs inline
+  expect_same_dataset(digits, synthetic_digits(n, 11), "digits");
+  expect_same_dataset(objects, synthetic_objects(n, 5, 9, 7, 11), "objects");
+  expect_same_dataset(driving, synthetic_driving(n, 12, 16, 11), "driving");
 }
 
 TEST(Split, PrefixSplit) {

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <optional>
+#include <string>
 
 #include "fi/fault_model.hpp"
 #include "fi/runner.hpp"
 #include "fi/sdc.hpp"
 #include "graph/builder.hpp"
 #include "graph/passes.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::fi {
 namespace {
@@ -171,6 +176,63 @@ TEST(Judges, NanOutputIsAlwaysSdc) {
   const SteeringJudge j(120.0, false);
   EXPECT_TRUE(j.is_sdc(Tensor::scalar(0.0f),
                        Tensor::scalar(std::numeric_limits<float>::quiet_NaN())));
+}
+
+// ---- TrialExecutor -------------------------------------------------------------
+
+void expect_same_tensors(std::span<const Tensor> a, std::span<const Tensor> b,
+                         const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    ASSERT_EQ(a[n].shape(), b[n].shape()) << what << " node " << n;
+    const auto av = a[n].values();
+    const auto bv = b[n].values();
+    for (std::size_t e = 0; e < av.size(); ++e)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(av[e]),
+                std::bit_cast<std::uint32_t>(bv[e]))
+          << what << " node " << n << " element " << e;
+  }
+}
+
+TEST(TrialExecutor, InputParallelGoldensMatchSerialBitwise) {
+  const graph::Graph g = relu_net();
+  std::vector<Feeds> inputs;
+  for (int i = 0; i < 5; ++i) {
+    std::vector<float> v(16);
+    for (std::size_t e = 0; e < v.size(); ++e)
+      v[e] = 0.3f * static_cast<float>(i) - 0.1f * static_cast<float>(e);
+    inputs.push_back({{"input", Tensor(Shape{1, 4, 4, 1}, std::move(v))}});
+  }
+  // Partial re-execution resumes from tiled goldens; full re-execution
+  // re-runs from tiled feeds.
+  for (const bool partial : {true, false}) {
+    CampaignConfig cfg;
+    cfg.batch = 3;
+    cfg.partial_reexecution = partial;
+    const TrialExecutor parallel(g, cfg, inputs, 2);
+    std::optional<TrialExecutor> serial;
+    {
+      const util::ScopedPoolWorker inline_loops;  // every loop runs inline
+      serial.emplace(g, cfg, inputs, 2);
+    }
+    ASSERT_EQ(parallel.batch(), 3u);
+    const std::vector<FaultSet> clean(3);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const std::string what =
+          (partial ? "partial input " : "full input ") + std::to_string(i);
+      expect_same_tensors({&parallel.golden_output(i), 1},
+                          {&serial->golden_output(i), 1}, what + " output");
+      expect_same_tensors(parallel.golden_activations(i),
+                          serial->golden_activations(i),
+                          what + " activations");
+      EXPECT_EQ(parallel.batch_golden(i).empty(), !partial) << what;
+      expect_same_tensors(parallel.batch_golden(i), serial->batch_golden(i),
+                          what + " tiled goldens");
+      expect_same_tensors(parallel.run_trial_batch(0, i, clean),
+                          serial->run_trial_batch(0, i, clean),
+                          what + " fault-free batch");
+    }
+  }
 }
 
 // ---- Campaign ----------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/env.hpp"
@@ -251,6 +253,40 @@ TEST(ThreadPool, HandlesZeroAndSingleThread) {
   EXPECT_EQ(sum.load(), 0);
   parallel_for(5, [&](std::size_t) { sum.fetch_add(1); }, 1);
   EXPECT_EQ(sum.load(), 5);
+}
+
+TEST(ThreadPool, OneThreadCapKeepsNestedLoopsInline) {
+  // A --threads 1 campaign caps its trial loop at one worker; the blocked
+  // kernels nested in each trial must then stay on the calling thread
+  // instead of spawning hardware_concurrency threads per call.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  parallel_for(
+      3,
+      [&](std::size_t) {
+        parallel_for(64, [&](std::size_t) {
+          if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+        });
+      },
+      1);
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ThreadPool, RethrowsWorkerExceptionToCaller) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(
+                   1000,
+                   [&](std::size_t i) {
+                     ran.fetch_add(1);
+                     if (i == 37) throw std::runtime_error("task 37");
+                   },
+                   4),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1);
+  // The pool is reusable afterwards.
+  std::atomic<int> sum{0};
+  parallel_for(10, [&](std::size_t) { sum.fetch_add(1); }, 4);
+  EXPECT_EQ(sum.load(), 10);
 }
 
 TEST(Table, RendersAlignedColumns) {
