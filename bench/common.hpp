@@ -132,18 +132,17 @@ inline std::vector<fi::CampaignResult> campaign_results(
   return fi::CampaignRunner(rc).run(g, inputs, judges).aggregate;
 }
 
-// Campaign driver shared by the SDC figures: the CampaignRunner over the
-// model's default judges.  With RANGERPP_SHARD unset this executes the
-// whole deterministic trial stream; with it set, this process
-// contributes its shard and the printed rates are the shard's estimate.
+// One standalone SDC campaign (the suite runs the figure grids): the
+// CampaignRunner over the model's default judges.  With RANGERPP_SHARD
+// unset this executes the whole deterministic trial stream; with it set,
+// this process contributes its shard and the printed rates are the
+// shard's estimate.
 inline fi::CampaignReport run_sdc_campaign(const graph::Graph& g,
                                            const models::Workload& base,
                                            const BenchConfig& cfg,
-                                           tensor::DType dtype,
-                                           int n_bits = 1) {
+                                           tensor::DType dtype) {
   fi::RunnerConfig rc;
   rc.campaign.dtype = dtype;
-  rc.campaign.n_bits = n_bits;
   rc.campaign.trials_per_input = cfg.trials_for(base.id);
   rc.campaign.seed = cfg.seed;
   rc.shard_index = cfg.shard_index;
@@ -153,23 +152,15 @@ inline fi::CampaignReport run_sdc_campaign(const graph::Graph& g,
                                     models::default_judges(base.id));
 }
 
-// Runs the standard judges on both graphs and returns
-// {original results, ranger results} (one entry per judge).
-struct SdcComparison {
-  std::vector<fi::CampaignResult> original;
-  std::vector<fi::CampaignResult> ranger;
-};
-
-inline SdcComparison compare_sdc(const ProtectedWorkload& pw,
-                                 const BenchConfig& cfg,
-                                 tensor::DType dtype, int n_bits = 1) {
-  SdcComparison out;
-  out.original =
-      run_sdc_campaign(pw.base.graph, pw.base, cfg, dtype, n_bits).aggregate;
-  out.ranger = run_sdc_campaign(pw.protected_graph, pw.base, cfg, dtype,
-                                n_bits)
-                   .aggregate;
-  return out;
+// The Fig 11/12 fault axis: 2-5 independent bit flips per trial.
+inline std::vector<fi::FaultModelSpec> multibit_faults() {
+  std::vector<fi::FaultModelSpec> faults;
+  for (int bits = 2; bits <= 5; ++bits) {
+    fi::FaultModelSpec f;
+    f.n_bits = bits;
+    faults.push_back(f);
+  }
+  return faults;
 }
 
 // Wilson centre ± half-width — the one formatter the suite report layer

@@ -2,6 +2,10 @@
 // on the classifier models LeNet and ResNet-18, original vs Ranger.
 // Paper: original SDC rates grow with the flip count; with Ranger they
 // stay near zero (47.55% -> 0.87% average, 55x).
+//
+// Runs on fi::Suite: the {lenet, resnet18} × fixed32 × {2..5 flips} ×
+// {unprotected, ranger} grid, with the table from the suite report layer
+// (`suite_cli --models lenet,resnet18 --nbits 2,3,4,5 --report fig11`).
 #include "bench/common.hpp"
 
 using namespace rangerpp;
@@ -9,30 +13,14 @@ using namespace rangerpp;
 int main() {
   const bench::BenchConfig cfg;
   bench::print_header("Multi-bit flips, classifier models", "Fig. 11");
+  bench::print_shard_note(cfg);
 
-  util::Table table({"model", "bits", "SDC orig (%)", "SDC Ranger (%)"});
-  double sum_orig = 0.0, sum_ranger = 0.0;
-  std::size_t rows = 0;
-  for (const models::ModelId id :
-       {models::ModelId::kLeNet, models::ModelId::kResNet18}) {
-    const bench::ProtectedWorkload pw = bench::make_protected(id, cfg);
-    for (int bits = 2; bits <= 5; ++bits) {
-      const bench::SdcComparison r =
-          bench::compare_sdc(pw, cfg, tensor::DType::kFixed32, bits);
-      const auto labels = models::judge_labels(id);
-      for (std::size_t j = 0; j < labels.size(); ++j) {
-        sum_orig += r.original[j].sdc_rate_pct();
-        sum_ranger += r.ranger[j].sdc_rate_pct();
-        ++rows;
-        table.add_row({labels[j], std::to_string(bits),
-                       bench::pct_pm(r.original[j]),
-                       bench::pct_pm(r.ranger[j])});
-      }
-    }
-  }
-  table.add_row({"Average", "2-5", util::Table::fmt(sum_orig / rows, 2),
-                 util::Table::fmt(sum_ranger / rows, 2)});
-  table.print();
+  fi::SuiteSpec spec = bench::suite_spec_from_env(cfg, "fig11");
+  spec.models = {models::ModelId::kLeNet, models::ModelId::kResNet18};
+  spec.faults = bench::multibit_faults();
+
+  fi::Suite suite(std::move(spec));
+  fi::print_fig11(suite.run());
   std::printf(
       "Paper: LeNet 40.2-61.6%% -> 0.0%%; ResNet-18 (top-1) 32.9-57.3%% -> "
       "1.2-1.4%%; classifier SDC under Ranger stays flat in the flip "

@@ -3,6 +3,10 @@
 // degree thresholds, as in the paper's aggregate).  Paper: 58.38% -> 6.97%
 // average (8.4x); steering SDC under Ranger grows mildly with flip count
 // because regression outputs need exactness.
+//
+// Runs on fi::Suite: the {dave, comma} × fixed32 × {2..5 flips} ×
+// {unprotected, ranger} grid, with the table from the suite report layer
+// (`suite_cli --models dave,comma --nbits 2,3,4,5 --report fig12`).
 #include "bench/common.hpp"
 
 using namespace rangerpp;
@@ -10,33 +14,14 @@ using namespace rangerpp;
 int main() {
   const bench::BenchConfig cfg;
   bench::print_header("Multi-bit flips, AV steering models", "Fig. 12");
+  bench::print_shard_note(cfg);
 
-  util::Table table({"model", "bits", "SDC orig (%)", "SDC Ranger (%)"});
-  double sum_orig = 0.0, sum_ranger = 0.0;
-  std::size_t rows = 0;
-  for (const models::ModelId id :
-       {models::ModelId::kDave, models::ModelId::kComma}) {
-    const bench::ProtectedWorkload pw = bench::make_protected(id, cfg);
-    for (int bits = 2; bits <= 5; ++bits) {
-      const bench::SdcComparison r =
-          bench::compare_sdc(pw, cfg, tensor::DType::kFixed32, bits);
-      double so = 0.0, sr = 0.0;
-      for (std::size_t j = 0; j < r.original.size(); ++j) {
-        so += r.original[j].sdc_rate_pct();
-        sr += r.ranger[j].sdc_rate_pct();
-      }
-      so /= static_cast<double>(r.original.size());
-      sr /= static_cast<double>(r.original.size());
-      sum_orig += so;
-      sum_ranger += sr;
-      ++rows;
-      table.add_row({models::model_name(id), std::to_string(bits),
-                     util::Table::fmt(so, 2), util::Table::fmt(sr, 2)});
-    }
-  }
-  table.add_row({"Average", "2-5", util::Table::fmt(sum_orig / rows, 2),
-                 util::Table::fmt(sum_ranger / rows, 2)});
-  table.print();
+  fi::SuiteSpec spec = bench::suite_spec_from_env(cfg, "fig12");
+  spec.models = {models::ModelId::kDave, models::ModelId::kComma};
+  spec.faults = bench::multibit_faults();
+
+  fi::Suite suite(std::move(spec));
+  fi::print_fig12(suite.run());
   std::printf(
       "Paper: Dave 36.9-65.9%% -> 7.9-13.8%%; Comma 48.6-76.2%% -> "
       "1.4-4.3%% as flips go 2 -> 5.\n");

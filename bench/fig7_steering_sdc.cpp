@@ -2,6 +2,10 @@
 // deviation thresholds 15/30/60/120 degrees, original vs Ranger.
 // Paper: Comma improves ~50x; radians-output Dave improves least (2.77x)
 // because of the Atan output conversion.
+//
+// Runs on fi::Suite: the {dave, comma} × fixed32 × single-bit ×
+// {unprotected, ranger} grid, with the table from the suite report layer
+// (`suite_cli --models dave,comma --report fig7` prints the same).
 #include "bench/common.hpp"
 
 using namespace rangerpp;
@@ -10,26 +14,13 @@ int main() {
   const bench::BenchConfig cfg;
   bench::print_header("Steering-model SDC rates by deviation threshold",
                       "Fig. 7");
+  bench::print_shard_note(cfg);
 
-  util::Table table({"model-threshold", "SDC orig (%)", "SDC Ranger (%)"});
-  for (const models::ModelId id :
-       {models::ModelId::kDave, models::ModelId::kComma}) {
-    const bench::ProtectedWorkload pw = bench::make_protected(id, cfg);
-    const bench::SdcComparison r =
-        bench::compare_sdc(pw, cfg, tensor::DType::kFixed32);
-    const auto labels = models::judge_labels(id);
-    double so = 0.0, sr = 0.0;
-    for (std::size_t j = 0; j < labels.size(); ++j) {
-      so += r.original[j].sdc_rate_pct();
-      sr += r.ranger[j].sdc_rate_pct();
-      table.add_row({labels[j], bench::pct_pm(r.original[j]),
-                     bench::pct_pm(r.ranger[j])});
-    }
-    table.add_row({std::string(models::model_name(id)) + " (Avg.)",
-                   util::Table::fmt(so / labels.size(), 2),
-                   util::Table::fmt(sr / labels.size(), 2)});
-  }
-  table.print();
+  fi::SuiteSpec spec = bench::suite_spec_from_env(cfg, "fig7");
+  spec.models = {models::ModelId::kDave, models::ModelId::kComma};
+
+  fi::Suite suite(std::move(spec));
+  fi::print_fig7(suite.run());
   std::printf(
       "Paper: Dave 23.68/21.93/20.07/16.02%% -> 9.78/8.55/7.07/4.01%%;\n"
       "       Comma 27.70/25.88/24.13/22.20%% -> 1.68/0.26/0.01/0.00%%.\n");

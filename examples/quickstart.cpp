@@ -131,7 +131,8 @@ int main() {
       merged.executed(), merged.strata.size(), 100.0 * est.center,
       100.0 * est.lo(), 100.0 * est.hi());
   std::printf(
-      "(campaign_cli runs the same campaign from the shell, with "
-      "--shard i/N and resumable --checkpoint files)\n");
+      "(suite_cli runs it from the shell as a one-cell grid: --models "
+      "lenet --techniques unprotected --stratified, with --shard i/N, "
+      "resumable --dir checkpoints and --merge)\n");
   return 0;
 }

@@ -12,9 +12,11 @@
 #include <optional>
 #include <string>
 
+#include "core/calibration.hpp"
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
 #include "fi/runner.hpp"
+#include "fi/suite.hpp"
 #include "graph/dot_export.hpp"
 #include "models/workload.hpp"
 #include "util/parse.hpp"
@@ -35,25 +37,12 @@ struct Args {
   std::uint64_t seed = 2021;
 };
 
-std::optional<models::ModelId> parse_model(const std::string& s) {
-  if (s == "lenet") return models::ModelId::kLeNet;
-  if (s == "alexnet") return models::ModelId::kAlexNet;
-  if (s == "vgg11") return models::ModelId::kVgg11;
-  if (s == "vgg16") return models::ModelId::kVgg16;
-  if (s == "resnet18") return models::ModelId::kResNet18;
-  if (s == "squeezenet") return models::ModelId::kSqueezeNet;
-  if (s == "dave") return models::ModelId::kDave;
-  if (s == "dave-degrees") return models::ModelId::kDaveDegrees;
-  if (s == "comma") return models::ModelId::kComma;
-  return std::nullopt;
-}
-
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--model lenet|alexnet|vgg11|vgg16|resnet18|squeezenet|"
       "dave|dave-degrees|comma]\n"
-      "          [--dtype float32|fixed32|fixed16] [--trials N] "
+      "          [--dtype float32|fixed32|fixed16|int8] [--trials N] "
       "[--bits 1-5] [--consecutive]\n"
       "          [--percentile P] [--policy clamp|zero|random] "
       "[--dot FILE] [--seed S]\n",
@@ -71,7 +60,7 @@ std::optional<Args> parse(int argc, char** argv) {
     if (flag == "--model") {
       const auto v = next();
       if (!v) return std::nullopt;
-      const auto m = parse_model(*v);
+      const auto m = models::model_from_token(*v);
       if (!m) {
         std::fprintf(stderr, "unknown model '%s'\n", v->c_str());
         return std::nullopt;
@@ -79,11 +68,9 @@ std::optional<Args> parse(int argc, char** argv) {
       a.model = *m;
     } else if (flag == "--dtype") {
       const auto v = next();
-      if (!v) return std::nullopt;
-      if (*v == "float32") a.dtype = tensor::DType::kFloat32;
-      else if (*v == "fixed32") a.dtype = tensor::DType::kFixed32;
-      else if (*v == "fixed16") a.dtype = tensor::DType::kFixed16;
-      else return std::nullopt;
+      const auto d = v ? fi::dtype_from_token(*v) : std::nullopt;
+      if (!d) return std::nullopt;
+      a.dtype = *d;
     } else if (flag == "--trials") {
       // Strict full-string parses (util/parse.hpp): "100x" or "abc" must
       // refuse loudly, never silently run 100 (or 0) trials.
@@ -182,6 +169,9 @@ int main(int argc, char** argv) {
 
   fi::RunnerConfig rc;
   rc.campaign.dtype = args->dtype;
+  // int8 activations take their per-node formats from the same bounds.
+  if (args->dtype == tensor::DType::kInt8)
+    rc.campaign.int8_formats = core::int8_calibration(bounds);
   rc.campaign.n_bits = args->bits;
   rc.campaign.consecutive_bits = args->consecutive;
   rc.campaign.trials_per_input = args->trials;

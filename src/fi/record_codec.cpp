@@ -1,7 +1,9 @@
 #include "fi/record_codec.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -297,6 +299,21 @@ std::string to_jsonl(const CheckpointHeader& h,
   std::string out = checkpoint_header_line(h);
   for (const TrialRecord& r : records) out += trial_record_line(r);
   return out;
+}
+
+void write_jsonl_checkpoint(const std::string& path, const CheckpointHeader& h,
+                            const std::vector<TrialRecord>& records) {
+  const std::string text = to_jsonl(h, records);
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  bool ok = f && std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f) ok = std::fclose(f) == 0 && ok;
+  std::error_code ec;
+  if (ok) std::filesystem::rename(tmp, path, ec);
+  if (!ok || ec) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("checkpoint: cannot write " + path);
+  }
 }
 
 std::vector<TrialRecord> sort_unique_records(

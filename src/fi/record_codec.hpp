@@ -20,8 +20,8 @@
 // Losslessness contract: to_jsonl() re-serialises a decoded stream
 // through the exact writers report.cpp uses (checkpoint_header_line /
 // trial_record_line), so the export is byte-identical to a natively
-// written JSONL checkpoint and every existing --merge/--golden/cmp gate
-// keeps working on scheduler output.  load_checkpoint() sniffs the
+// written JSONL checkpoint and every existing merge/cmp gate keeps
+// working on scheduler output.  load_checkpoint() sniffs the
 // magic, so .rcp checkpoints are transparently readable wherever JSONL
 // ones are.
 #pragma once
@@ -91,6 +91,14 @@ Checkpoint load_binary_checkpoint(const std::string& path);
 // append_trial_record.
 std::string to_jsonl(const CheckpointHeader& h,
                      const std::vector<TrialRecord>& records);
+
+// Writes (header, records) to `path` as a JSONL checkpoint: the
+// to_jsonl bytes, through a temp file renamed over `path`, so a file
+// that was itself one of the records' sources is replaced whole.
+// `records` must be in trial order (see sort_unique_records).  Throws
+// std::runtime_error when the file cannot be written.
+void write_jsonl_checkpoint(const std::string& path, const CheckpointHeader& h,
+                            const std::vector<TrialRecord>& records);
 
 // Sorts records by trial index and drops exact duplicates; two
 // conflicting records for one trial throw (deterministic trials cannot

@@ -205,8 +205,8 @@ void append_trial_record(std::FILE* f, const TrialRecord& r) {
 Checkpoint load_checkpoint(const std::string& path) {
   // Binary (checkpoint-v2) files announce themselves with the codec
   // magic; route them to the binary decoder so every consumer of JSONL
-  // checkpoints — resume, --merge, --golden, Suite::merge — reads both
-  // formats transparently.
+  // checkpoints — resume, Suite::merge — reads both formats
+  // transparently.
   {
     std::ifstream probe(path, std::ios::binary);
     if (!probe)
@@ -388,14 +388,6 @@ CampaignReport merge_checkpoints(const std::vector<std::string>& paths,
   }
   return build_report(std::move(records), first.judges,
                       first.trials_per_input * first.inputs, weights);
-}
-
-bool records_identical(const std::vector<TrialRecord>& a,
-                       const std::vector<TrialRecord>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!(a[i] == b[i])) return false;
-  return true;
 }
 
 void print_report(const CampaignReport& report,

@@ -19,8 +19,9 @@
 // shard, kernel backend, batch size or thread count executed it (backends
 // and batching are bit-identical by construction, which is why they are
 // deliberately NOT part of the fingerprint).  That is what makes
-// merge_checkpoints + records_identical a meaningful reproducibility
-// gate.
+// comparing merge_checkpoints' records with a single run's (TrialRecord
+// operator==, or `cmp` of the written files) a meaningful
+// reproducibility gate.
 //
 // Thread-safety: everything here is plain value manipulation plus
 // caller-owned FILE* streams; no function is safe to call concurrently on
@@ -48,6 +49,7 @@ struct TrialRecord {
   std::string stratum;
   std::uint32_t sdc_mask = 0;
 };
+// Strict per-trial equality: index, input, fault set, stratum, verdicts.
 bool operator==(const TrialRecord& a, const TrialRecord& b);
 
 struct CheckpointHeader {
@@ -153,11 +155,6 @@ CampaignReport build_report(
 // receives a shard-agnostic header suitable for writing a merged file.
 CampaignReport merge_checkpoints(const std::vector<std::string>& paths,
                                  CheckpointHeader* merged_header = nullptr);
-
-// Strict per-trial equality (index, fault set, stratum, judge verdicts) —
-// the CI gate for shard-merge == single-run reproducibility.
-bool records_identical(const std::vector<TrialRecord>& a,
-                       const std::vector<TrialRecord>& b);
 
 // Renders aggregate + per-stratum tables to stdout.  `judge_labels` (when
 // sized to judge_count) names the per-judge columns.

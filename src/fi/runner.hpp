@@ -1,6 +1,6 @@
 // CampaignRunner: the one fault-injection trial loop.  It drives the
 // planner/executor layers of campaign.hpp for every campaign in the
-// tree — benches, examples, campaign_cli, fi::Suite cells and
+// tree — benches, examples, fi::Suite cells (suite_cli) and
 // fi::Scheduler slices — and makes each one resumable and shardable:
 //
 //  * Deterministic sharding — shard i of N executes exactly the trials

@@ -20,12 +20,6 @@ namespace {
 // kill_after_ sentinel: no kill scheduled for this worker.
 constexpr std::size_t kNoKill = static_cast<std::size_t>(-1);
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-
 }  // namespace
 
 std::string_view request_state_token(RequestState s) {
@@ -366,16 +360,12 @@ std::vector<std::string> Scheduler::export_request_jsonl(
             "' was released mid-export — its records are gone");
       records = req->cell_records[ci];
     }
-    records = sort_unique_records(std::move(records));
-    const std::string text = to_jsonl(header, records);
     const std::string path =
         (std::filesystem::path(dir) /
-         (req->plan.spec.name + "." + cell.id + ".s0of1.jsonl"))
+         cell_checkpoint_name(req->plan.spec.name, cell, 0, 1))
             .string();
-    std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "w"));
-    if (!f || std::fwrite(text.data(), 1, text.size(), f.get()) !=
-                  text.size())
-      throw std::runtime_error("Scheduler: cannot write " + path);
+    write_jsonl_checkpoint(path, header,
+                           sort_unique_records(std::move(records)));
     paths.push_back(path);
   }
   return paths;
@@ -589,8 +579,8 @@ bool Scheduler::run_unit_slice(unsigned w, Unit& u, bool suppress_stream) {
   if (!config_.checkpoint_dir.empty())
     rc.checkpoint_path =
         (std::filesystem::path(config_.checkpoint_dir) /
-         (spec.name + "." + cell.id + ".s" + std::to_string(u.partition) +
-          "of" + std::to_string(config_.partitions_per_cell) + ".rcp"))
+         cell_checkpoint_name(spec.name, cell, u.partition,
+                              config_.partitions_per_cell, ".rcp"))
             .string();
 
   const CampaignRunner runner(rc);
@@ -764,6 +754,11 @@ std::string serialize_suite_spec(const SuiteSpec& spec) {
   line("inputs", std::to_string(spec.inputs));
   line("seed", std::to_string(spec.seed));
   line("check_every", std::to_string(spec.check_every));
+  // The checkpoint header's names, written only when non-default so a
+  // uniform spec keeps its bytes.
+  if (spec.stratified.enabled) line("sampling", "stratified");
+  if (spec.stratified.bit_group_size != StratifiedOptions{}.bit_group_size)
+    line("bit_group", std::to_string(spec.stratified.bit_group_size));
   if (spec.target_half_width_pct != 0.0) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", spec.target_half_width_pct);
@@ -836,6 +831,15 @@ SuiteSpec parse_suite_spec(std::string_view text) {
       spec.seed = parse_spec_u64(value, line);
     } else if (key == "check_every") {
       spec.check_every = parse_spec_u64(value, line);
+    } else if (key == "sampling") {
+      if (value != "uniform" && value != "stratified")
+        bad_spec("sampling wants uniform|stratified, got '" + line + "'");
+      spec.stratified.enabled = value == "stratified";
+    } else if (key == "bit_group") {
+      const std::uint64_t v = parse_spec_u64(value, line);
+      if (v < 1 || v > 64)
+        bad_spec("bit_group wants 1..64, got '" + line + "'");
+      spec.stratified.bit_group_size = static_cast<int>(v);
     } else if (key == "target_ci") {
       double v = 0.0;
       if (!util::parse_f64(std::string(value).c_str(), v) || v < 0.0)

@@ -244,9 +244,11 @@ class Scheduler {
 
 // The scheduler protocol's spec serialisation: "key=value" lines (one
 // per field, grid axes comma-separated, fault models in the
-// fault_spec_token grammar).  parse_suite_spec is strict — an unknown
-// key or malformed value throws std::invalid_argument with the
-// offending line — and round-trips serialize_suite_spec exactly.
+// fault_spec_token grammar; sampling=stratified and bit_group=N, the
+// checkpoint header's names, appear only when non-default).
+// parse_suite_spec is strict — an unknown key or malformed value throws
+// std::invalid_argument with the offending line — and round-trips
+// serialize_suite_spec exactly.
 std::string serialize_suite_spec(const SuiteSpec& spec);
 SuiteSpec parse_suite_spec(std::string_view text);
 

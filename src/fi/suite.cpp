@@ -10,6 +10,7 @@
 
 #include "core/flops_profiler.hpp"
 #include "fi/engine.hpp"
+#include "fi/record_codec.hpp"
 #include "ops/backend.hpp"
 #include "util/metrics.hpp"
 #include "util/parse.hpp"
@@ -91,12 +92,6 @@ std::string cell_label_of(const SuiteCell& c) {
   if (c.technique == Technique::kRanger) label += "+ranger";
   else if (c.technique == Technique::kRangerPaired) label += "+ranger-paired";
   return label;
-}
-
-std::string checkpoint_filename(const SuiteSpec& spec, const SuiteCell& c) {
-  return spec.name + "." + c.id + ".s" +
-         std::to_string(spec.shard_index) + "of" +
-         std::to_string(spec.shard_count) + ".jsonl";
 }
 
 bool same_fault(const FaultModelSpec& a, const FaultModelSpec& b) {
@@ -254,6 +249,14 @@ std::optional<ops::OpKind> act_from_token(std::string_view s) {
   return std::nullopt;
 }
 
+std::string cell_checkpoint_name(const std::string& suite,
+                                 const SuiteCell& cell,
+                                 std::size_t shard_index,
+                                 std::size_t shard_count, const char* ext) {
+  return suite + "." + cell.id + ".s" + std::to_string(shard_index) + "of" +
+         std::to_string(shard_count) + ext;
+}
+
 std::size_t cell_shard_index(std::size_t suite_shard_index,
                              std::size_t shard_count,
                              std::size_t global_offset) {
@@ -277,6 +280,7 @@ RunnerConfig cell_runner_config(const SuiteSpec& spec,
   rc.campaign.seed = spec.seed;
   rc.campaign.threads = spec.threads;
   rc.campaign.verify_plan = spec.verify_plan;
+  rc.stratified = spec.stratified;
   rc.check_every = spec.check_every;
   rc.max_new_trials = spec.max_new_trials;
   rc.target_half_width_pct = spec.target_half_width_pct;
@@ -297,6 +301,12 @@ SuitePlan compile_suite(const SuiteSpec& spec) {
     throw std::invalid_argument("compile_suite: inputs == 0");
   if (spec.trials_divisor == 0)
     throw std::invalid_argument("compile_suite: trials_divisor == 0");
+  if (spec.check_every == 0)
+    throw std::invalid_argument("compile_suite: check_every == 0");
+  if (spec.stratified.bit_group_size < 1 ||
+      spec.stratified.bit_group_size > 64)
+    throw std::invalid_argument(
+        "compile_suite: bit_group_size must be in [1, 64]");
   if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count)
     throw std::invalid_argument(
         "compile_suite: bad shard spec (want i/N with i < N)");
@@ -317,6 +327,14 @@ SuitePlan compile_suite(const SuiteSpec& spec) {
         (f.ecc.coverage < 0.0 || f.ecc.coverage > 1.0))
       throw std::invalid_argument(
           "compile_suite: ecc coverage must be in [0, 1]");
+    // The planner's strata are (layer, bit-group) cells of one flipped
+    // bit: refuse here, at submit, what TrialPlanner would refuse only
+    // inside a running slice.
+    if (spec.stratified.enabled &&
+        (f.cls == FaultClass::kWeight || f.n_bits != 1 || f.consecutive))
+      throw std::invalid_argument(
+          "compile_suite: stratified sampling needs single-bit activation "
+          "faults");
   }
   // Duplicate grid values would compile two cells with the same id —
   // and therefore the same checkpoint file; refuse rather than silently
@@ -430,9 +448,11 @@ SuiteResult Suite::run() {
 
     RunnerConfig rc = cell_runner_config(spec, cell);
     if (!spec.checkpoint_dir.empty())
-      rc.checkpoint_path = (std::filesystem::path(spec.checkpoint_dir) /
-                            checkpoint_filename(spec, cell))
-                               .string();
+      rc.checkpoint_path =
+          (std::filesystem::path(spec.checkpoint_dir) /
+           cell_checkpoint_name(spec.name, cell, spec.shard_index,
+                                spec.shard_count))
+              .string();
 
     const CampaignRunner runner(rc);
     out.cells.push_back(
@@ -443,21 +463,37 @@ SuiteResult Suite::run() {
   return out;
 }
 
+namespace {
+
+// Whether `file` is `cell`'s JSONL checkpoint under some shard spec: the
+// shard field is read back from the name and the name rebuilt from it.
+bool is_cell_checkpoint(const std::string& file, const std::string& suite,
+                        const SuiteCell& cell) {
+  const std::size_t field = file.rfind(".s");
+  std::size_t index = 0, count = 0;
+  return field != std::string::npos &&
+         std::sscanf(file.c_str() + field, ".s%zuof%zu", &index, &count) ==
+             2 &&
+         file == cell_checkpoint_name(suite, cell, index, count);
+}
+
+}  // namespace
+
 SuiteResult Suite::merge(const std::vector<std::string>& dirs) const {
   const SuiteSpec& spec = plan_.spec;
+  if (!spec.checkpoint_dir.empty())
+    std::filesystem::create_directories(spec.checkpoint_dir);
   SuiteResult out;
   out.plan = plan_;
   out.cells.reserve(plan_.cells.size());
   for (const SuiteCell& cell : plan_.cells) {
-    const std::string prefix = spec.name + "." + cell.id + ".s";
     std::vector<std::string> paths;
     for (const std::string& dir : dirs) {
       if (!std::filesystem::is_directory(dir)) continue;
-      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        if (name.starts_with(prefix) && name.ends_with(".jsonl"))
+      for (const auto& entry : std::filesystem::directory_iterator(dir))
+        if (is_cell_checkpoint(entry.path().filename().string(), spec.name,
+                               cell))
           paths.push_back(entry.path().string());
-      }
     }
     std::sort(paths.begin(), paths.end());
     if (paths.empty())
@@ -465,18 +501,25 @@ SuiteResult Suite::merge(const std::vector<std::string>& dirs) const {
                                cell.id);
     CheckpointHeader header;
     CampaignReport report = merge_checkpoints(paths, &header);
-    if (header.seed != spec.seed || header.inputs != spec.inputs ||
-        header.trials_per_input != cell.trials_per_input ||
-        header.dtype != tensor::dtype_name(cell.dtype) ||
-        header.n_bits != cell.fault.n_bits ||
-        header.consecutive_bits != cell.fault.consecutive ||
-        header.fault_class != fault_class_token(cell.fault.cls) ||
-        (cell.fault.cls == FaultClass::kWeight &&
-         (header.weight_kind != weight_fault_kind_token(cell.fault.wkind) ||
-          header.ecc != ecc_token(cell.fault.ecc))))
+    // The header this cell's own run writes, with the files' strata
+    // table: every campaign scalar, sampling included, must match.
+    CheckpointHeader expected =
+        CampaignRunner(cell_runner_config(spec, cell))
+            .make_header(spec.inputs,
+                         models::default_judges(cell.model).size());
+    expected.strata_weights = header.strata_weights;
+    if (expected.fingerprint() != header.fingerprint())
       throw std::runtime_error(
           "Suite::merge: checkpoints for cell " + cell.id +
           " were written by a different suite configuration");
+    // The merged header says shard 0/1, so the file is the unsharded
+    // run's own checkpoint.  It may also be one of this merge's inputs,
+    // hence the temp-file-plus-rename writer.
+    if (!spec.checkpoint_dir.empty())
+      write_jsonl_checkpoint((std::filesystem::path(spec.checkpoint_dir) /
+                              cell_checkpoint_name(spec.name, cell, 0, 1))
+                                 .string(),
+                             header, report.records);
     out.cells.push_back({cell, std::move(report)});
   }
   return out;
@@ -501,6 +544,13 @@ void write_suite_manifest(const std::string& path, const SuiteResult& r) {
                spec.name.c_str(), spec.seed, spec.inputs, spec.trials_small,
                spec.trials_divisor, spec.shard_index, spec.shard_count,
                r.plan.total_trials);
+  // Written only when non-default, so every uniform manifest keeps the
+  // bytes it had before sampling was a spec field.
+  if (spec.stratified.enabled)
+    std::fprintf(f, "  \"sampling\": \"stratified\",\n");
+  if (spec.stratified.bit_group_size != StratifiedOptions{}.bit_group_size)
+    std::fprintf(f, "  \"bit_group\": %d,\n",
+                 spec.stratified.bit_group_size);
   // Host metadata, so artifacts from different machines are comparable
   // (results are host-independent; throughput and thread counts are not).
   std::fprintf(f,
@@ -872,12 +922,21 @@ void print_cells(const SuiteResult& r) {
   table.print();
 }
 
+void print_strata(const SuiteResult& r) {
+  for (const SuiteCellResult& c : r.cells) {
+    std::printf("%s  %s sampling\n", c.cell.id.c_str(),
+                r.plan.spec.stratified.enabled ? "stratified" : "uniform");
+    print_report(c.report, models::judge_labels(c.cell.model));
+  }
+}
+
 }  // namespace
 
 void print_suite_report(const SuiteResult& r, const std::string& mode,
                         Suite* suite) {
   const bool all = mode == "all";
   if (all || mode == "cells") print_cells(r);
+  if (mode == "strata") print_strata(r);
   const auto section = [&](const char* name, auto&& fn) {
     if (!all && mode != name) return;
     std::printf("\n-- %s --\n", name);

@@ -14,8 +14,8 @@
 //    TrialExecutors (ExecutionPlans + goldens) are cached per (model,
 //    act[, dtype]) and reused by every fault-model/technique cell.
 //  * Each cell executes on the existing CampaignRunner, so per-cell
-//    JSONL checkpoints, deterministic sharding and Wilson-CI early
-//    stopping compose for free.  Suite-level `--shard i/N` partitions
+//    JSONL checkpoints, deterministic sharding, stratified sampling and
+//    Wilson-CI early stopping compose for free.  Suite-level `--shard i/N` partitions
 //    the *global* cell×trial stream: a cell at global offset O maps the
 //    suite shard onto the runner-local shard ((i - O) mod N), so the
 //    union of suite shards is bit-identical to the unsharded suite,
@@ -125,13 +125,19 @@ struct SuiteSpec {
   // merged-vs-unsharded manifest byte-identity gate.
   double target_half_width_pct = 0.0;
 
+  // Stratified (layer, bit-group) sampling for every cell
+  // (CampaignRunner's RunnerConfig::stratified).  Defined only for
+  // single-bit activation faults, so compile_suite refuses it with
+  // weight, multi-bit or burst cells.  bit_group_size also shapes the
+  // post-stratification of uniform runs.
+  StratifiedOptions stratified;
+
   // Suite-level shard of the global cell×trial stream.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
   // Directory for per-cell JSONL checkpoints (created on demand); empty
-  // = in-memory only.  Files are named
-  // <name>.<cell-id>.s<shard>of<count>.jsonl.
+  // = in-memory only.  Files are named by cell_checkpoint_name.
   std::string checkpoint_dir;
 
   // Run the static plan verifier (graph/verify.hpp) on every cell's
@@ -174,6 +180,16 @@ struct SuitePlan {
 // every shard and every resume agree on.  Throws std::invalid_argument
 // on an unsatisfiable spec (no models, bad shard, stratum-less grid…).
 SuitePlan compile_suite(const SuiteSpec& spec);
+
+// The file name of `cell`'s checkpoint for shard i of N:
+// "<suite>.<cell-id>.s<i>of<N>.jsonl".  Suite runs, merges, scheduler
+// exports (s0of1) and the scheduler's binary partition checkpoints
+// (ext ".rcp") all name their files through this one function.
+std::string cell_checkpoint_name(const std::string& suite,
+                                 const SuiteCell& cell,
+                                 std::size_t shard_index,
+                                 std::size_t shard_count,
+                                 const char* ext = ".jsonl");
 
 // The runner-local shard index a suite shard maps to for a cell at
 // `global_offset` (suite trial g = offset + t executes when
@@ -221,7 +237,11 @@ class Suite {
 
   // Loads and merges the per-cell shard checkpoints found in `dirs`
   // (files written by run() under any shard spec) into full-campaign
-  // reports — no trials execute.  Throws if a cell has no checkpoint.
+  // reports — no trials execute.  Throws if a cell has no checkpoint or
+  // its files were written under another configuration.  With a
+  // checkpoint_dir in the spec, each cell's merged records are also
+  // written there as its unsharded (s0of1) checkpoint: the file an
+  // unsharded run writes, byte for byte, once every shard is merged.
   SuiteResult merge(const std::vector<std::string>& dirs) const;
 
   models::WorkloadCache& workloads();
@@ -272,8 +292,10 @@ std::optional<PairedCoverage> paired_coverage(const SuiteResult& r,
 // Regenerate the paper-figure tables from a suite result (each prints
 // the cells it finds; a grid without the needed dimensions prints a
 // note instead).  `mode` ∈ {cells, fig6, fig7, fig9, int8, fig11,
-// fig12, table6, all}.  `suite` (optional) supplies graphs for the
-// Table-VI FLOPs-overhead column.
+// fig12, table6, all, strata}; "all" is the cell table plus every
+// figure, "strata" each cell's print_report (raw and weighted
+// aggregate, per-stratum table).  `suite` (optional) supplies graphs
+// for the Table-VI FLOPs-overhead column.
 void print_suite_report(const SuiteResult& r, const std::string& mode,
                         Suite* suite = nullptr);
 

@@ -40,8 +40,9 @@ enum class ModelId {
 std::string model_name(ModelId id);
 
 // Stable lowercase CLI/identifier token ("lenet", "resnet18", …) and its
-// inverse — the grammar campaign_cli/suite_cli and the suite's cell ids
-// share, so a cell id written by one tool parses in another.
+// inverse — the grammar the CLIs, the scheduler wire format and the
+// suite's cell ids share, so a cell id written by one tool parses in
+// another.
 std::string model_token(ModelId id);
 std::optional<ModelId> model_from_token(std::string_view token);
 

@@ -261,7 +261,7 @@ TEST(CampaignRunner, DeterministicGivenSeed) {
   const std::vector<JudgePtr> judges{std::make_shared<DevJudge>(1.0f)};
   const CampaignReport r1 = CampaignRunner(rc).run(g, ones_input(), judges);
   const CampaignReport r2 = CampaignRunner(rc).run(g, ones_input(), judges);
-  EXPECT_TRUE(records_identical(r1.records, r2.records));
+  EXPECT_TRUE(r1.records == r2.records);
   const CampaignResult& r = r1.aggregate[0];
   EXPECT_EQ(r.trials, 200u);
   EXPECT_GT(r.sdcs, 0u);           // high-order bit flips must deviate
@@ -297,7 +297,7 @@ TEST(CampaignRunner, MultiJudgeSharesTrials) {
     for (std::size_t i = 0; i < merged.size(); ++i)
       merged[i].sdc_mask |= single.records[i].sdc_mask << j;
   }
-  EXPECT_TRUE(records_identical(report.records, merged));
+  EXPECT_TRUE(report.records == merged);
 }
 
 TEST(Campaign, ResultStatistics) {
@@ -328,7 +328,7 @@ TEST(CampaignRunner, PairedRunReplaysIdenticalFaults) {
   const CampaignReport replay = runner.run(paired, inputs, judges);
   EXPECT_EQ(replay.executed(), 100u);
   EXPECT_GT(plain.aggregate[0].sdcs, 0u);
-  EXPECT_TRUE(records_identical(plain.records, replay.records));
+  EXPECT_TRUE(plain.records == replay.records);
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(RecordCodec, ToJsonlMatchesNativeWriterByteForByte) {
   // And the native file round-trips through load_checkpoint into the
   // same records, closing the loop: binary → jsonl → loader agree.
   const Checkpoint cp = load_checkpoint(path);
-  EXPECT_TRUE(records_identical(cp.records, records));
+  EXPECT_TRUE(cp.records == records);
 }
 
 TEST(RecordCodec, BinaryCheckpointFileLoadsViaBothEntryPoints) {
@@ -240,13 +240,13 @@ TEST(RecordCodec, BinaryCheckpointFileLoadsViaBothEntryPoints) {
 
   const Checkpoint direct = load_binary_checkpoint(path);
   EXPECT_EQ(direct.header.fingerprint(), h.fingerprint());
-  EXPECT_TRUE(records_identical(direct.records, records));
+  EXPECT_TRUE(direct.records == records);
 
   // load_checkpoint sniffs the magic — .rcp content is readable through
   // the JSONL-era entry point every merge/report tool calls.
   const Checkpoint sniffed = load_checkpoint(path);
   EXPECT_EQ(sniffed.header.fingerprint(), h.fingerprint());
-  EXPECT_TRUE(records_identical(sniffed.records, records));
+  EXPECT_TRUE(sniffed.records == records);
 }
 
 TEST(RecordCodec, PathConventionSelectsBinary) {
@@ -263,7 +263,7 @@ TEST(RecordCodec, SortUniqueRecordsMergesAndRefusesConflicts) {
   shuffled.push_back(records[3]);  // exact duplicate: dropped
   const std::vector<TrialRecord> merged =
       sort_unique_records(std::move(shuffled));
-  EXPECT_TRUE(records_identical(merged, sort_unique_records(records)));
+  EXPECT_TRUE(merged == sort_unique_records(records));
 
   std::vector<TrialRecord> conflicting = records;
   conflicting.push_back(records[2]);

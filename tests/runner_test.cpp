@@ -93,7 +93,7 @@ TEST(CampaignRunner, ShardsPartitionTheTrialStream) {
   const CampaignReport merged =
       build_report(std::move(records), judges.size(), 180);
   // Union of shards == the single-process run, trial for trial.
-  EXPECT_TRUE(records_identical(merged.records, full.records));
+  EXPECT_TRUE(merged.records == full.records);
   EXPECT_EQ(shard_sdcs, full.aggregate[0].sdcs);
   EXPECT_EQ(merged.aggregate[0].sdcs, full.aggregate[0].sdcs);
 }
@@ -121,7 +121,7 @@ TEST(CampaignRunner, CheckpointResumeIsBitIdentical) {
   rc.max_new_trials = 0;
   const CampaignReport resumed = CampaignRunner(rc).run(g, inputs, judges);
   EXPECT_EQ(resumed.executed(), 180u);
-  EXPECT_TRUE(records_identical(resumed.records, ref.records));
+  EXPECT_TRUE(resumed.records == ref.records);
 
   // Per-stratum Wilson intervals agree with the uninterrupted run's.
   ASSERT_EQ(resumed.strata.size(), ref.strata.size());
@@ -138,7 +138,7 @@ TEST(CampaignRunner, CheckpointResumeIsBitIdentical) {
   const Checkpoint cp = load_checkpoint(path);
   const CampaignReport from_file =
       build_report(cp.records, judges.size(), 180);
-  EXPECT_TRUE(records_identical(from_file.records, ref.records));
+  EXPECT_TRUE(from_file.records == ref.records);
   std::remove(path.c_str());
 }
 
@@ -251,7 +251,7 @@ TEST(CampaignRunner, MergedShardCheckpointsMatchSingleRun) {
   const CampaignReport merged = merge_checkpoints({p0, p1}, &header);
   EXPECT_EQ(header.shard_count, 1u);
   EXPECT_EQ(merged.planned, 180u);
-  EXPECT_TRUE(records_identical(merged.records, single.records));
+  EXPECT_TRUE(merged.records == single.records);
   EXPECT_EQ(merged.aggregate[0].sdcs, single.aggregate[0].sdcs);
   // Weighted aggregate survives the merge via the header's strata table.
   EXPECT_EQ(merged.weighted.size(), judges.size());
@@ -352,7 +352,7 @@ TEST(Checkpoint, TornMidFileLineIsRecoveredAndResumeIsBitIdentical) {
 
   // Resume executes only the lost trial and matches the reference.
   const CampaignReport resumed = CampaignRunner(rc).run(g, inputs, judges);
-  EXPECT_TRUE(records_identical(resumed.records, ref.records));
+  EXPECT_TRUE(resumed.records == ref.records);
   // The rewritten file is canonical again.
   const Checkpoint canonical = load_checkpoint(path);
   EXPECT_EQ(canonical.records.size(), 180u);

@@ -127,7 +127,7 @@ void expect_stream_matches_goldens(
   ASSERT_EQ(c.records.size(), plan.cells.size());
   for (std::size_t ci = 0; ci < plan.cells.size(); ++ci) {
     const std::string name =
-        spec.name + "." + plan.cells[ci].id + ".s0of1.jsonl";
+        cell_checkpoint_name(spec.name, plan.cells[ci], 0, 1);
     const auto it = golden.find(name);
     ASSERT_NE(it, golden.end());
     const std::string jsonl = to_jsonl(
@@ -162,6 +162,24 @@ TEST(SchedulerWire, SpecRoundTripsExactly) {
     EXPECT_EQ(a.cells[i].shard_offset, b.cells[i].shard_offset);
   }
   EXPECT_EQ(a.total_trials, b.total_trials);
+
+  // A uniform spec serialises to the same bytes it did before sampling
+  // was a spec field (lenet-serve's requests among them)...
+  EXPECT_EQ(serialize_suite_spec(tiny_spec("uniform")),
+            "name=uniform\nmodels=lenet\nacts=default\ndtypes=fixed32\n"
+            "faults=b1\ntechniques=unprotected,ranger\ntrials=18\n"
+            "trials_divisor=1\ninputs=2\nseed=2021\ncheck_every=8\n");
+  // ...and a stratified one carries the checkpoint header's names.
+  SuiteSpec strat = tiny_spec("strat");
+  strat.stratified.enabled = true;
+  strat.stratified.bit_group_size = 4;
+  const std::string strat_text = serialize_suite_spec(strat);
+  EXPECT_NE(strat_text.find("\nsampling=stratified\n"), std::string::npos);
+  EXPECT_NE(strat_text.find("\nbit_group=4\n"), std::string::npos);
+  const SuiteSpec strat_back = parse_suite_spec(strat_text);
+  EXPECT_TRUE(strat_back.stratified.enabled);
+  EXPECT_EQ(strat_back.stratified.bit_group_size, 4);
+  EXPECT_EQ(serialize_suite_spec(strat_back), strat_text);
 }
 
 TEST(SchedulerWire, ParserIsStrict) {
@@ -175,6 +193,8 @@ TEST(SchedulerWire, ParserIsStrict) {
   EXPECT_THROW(parse_suite_spec("faults=b0\n"), std::invalid_argument);
   EXPECT_THROW(parse_suite_spec("faults=wmulti\n"), std::invalid_argument);
   EXPECT_THROW(parse_suite_spec("target_ci=-1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_suite_spec("sampling=neyman\n"), std::invalid_argument);
+  EXPECT_THROW(parse_suite_spec("bit_group=0\n"), std::invalid_argument);
 }
 
 TEST(SchedulerSubmit, RejectsShardedSpecsAndDuplicateNames) {
@@ -185,6 +205,11 @@ TEST(SchedulerSubmit, RejectsShardedSpecsAndDuplicateNames) {
   SuiteSpec sharded = tiny_spec("sharded");
   sharded.shard_count = 2;
   EXPECT_THROW(sched.submit(sharded), std::invalid_argument);
+  // Refused at submit, before any cold build, not at the first slice.
+  EXPECT_THROW(sched.submit(parse_suite_spec(
+                   serialize_suite_spec(tiny_spec("batchless")) +
+                   "check_every=0\n")),
+               std::invalid_argument);
 
   // Block the first request inside its sink so it is provably still
   // running when the duplicate submit arrives (the sink must not call
@@ -260,6 +285,27 @@ TEST(SchedulerIdentity, ConcurrentSubmittersMatchOneShotGoldens) {
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->state, RequestState::kDone);
   EXPECT_EQ(st->streamed_trials, compile_suite(spec_a).total_trials);
+}
+
+// Stratified sampling rides the wire and the partitioned slices: the
+// export equals the one-shot suite's stratified checkpoints.
+TEST(SchedulerIdentity, StratifiedRequestMatchesOneShotSuite) {
+  SuiteSpec spec = tiny_spec("strat");
+  spec.stratified.enabled = true;
+  spec.stratified.bit_group_size = 4;
+  const auto golden = one_shot_goldens(spec, "strat_golden");
+
+  SchedulerConfig cfg;
+  cfg.workers = 2;
+  cfg.partitions_per_cell = 3;
+  cfg.slice_trials = 5;
+  cfg.checkpoint_dir = temp_dir("strat_ckpt");
+  Scheduler sched(cfg, &shared_cache());
+  const std::uint64_t id =
+      sched.submit(parse_suite_spec(serialize_suite_spec(spec)));
+  sched.wait(id);
+  expect_matches_goldens(sched.export_request_jsonl(id, temp_dir("strat_out")),
+                         golden);
 }
 
 TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {

@@ -106,6 +106,24 @@ TEST(SuitePlan, RejectsBadSpecs) {
   SuiteSpec bad_bits = tiny_spec("x");
   bad_bits.faults = {{0, false}};
   EXPECT_THROW(compile_suite(bad_bits), std::invalid_argument);
+  SuiteSpec no_batch = tiny_spec("x");
+  no_batch.check_every = 0;
+  EXPECT_THROW(compile_suite(no_batch), std::invalid_argument);
+
+  // Stratified sampling is defined over single-bit activation sites
+  // only; the planner would throw only once a cell started running.
+  SuiteSpec stratified = tiny_spec("x");
+  stratified.stratified.enabled = true;
+  EXPECT_NO_THROW(compile_suite(stratified));
+  SuiteSpec strat_weight = stratified;
+  strat_weight.faults[0].cls = FaultClass::kWeight;
+  EXPECT_THROW(compile_suite(strat_weight), std::invalid_argument);
+  SuiteSpec strat_multi = stratified;
+  strat_multi.faults = {{2, false}};
+  EXPECT_THROW(compile_suite(strat_multi), std::invalid_argument);
+  SuiteSpec strat_burst = stratified;
+  strat_burst.faults = {{1, true}};
+  EXPECT_THROW(compile_suite(strat_burst), std::invalid_argument);
 }
 
 // The acceptance contract of the port: a suite cell's records are
@@ -138,8 +156,44 @@ TEST(Suite, CellsMatchStandaloneRunnerBitForBit) {
                                 : w.graph;
     const CampaignReport standalone = CampaignRunner(rc).run(
         g, w.eval_feeds, models::default_judges(models::ModelId::kLeNet));
-    EXPECT_TRUE(records_identical(cell.report.records, standalone.records))
+    EXPECT_TRUE(cell.report.records == standalone.records)
         << cell.cell.id;
+  }
+}
+
+// A one-cell stratified suite is the campaign a standalone
+// CampaignRunner runs with RunnerConfig::stratified on, unsharded and
+// per shard.
+TEST(Suite, StratifiedCellMatchesStandaloneRunner) {
+  SuiteSpec spec = tiny_spec("strat");
+  spec.techniques = {Technique::kUnprotected};
+  spec.stratified.enabled = true;
+  spec.stratified.bit_group_size = 4;
+
+  models::WorkloadOptions wo;
+  wo.eval_inputs = spec.inputs;
+  wo.seed = spec.seed;
+  const models::Workload w = models::make_workload(models::ModelId::kLeNet, wo);
+  for (const std::size_t shards : {1u, 2u}) {
+    const std::size_t index = shards - 1;
+    SuiteSpec cell_spec = spec;
+    cell_spec.shard_index = index;
+    cell_spec.shard_count = shards;
+    const SuiteResult result = Suite(cell_spec).run();
+    ASSERT_EQ(result.cells.size(), 1u);
+
+    RunnerConfig rc;
+    rc.campaign.trials_per_input = result.cells[0].cell.trials_per_input;
+    rc.campaign.seed = spec.seed;
+    rc.stratified = spec.stratified;
+    rc.check_every = spec.check_every;
+    rc.shard_index = index;
+    rc.shard_count = shards;
+    const CampaignReport standalone = CampaignRunner(rc).run(
+        w.graph, w.eval_feeds, models::default_judges(models::ModelId::kLeNet));
+    EXPECT_FALSE(standalone.records.empty());
+    EXPECT_TRUE(result.cells[0].report.records == standalone.records)
+        << "shard " << index << "/" << shards;
   }
 }
 
@@ -207,15 +261,26 @@ TEST(Suite, ShardedRunsMergeBitIdenticalToUnsharded) {
         EXPECT_EQ((c.cell.global_offset + r.trial) % 2, i);
   }
 
+  // The merger writes each cell's merged records back into the shard
+  // directory as its unsharded checkpoint: the golden run's file, byte
+  // for byte.  A second merge reads that file as one of its inputs and
+  // rewrites it unchanged.
   SuiteSpec merge_spec = spec;
-  merge_spec.checkpoint_dir.clear();
+  merge_spec.checkpoint_dir = shard_dir;
   Suite merger(merge_spec);
-  const SuiteResult merged = merger.merge({shard_dir});
-  ASSERT_EQ(merged.cells.size(), golden.cells.size());
-  for (std::size_t c = 0; c < merged.cells.size(); ++c) {
-    EXPECT_TRUE(records_identical(merged.cells[c].report.records,
-                                  golden.cells[c].report.records))
-        << merged.cells[c].cell.id;
+  SuiteResult merged;
+  for (int pass = 0; pass < 2; ++pass) {
+    merged = merger.merge({shard_dir});
+    ASSERT_EQ(merged.cells.size(), golden.cells.size());
+    for (std::size_t c = 0; c < merged.cells.size(); ++c) {
+      EXPECT_TRUE(merged.cells[c].report.records ==
+                  golden.cells[c].report.records)
+          << merged.cells[c].cell.id;
+      const std::string file =
+          cell_checkpoint_name(spec.name, merged.cells[c].cell, 0, 1);
+      EXPECT_EQ(slurp(shard_dir + "/" + file), slurp(golden_dir + "/" + file))
+          << file << " (merge pass " << pass << ")";
+    }
   }
 
   // The aggregate manifest is byte-identical: merged shards vs the
@@ -297,8 +362,8 @@ TEST(Suite, KillAndResumeProducesBitIdenticalManifest) {
   const SuiteResult resumed = r.run();
   ASSERT_EQ(resumed.cells.size(), uninterrupted.cells.size());
   for (std::size_t c = 0; c < resumed.cells.size(); ++c)
-    EXPECT_TRUE(records_identical(resumed.cells[c].report.records,
-                                  uninterrupted.cells[c].report.records));
+    EXPECT_TRUE(resumed.cells[c].report.records ==
+                uninterrupted.cells[c].report.records);
 
   const std::string a = dir + "/SUITE_a.json";
   const std::string b = dir + "/SUITE_b.json";
@@ -335,8 +400,8 @@ TEST(Suite, Int8CellsShardAndResumeBitIdentically) {
   const SuiteResult resumed = r.run();
   ASSERT_EQ(resumed.cells.size(), uninterrupted.cells.size());
   for (std::size_t c = 0; c < resumed.cells.size(); ++c)
-    EXPECT_TRUE(records_identical(resumed.cells[c].report.records,
-                                  uninterrupted.cells[c].report.records))
+    EXPECT_TRUE(resumed.cells[c].report.records ==
+                uninterrupted.cells[c].report.records)
         << resumed.cells[c].cell.id;
 
   const std::string a = dir + "/SUITE_a.json";
@@ -473,6 +538,12 @@ TEST(Suite, MergeRefusesForeignCheckpoints) {
   other.seed = 7;
   Suite m(other);
   EXPECT_THROW(m.merge({dir}), std::runtime_error);
+
+  // Same campaign scalars, other sampling: refused too.
+  SuiteSpec stratified = spec;
+  stratified.checkpoint_dir.clear();
+  stratified.stratified.enabled = true;
+  EXPECT_THROW(Suite(stratified).merge({dir}), std::runtime_error);
 }
 
 }  // namespace

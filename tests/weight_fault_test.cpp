@@ -382,7 +382,7 @@ TEST(WeightRunner, ShardsMergeBitIdenticallyToUnshardedRun) {
   }
   const CampaignReport rebuilt =
       build_report(std::move(merged), 1, full.planned);
-  EXPECT_TRUE(records_identical(full.records, rebuilt.records));
+  EXPECT_TRUE(full.records == rebuilt.records);
 }
 
 TEST(WeightRunner, KillAndResumeReproducesTheUninterruptedRun) {
@@ -406,7 +406,7 @@ TEST(WeightRunner, KillAndResumeReproducesTheUninterruptedRun) {
 
   const CampaignReport reference =
       CampaignRunner(weight_config()).run(g, inputs, judges);
-  EXPECT_TRUE(records_identical(finished.records, reference.records));
+  EXPECT_TRUE(finished.records == reference.records);
   std::remove(path.c_str());
 }
 
@@ -421,7 +421,7 @@ TEST(WeightRunner, BackendsProduceIdenticalRecords) {
   blocked.campaign.backend = ops::KernelBackend::kBlocked;
   const CampaignReport a = CampaignRunner(scalar).run(g, inputs, judges);
   const CampaignReport b = CampaignRunner(blocked).run(g, inputs, judges);
-  EXPECT_TRUE(records_identical(a.records, b.records));
+  EXPECT_TRUE(a.records == b.records);
   EXPECT_EQ(a.aggregate[0].sdcs, b.aggregate[0].sdcs);
 }
 
@@ -435,7 +435,7 @@ TEST(WeightRunner, PartialAndFullReexecutionAgree) {
   full.campaign.partial_reexecution = false;
   const CampaignReport a = CampaignRunner(partial).run(g, inputs, judges);
   const CampaignReport b = CampaignRunner(full).run(g, inputs, judges);
-  EXPECT_TRUE(records_identical(a.records, b.records));
+  EXPECT_TRUE(a.records == b.records);
 }
 
 // SEC-DED + single-bit weight faults: every sampled fault is corrected
@@ -506,7 +506,7 @@ TEST(WeightRunner, StuckAtRecordsRoundTripThroughCheckpoints) {
   const Checkpoint cp = load_checkpoint(path);
   EXPECT_EQ(cp.header.weight_kind, "stuck1");
   ASSERT_EQ(cp.records.size(), live.records.size());
-  EXPECT_TRUE(records_identical(cp.records, live.records));
+  EXPECT_TRUE(cp.records == live.records);
   std::remove(path.c_str());
 }
 

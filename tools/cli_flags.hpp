@@ -1,8 +1,8 @@
-// Checked numeric flag parsing shared by campaign_cli and suite_cli —
-// one copy of the "malformed value exits with the tool's usage message"
-// policy, built on the strict full-string parsers in util/parse.hpp.
-// `--nbits foo` or `--trials 10x` must never silently coerce to 0/10
-// and corrupt a campaign config.
+// Flag helpers shared by suite_cli and scheduler_cli.  Checked numeric
+// parsing is one copy of the "malformed value exits with the tool's
+// usage message" policy, built on the strict full-string parsers in
+// util/parse.hpp: `--nbits foo` or `--trials 10x` must never silently
+// coerce to 0/10 and corrupt a campaign config.
 #pragma once
 
 #include <atomic>
@@ -50,16 +50,15 @@ inline double double_flag(UsageFn usage, const std::string& flag,
   return out;
 }
 
-// --progress: a 1 Hz stderr heartbeat read entirely off the metrics
-// registry — the counters the suite/runner layers already publish are
-// the single source of truth, so the reporter never reaches into run
-// internals (and can't perturb the records).  `planned` is the
-// CLI-side estimate of trials this process will execute; `with_cells`
-// adds the suite's cells-done/cells-total figures.
+// suite_cli --progress: a 1 Hz stderr heartbeat read entirely off the
+// metrics registry — the counters the suite/runner layers already
+// publish are the single source of truth, so the reporter never reaches
+// into run internals (and can't perturb the records).  `planned` is the
+// CLI-side estimate of trials this process will execute.
 class ProgressReporter {
  public:
-  ProgressReporter(const char* label, std::size_t planned, bool with_cells) {
-    th_ = std::thread([this, label, planned, with_cells] {
+  ProgressReporter(const char* label, std::size_t planned) {
+    th_ = std::thread([this, label, planned] {
       const util::Timer t;
       while (!done_.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(std::chrono::seconds(1));
@@ -71,20 +70,16 @@ class ProgressReporter {
         const double eta = rate > 0.0 && planned > trials
                                ? static_cast<double>(planned - trials) / rate
                                : 0.0;
-        std::string cells;
-        if (with_cells) {
-          cells = std::to_string(
-                      util::metrics::counter_value("suite.cells_done")) +
-                  "/" +
-                  std::to_string(
-                      util::metrics::gauge_value("suite.cells_total")) +
-                  " cells  ";
-        }
-        std::fprintf(stderr, "\r%s: %s%llu/%zu trials  %.0f trials/s  "
-                             "eta %.0fs   ",
-                     label, cells.c_str(),
-                     static_cast<unsigned long long>(trials), planned, rate,
-                     eta);
+        std::fprintf(
+            stderr,
+            "\r%s: %llu/%llu cells  %llu/%zu trials  %.0f trials/s  "
+            "eta %.0fs   ",
+            label,
+            static_cast<unsigned long long>(
+                util::metrics::counter_value("suite.cells_done")),
+            static_cast<unsigned long long>(
+                util::metrics::gauge_value("suite.cells_total")),
+            static_cast<unsigned long long>(trials), planned, rate, eta);
       }
       std::fprintf(stderr, "\n");
     });
@@ -101,7 +96,7 @@ class ProgressReporter {
   std::thread th_;
 };
 
-// `--list` discovery output shared by campaign_cli and suite_cli: every
+// `--list` discovery output shared by suite_cli and scheduler_cli: every
 // grid-axis token a flag accepts, printed from the same token tables the
 // parsers use, so the listing can never drift from what actually parses.
 inline void print_axes(std::FILE* f) {

@@ -422,18 +422,10 @@ int run_submit(const ClientOptions& opt, const fi::SuiteSpec& spec,
       if (h == headers.end() || r == records.end()) continue;
       const std::string path =
           (std::filesystem::path(out_dir) /
-           (spec.name + "." + plan.cells[ci].id + ".s0of1.jsonl"))
+           fi::cell_checkpoint_name(spec.name, plan.cells[ci], 0, 1))
               .string();
-      const std::string jsonl =
-          fi::to_jsonl(h->second, fi::sort_unique_records(r->second));
-      std::FILE* f = std::fopen(path.c_str(), "wb");
-      if (!f) {
-        std::fprintf(stderr, "scheduler_cli: cannot write %s\n",
-                     path.c_str());
-        return 1;
-      }
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
+      fi::write_jsonl_checkpoint(path, h->second,
+                                 fi::sort_unique_records(r->second));
       std::printf("wrote %s (%zu records)\n", path.c_str(),
                   r->second.size());
     }

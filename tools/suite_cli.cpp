@@ -1,8 +1,11 @@
-// suite_cli — run the zoo-wide campaign suite (fi::Suite) from the shell
-// and CI: one declarative grid of (model × act × dtype × fault-model ×
-// technique) cells, executed on the shared-cache orchestrator with
-// per-cell JSONL checkpoints, suite-level sharding, an aggregated
-// SUITE_<name>.json manifest and the figure/table report layer.
+// suite_cli — the campaign CLI.  Runs the zoo-wide campaign suite
+// (fi::Suite) from the shell and CI: one declarative grid of (model ×
+// act × dtype × fault-model × technique) cells, executed on the
+// shared-cache orchestrator with per-cell JSONL checkpoints, suite-level
+// sharding, an aggregated SUITE_<name>.json manifest and the
+// figure/table report layer.  A single campaign is a one-cell grid:
+//   suite_cli --models lenet --techniques ranger --trials 100 --inputs 2
+//             --dir build/c [--stratified [--bit-group N]] [--report strata]
 //
 // Run (or resume) a shard of a suite:
 //   suite_cli --name smoke --models lenet,alexnet,dave
@@ -11,13 +14,16 @@
 //             [--shard 0/2] --dir build/suite [--report all]
 //
 // Merge the shard checkpoints written above (same grid flags; no trials
-// execute) and write the full-suite manifest:
+// execute), write each cell's merged records back into --dir as its
+// unsharded checkpoint (<name>.<cell-id>.s0of1.jsonl) and write the
+// full-suite manifest:
 //   suite_cli --merge --name smoke ...same grid flags...
 //             --dir build/suite --out build/suite/SUITE_smoke.json
 //
-// The manifest is derived only from per-trial records and the spec, so a
-// merged-shards manifest is byte-identical to an unsharded run's — the
-// CI suite-smoke job gates on exactly that with `cmp`.
+// The manifest and the merged checkpoints are derived only from
+// per-trial records and the spec, so once every shard is merged they are
+// byte-identical to an unsharded run's — the CI suite-smoke job gates on
+// exactly that with `cmp`.
 //
 // Environment fallbacks (shared with the benches): RANGERPP_TRIALS,
 // RANGERPP_INPUTS, RANGERPP_SEED, RANGERPP_SHARD (overridden by --shard).
@@ -96,12 +102,21 @@ using util::env_size;
       "                       Wilson-95 half-width is below PCT percent\n"
       "                       (early-stopped cells execute a prefix, so\n"
       "                       skip the merged-manifest cmp gate)\n"
+      "  --stratified         stratified (layer, bit-group) sampling\n"
+      "                       (single-bit activation cells only)\n"
+      "  --bit-group N        bits per stratum group (default 8)\n"
       "  --report MODE        cells | fig6 | fig7 | fig9 | int8 | fig11 |\n"
-      "                       fig12 | table6 | all | none (default cells)\n"
+      "                       fig12 | table6 | all | strata | none\n"
+      "                       (default cells; strata prints each cell's\n"
+      "                       weighted estimate and per-stratum table)\n"
       "  --dump-passes        print each model's compile pipeline (per-pass\n"
       "                       timing + node counts) and exit\n"
       "  --verify-plan        run the static plan verifier (graph/verify)\n"
       "                       on every cell's compiled plans\n"
+      "  --merge              merge the shard checkpoints in DIR (default\n"
+      "                       .) instead of running; with --dir, also\n"
+      "                       write each cell's merged records there as\n"
+      "                       its unsharded <name>.<cell-id>.s0of1.jsonl\n"
       "  --out FILE           manifest path (default:\n"
       "                       DIR/SUITE_<name>[.s<i>of<N>].json)\n"
       "  --quiet              manifest only, no tables\n"
@@ -117,7 +132,7 @@ using util::env_size;
   std::exit(2);
 }
 
-// Checked numeric flag parsing shared with campaign_cli
+// Checked numeric flag parsing shared with scheduler_cli
 // (tools/cli_flags.hpp).
 std::size_t size_flag(const std::string& flag, const std::string& v) {
   return cli::size_flag(&usage, flag, v);
@@ -239,18 +254,21 @@ int main(int argc, char** argv) {
       spec.shard_index = shard->index;
       spec.shard_count = shard->count;
     } else if (arg == "--dir") spec.checkpoint_dir = value();
-    else if (arg == "--check-every") {
+    else if (arg == "--check-every")
       spec.check_every = size_flag(arg, value());
-      if (spec.check_every == 0) usage("--check-every wants >= 1");
-    } else if (arg == "--max-new")
+    else if (arg == "--max-new")
       spec.max_new_trials = size_flag(arg, value());
     else if (arg == "--target-ci")
       spec.target_half_width_pct = cli::double_flag(&usage, arg, value());
+    else if (arg == "--stratified") spec.stratified.enabled = true;
+    else if (arg == "--bit-group")
+      spec.stratified.bit_group_size =
+          cli::int_flag(&usage, arg, value(), 1, 64);
     else if (arg == "--report") {
       report_mode = value();
-      const char* known[] = {"cells",  "fig6",   "fig7", "fig9",
-                             "int8",   "fig11",  "fig12", "table6",
-                             "all",    "none"};
+      const char* known[] = {"cells", "fig6",  "fig7",   "fig9",
+                             "int8",  "fig11", "fig12",  "table6",
+                             "all",   "strata", "none"};
       bool ok = false;
       for (const char* k : known) ok = ok || report_mode == k;
       if (!ok) usage(("unknown report mode '" + report_mode + "'").c_str());
@@ -327,10 +345,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<cli::ProgressReporter> reporter;
     if (progress && !merge_mode)
       reporter = std::make_unique<cli::ProgressReporter>(
-          "suite",
-          fi::compile_suite(spec).total_trials /
-              (spec.shard_count ? spec.shard_count : 1),
-          /*with_cells=*/true);
+          "suite", suite.plan().total_trials / spec.shard_count);
     const fi::SuiteResult result =
         merge_mode ? suite.merge({spec.checkpoint_dir.empty()
                                       ? std::string(".")
