@@ -51,7 +51,6 @@ int main() {
   const graph::ExecutionPlan plan = graph::compile(w.graph, {.dtype = dtype});
   const graph::ExecutionPlan plan_prot =
       graph::compile(transformed, {.dtype = dtype});
-  const graph::Graph& protected_g = plan_prot.graph();
 
   // 4. Check fault-free behaviour is unchanged by the protection.
   graph::Arena arena, arena_prot;
@@ -70,17 +69,14 @@ int main() {
   //    resumes from the cached golden activations and recomputes only the
   //    fault's downstream cone — the partial re-execution that makes
   //    thousand-trial campaigns cheap.
-  const graph::NodeId site = w.graph.find("conv1/bias_add");
-  const graph::NodeId site_prot = protected_g.find("conv1/bias_add");
   for (std::size_t element = 0; element < 600; element += 7) {
     const fi::FaultSet fault{{"conv1/bias_add", element, /*bit=*/29}};
     const int faulty_plain = graph::argmax(exec.run_from(
-        plan, golden, site, arena,
-        fi::make_injection_hook(w.graph, dtype, fault)));
+        plan, golden, fi::make_injections(plan, fault), arena));
     if (faulty_plain == label_plain) continue;  // fault was benign
     const int faulty_prot = graph::argmax(exec.run_from(
-        plan_prot, golden_prot, site_prot, arena_prot,
-        fi::make_injection_hook(protected_g, dtype, fault)));
+        plan_prot, golden_prot, fi::make_injections(plan_prot, fault),
+        arena_prot));
     std::printf(
         "bit-29 flip at conv1[%zu]: unprotected predicts %d <-- SDC!  "
         "Ranger predicts %d%s\n",

@@ -10,19 +10,6 @@ namespace rangerpp::fi {
 
 namespace {
 
-// Resolves a sampled fault set to injection-root node ids on `g`.  Names
-// absent from the graph are skipped (mirrors make_injection_hook).
-std::vector<graph::NodeId> fault_roots(const graph::Graph& g,
-                                       const FaultSet& faults) {
-  std::vector<graph::NodeId> roots;
-  roots.reserve(faults.size());
-  for (const FaultPoint& f : faults) {
-    const graph::NodeId id = g.find(f.node_name);
-    if (id != graph::kInvalidNode) roots.push_back(id);
-  }
-  return roots;
-}
-
 // Compile options for a campaign plan under `batch` images per run.
 // Observe::kInjectable: every injection site (and profiled ceiling) lives
 // on an injectable node, so rewrites only ever touch the non-injectable
@@ -279,13 +266,12 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
 tensor::Tensor TrialExecutor::run_trial(unsigned worker,
                                         std::size_t input_idx,
                                         const FaultSet& faults) const {
-  const graph::PostOpHook hook = make_injection_hook(plan_, faults);
   graph::Arena& arena = arenas_[worker];
   return config_.partial_reexecution
              ? exec_.run_from(plan_, golden_[input_idx].activations,
-                              fault_roots(plan_.graph(), faults), arena,
-                              hook)
-             : exec_.run(plan_, (*inputs_)[input_idx], arena, hook);
+                              make_injections(plan_, faults), arena)
+             : exec_.run(plan_, (*inputs_)[input_idx], arena,
+                         make_injection_hook(plan_, faults));
 }
 
 std::vector<tensor::Tensor> TrialExecutor::run_trial_batch(
@@ -295,25 +281,15 @@ std::vector<tensor::Tensor> TrialExecutor::run_trial_batch(
     throw std::logic_error("TrialExecutor: batching unavailable");
   if (row_faults.empty() || row_faults.size() > config_.batch)
     throw std::invalid_argument("TrialExecutor: bad batch size");
-  const graph::PostOpHook hook =
-      make_batched_injection_hook(*batch_plan_, row_faults);
   graph::Arena& arena = batch_arenas_[worker];
-  tensor::Tensor out;
-  if (config_.partial_reexecution) {
-    // Injection roots are the union over the rows' fault sets; the hook
-    // only perturbs each trial's own row, so rows without a fault at a
-    // union root diff clean and collapse back to golden.
-    std::vector<graph::NodeId> roots;
-    for (const FaultSet& fs : row_faults)
-      for (const graph::NodeId id : fault_roots(batch_plan_->graph(), fs))
-        roots.push_back(id);
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-    out = exec_.run_from(*batch_plan_, batch_golden_[input_idx], roots,
-                         arena, hook);
-  } else {
-    out = exec_.run(*batch_plan_, batch_feeds_[input_idx], arena, hook);
-  }
+  // Each row's injections land in its own row, so rows without a fault at
+  // a shared root node stay golden there.
+  const tensor::Tensor out =
+      config_.partial_reexecution
+          ? exec_.run_from(*batch_plan_, batch_golden_[input_idx],
+                           make_injections(*batch_plan_, row_faults), arena)
+          : exec_.run(*batch_plan_, batch_feeds_[input_idx], arena,
+                      make_batched_injection_hook(*batch_plan_, row_faults));
   std::vector<tensor::Tensor> rows;
   rows.reserve(row_faults.size());
   const tensor::Shape& single = golden_[input_idx].output.shape();
@@ -324,12 +300,7 @@ std::vector<tensor::Tensor> TrialExecutor::run_trial_batch(
 
 TrialExecutor::PatchedConsts TrialExecutor::patch_consts(
     const FaultSet& applied) const {
-  PatchedConsts patch;
-  patch.overrides = make_const_overrides(plan_, applied);
-  patch.roots.reserve(patch.overrides.size());
-  for (const graph::ConstOverride& ov : patch.overrides)
-    patch.roots.push_back(ov.node);
-  return patch;
+  return {make_const_overrides(plan_, applied)};
 }
 
 tensor::Tensor TrialExecutor::run_weight_trial(
@@ -339,8 +310,8 @@ tensor::Tensor TrialExecutor::run_weight_trial(
     return golden_[input_idx].output;  // ECC corrected the sample
   graph::Arena& arena = arenas_[worker];
   return config_.partial_reexecution
-             ? exec_.run_from(plan_, golden_[input_idx].activations,
-                              patch.roots, arena, patch.overrides)
+             ? exec_.run_from(plan_, golden_[input_idx].activations, {},
+                              arena, patch.overrides)
              : exec_.run(plan_, (*inputs_)[input_idx], arena,
                          patch.overrides);
 }

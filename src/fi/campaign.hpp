@@ -226,12 +226,10 @@ class TrialExecutor {
 
   // --- Weight-fault trials (fault_class == kWeight) ---------------------
 
-  // One fault's patched parameter state: the corrupted const tensors and
-  // their injection-root node ids, built once per fault and reused across
-  // the whole input sweep.
+  // One fault's patched parameter state: the corrupted const tensors,
+  // built once per fault and reused across the whole input sweep.
   struct PatchedConsts {
     std::vector<graph::ConstOverride> overrides;
-    std::vector<graph::NodeId> roots;
   };
 
   // Resolves `applied` (the post-ECC fault set) against this executor's

@@ -2,34 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace rangerpp::fi {
 
-float apply_fault_value(tensor::DType dtype, float value,
-                        const FaultPoint& f) {
-  switch (f.action) {
-    case FaultAction::kFlip:
-      return tensor::dtype_flip_value(dtype, value, f.bit);
-    case FaultAction::kStuck0:
-      return tensor::dtype_write_bit_value(dtype, value, f.bit, false);
-    case FaultAction::kStuck1:
-      return tensor::dtype_write_bit_value(dtype, value, f.bit, true);
-  }
-  return value;
-}
-
 float apply_fault_value(const tensor::QScheme& scheme, float value,
                         const FaultPoint& f) {
-  switch (f.action) {
-    case FaultAction::kFlip:
-      return tensor::q_flip_value(scheme, value, f.bit);
-    case FaultAction::kStuck0:
-      return tensor::q_write_bit_value(scheme, value, f.bit, false);
-    case FaultAction::kStuck1:
-      return tensor::q_write_bit_value(scheme, value, f.bit, true);
-  }
-  return value;
+  return tensor::q_apply_bit(scheme, value, f.bit, f.action);
 }
 
 SiteSpace::SiteSpace(const graph::Graph& g, tensor::DType dtype)
@@ -94,57 +72,9 @@ std::size_t SiteSpace::site_index(const std::string& node_name) const {
   return SIZE_MAX;
 }
 
-graph::PostOpHook make_injection_hook(const graph::Graph& g,
-                                      tensor::DType dtype,
-                                      const FaultSet& faults) {
-  // Resolve names to node ids once; group fault points per node.
-  auto by_node = std::make_shared<
-      std::unordered_map<graph::NodeId, std::vector<FaultPoint>>>();
-  for (const FaultPoint& f : faults) {
-    const graph::NodeId id = g.find(f.node_name);
-    if (id == graph::kInvalidNode) continue;
-    (*by_node)[id].push_back(f);
-  }
-  return [by_node, dtype](const graph::Node& node, tensor::Tensor& out) {
-    const auto it = by_node->find(node.id);
-    if (it == by_node->end()) return;
-    for (const FaultPoint& f : it->second) {
-      if (f.element >= out.elements()) continue;  // defensive; cannot happen
-      out.set(f.element, apply_fault_value(dtype, out.at(f.element), f));
-    }
-  };
-}
-
-graph::PostOpHook make_injection_hook(const graph::ExecutionPlan& plan,
-                                      const FaultSet& faults) {
-  auto by_node = std::make_shared<
-      std::unordered_map<graph::NodeId, std::vector<FaultPoint>>>();
-  for (const FaultPoint& f : faults) {
-    const graph::NodeId id = plan.graph().find(f.node_name);
-    if (id == graph::kInvalidNode) continue;
-    (*by_node)[id].push_back(f);
-  }
-  const graph::ExecutionPlan* p = &plan;
-  return [by_node, p](const graph::Node& node, tensor::Tensor& out) {
-    const auto it = by_node->find(node.id);
-    if (it == by_node->end()) return;
-    const tensor::QScheme& scheme = p->qscheme(node.id);
-    for (const FaultPoint& f : it->second) {
-      if (f.element >= out.elements()) continue;  // defensive; cannot happen
-      out.set(f.element, apply_fault_value(scheme, out.at(f.element), f));
-    }
-  };
-}
-
-graph::PostOpHook make_batched_injection_hook(
+std::vector<graph::Injection> make_injections(
     const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults) {
-  struct BatchedFault {
-    std::size_t element;  // already offset into the batch row
-    int bit;
-    FaultAction action;
-  };
-  auto by_node = std::make_shared<
-      std::unordered_map<graph::NodeId, std::vector<BatchedFault>>>();
+  std::vector<graph::Injection> out;
   const graph::Graph& g = plan.graph();
   for (std::size_t b = 0; b < row_faults.size(); ++b) {
     for (const FaultPoint& f : row_faults[b]) {
@@ -152,22 +82,52 @@ graph::PostOpHook make_batched_injection_hook(
       if (id == graph::kInvalidNode) continue;
       const std::size_t per = plan.per_image_elements(id);
       if (f.element >= per) continue;  // defensive; cannot happen
-      (*by_node)[id].push_back(
-          BatchedFault{b * per + f.element, f.bit, f.action});
+      out.push_back({id, b * per + f.element, f.bit, f.action});
     }
   }
-  const graph::ExecutionPlan* p = &plan;
-  return [by_node, p](const graph::Node& node, tensor::Tensor& out) {
-    const auto it = by_node->find(node.id);
-    if (it == by_node->end()) return;
-    const tensor::QScheme& scheme = p->qscheme(node.id);
-    for (const BatchedFault& f : it->second) {
-      if (f.element >= out.elements()) continue;
-      out.set(f.element,
-              apply_fault_value(scheme, out.at(f.element),
-                                FaultPoint{"", f.element, f.bit, f.action}));
-    }
+  return out;
+}
+
+std::vector<graph::Injection> make_injections(
+    const graph::ExecutionPlan& plan, const FaultSet& faults) {
+  return make_injections(plan, std::span<const FaultSet>(&faults, 1));
+}
+
+namespace {
+
+graph::PostOpHook hook_of(std::vector<graph::Injection> injections,
+                          const graph::ExecutionPlan* plan,
+                          tensor::DType dtype) {
+  return [injections = std::move(injections), plan, dtype](
+             const graph::Node& node, tensor::Tensor& out) {
+    graph::inject(injections, node.id,
+                  plan ? plan->qscheme(node.id) : tensor::QScheme(dtype),
+                  out);
   };
+}
+
+}  // namespace
+
+graph::PostOpHook make_injection_hook(const graph::Graph& g,
+                                      tensor::DType dtype,
+                                      const FaultSet& faults) {
+  std::vector<graph::Injection> injections;
+  for (const FaultPoint& f : faults) {
+    const graph::NodeId id = g.find(f.node_name);
+    if (id != graph::kInvalidNode)
+      injections.push_back({id, f.element, f.bit, f.action});
+  }
+  return hook_of(std::move(injections), nullptr, dtype);
+}
+
+graph::PostOpHook make_injection_hook(const graph::ExecutionPlan& plan,
+                                      const FaultSet& faults) {
+  return hook_of(make_injections(plan, faults), &plan, plan.dtype());
+}
+
+graph::PostOpHook make_batched_injection_hook(
+    const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults) {
+  return hook_of(make_injections(plan, row_faults), &plan, plan.dtype());
 }
 
 }  // namespace rangerpp::fi

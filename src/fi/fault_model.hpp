@@ -22,11 +22,10 @@
 
 namespace rangerpp::fi {
 
-// How a fault point perturbs its target bit.  kFlip is the transient
-// datapath model (XOR); the stuck-at actions model a failed parameter-
-// memory cell that reads a fixed level — forcing a bit to its stored
-// value is a no-op, which is exactly the physical behaviour.
-enum class FaultAction : std::uint8_t { kFlip, kStuck0, kStuck1 };
+// How a fault point perturbs its target bit (tensor::BitAction): a flip
+// for transient datapath faults, stuck-at-0/1 for failed parameter-memory
+// cells.
+using FaultAction = tensor::BitAction;
 
 // One bit fault at one element of one node's output (an operator output
 // under the activation fault class, a Const tensor under the weight
@@ -40,15 +39,11 @@ struct FaultPoint {
   FaultAction action = FaultAction::kFlip;
 };
 
-// Applies one fault point's bit action to a value through the datatype
-// codec (the value is encoded, the bit flipped/forced, and the result
-// decoded — so the output is always representable).
-float apply_fault_value(tensor::DType dtype, float value,
-                        const FaultPoint& f);
-
-// Scheme-aware variant: corrupts through the node's quantisation scheme
-// (identical to the dtype overload for canonical schemes; under int8 the
-// bit space is the node's calibrated per-tensor format).
+// Applies one fault point's bit action to a value through the node's
+// quantisation scheme (the value is encoded, the bit flipped/forced, and
+// the result decoded — so the output is always representable).  A bare
+// DType converts to its canonical scheme; under int8 the bit space is the
+// node's calibrated per-tensor format.
 float apply_fault_value(const tensor::QScheme& scheme, float value,
                         const FaultPoint& f);
 
@@ -100,29 +95,39 @@ class SiteSpace {
   int dtype_bits_ = 32;
 };
 
-// Builds an executor hook that applies `faults` (resolved against `g` by
-// node name) by flipping bits of the datatype representation.  Fault
-// points naming nodes absent from the graph are ignored (they cannot occur
-// when the SiteSpace came from the same graph; during cross-graph replay
-// every original node name still exists by construction).
+// The injections one run of `plan` applies (Executor::run_from takes
+// them): `row_faults[b]` is the fault set of the trial riding in batch row
+// b (row_faults.size() <= plan.batch(); one row at batch 1).  Each fault's
+// single-image element index is offset into its row of the batched output
+// (per-image element counts come from `plan`), so row b reproduces trial
+// b's single-image injection bit-identically and rows stay independent.
+// Fault points naming nodes absent from the plan's graph, or elements past
+// a row, are skipped (they cannot occur when the SiteSpace came from the
+// same graph; during cross-graph replay every original node name still
+// exists by construction).
+std::vector<graph::Injection> make_injections(
+    const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults);
+std::vector<graph::Injection> make_injections(
+    const graph::ExecutionPlan& plan, const FaultSet& faults);
+
+// Builds a full-run hook that applies `faults` (resolved against `g` by
+// node name) by flipping bits of the datatype representation — the
+// reference path of the injections above.  Unknown names are ignored, as
+// make_injections skips them.
 graph::PostOpHook make_injection_hook(const graph::Graph& g,
                                       tensor::DType dtype,
                                       const FaultSet& faults);
 
-// Plan-aware variant: corrupts each node through plan.qscheme(id), which
-// is what an int8 plan's per-tensor calibration requires (identical to
-// the graph overload for canonical dtypes).  The plan must outlive the
-// returned hook.
+// Plan-aware variant: applies make_injections(plan, faults), corrupting
+// each node through plan.qscheme(id), which is what an int8 plan's
+// per-tensor calibration requires (identical to the graph overload for
+// canonical dtypes).  The plan must outlive the returned hook.
 graph::PostOpHook make_injection_hook(const graph::ExecutionPlan& plan,
                                       const FaultSet& faults);
 
-// Batched-trial variant: `row_faults[b]` is the fault set of the trial
-// riding in batch row b of a plan compiled with batch == row_faults.size().
-// Each fault's single-image element index is offset into its row of the
-// batched output (per-image element counts come from `plan`), so row b of
-// the batched run reproduces trial b's single-image injection
-// bit-identically and rows stay independent.  Corrupts through
-// plan.qscheme(id); the plan must outlive the returned hook.
+// Batched-trial variant: applies make_injections(plan, row_faults) on a
+// plan compiled with batch == row_faults.size().  The plan must outlive
+// the returned hook.
 graph::PostOpHook make_batched_injection_hook(
     const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults);
 

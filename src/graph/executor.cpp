@@ -67,14 +67,55 @@ void diff_against_golden(const tensor::Tensor& value,
   }
 }
 
+// Applies a root's injections to its change set on the sparse tier (the
+// node's output is still golden): each reads the element's current value
+// — changed, else golden — applies its bit action and keeps the result in
+// index order; an element a later action restored to golden (two flips
+// of one bit, a stuck-at matching the stored bit) leaves the set.  No
+// tensor is touched.
+void inject_sparse(std::span<const Injection> injections, NodeId node,
+                   const tensor::QScheme& scheme, const tensor::Tensor& golden,
+                   ChangeSet& ch) {
+  const std::span<const float> gv = golden.values();
+  for (const Injection& x : injections) {
+    if (x.node != node) continue;
+    const auto it = std::lower_bound(ch.idx.begin(), ch.idx.end(), x.element);
+    const auto j = it - ch.idx.begin();
+    if (it == ch.idx.end() || *it != x.element) {
+      ch.idx.insert(it, x.element);
+      ch.val.insert(ch.val.begin() + j, gv[x.element]);
+    }
+    float& v = ch.val[static_cast<std::size_t>(j)];
+    v = tensor::q_apply_bit(scheme, v, x.bit, x.action);
+  }
+  std::size_t kept = 0;
+  for (std::size_t j = 0; j < ch.idx.size(); ++j) {
+    if (std::bit_cast<std::uint32_t>(ch.val[j]) ==
+        std::bit_cast<std::uint32_t>(gv[ch.idx[j]]))
+      continue;
+    ch.idx[kept] = ch.idx[j];
+    ch.val[kept++] = ch.val[j];
+  }
+  ch.idx.resize(kept);
+  ch.val.resize(kept);
+}
+
 }  // namespace
+
+void inject(std::span<const Injection> injections, NodeId node,
+            const tensor::QScheme& scheme, tensor::Tensor& value) {
+  for (const Injection& x : injections)
+    if (x.node == node && x.element < value.elements())
+      value.set(x.element, tensor::q_apply_bit(scheme, value.at(x.element),
+                                               x.bit, x.action));
+}
 
 tensor::Tensor Executor::execute(
     const ExecutionPlan& plan,
     const std::unordered_map<std::string, tensor::Tensor>& feeds,
     Arena& arena, const PostOpHook& hook,
     const std::vector<tensor::Tensor>* golden,
-    std::span<const NodeId> roots,
+    std::span<const Injection> injections,
     std::span<const ConstOverride> overrides) const {
   for (const ConstOverride& ov : overrides) {
     if (!plan.is_const(ov.node))
@@ -100,24 +141,27 @@ tensor::Tensor Executor::execute(
         "Executor::run_from: plan was compiled with MemoryMode::kArena, "
         "which drops the activations partial re-execution reuses; compile "
         "with MemoryMode::kRetainAll");
-  // Overridden Consts are injection roots of the partial run: their cones
-  // must be marked dirty even when the caller only listed op-node roots.
-  std::vector<NodeId> roots_with_consts;
-  if (partial && !overrides.empty()) {
-    roots_with_consts.assign(roots.begin(), roots.end());
-    for (const ConstOverride& ov : overrides)
-      roots_with_consts.push_back(ov.node);
-    roots = roots_with_consts;
-  }
+  // outputs() materialises whatever change sets a run leaves valued.
+  for (ChangeSet& c : arena.change_) c.reset();
   if (partial) {
     if (golden->size() != plan.size())
       throw std::invalid_argument(
           "Executor::run_from: golden activations do not match plan");
-    plan.mark_dirty(roots, arena.dirty_);
+    // The injected nodes and the overridden Consts are the roots.
+    std::vector<NodeId>& roots = arena.root_ids_;
+    roots.clear();
+    for (const Injection& x : injections) roots.push_back(x.node);
+    for (const ConstOverride& ov : overrides) roots.push_back(ov.node);
+    plan.mark_dirty(roots, arena.dirty_);  // throws on an invalid id
+    for (const Injection& x : injections)
+      if (x.element >=
+          plan.shapes()[static_cast<std::size_t>(x.node)].elements())
+        throw std::out_of_range(
+            "Executor::run_from: injection element past the output of '" +
+            g.node(x.node).name + "'");
     std::fill(arena.roots_.begin(), arena.roots_.end(), false);
     for (const NodeId r : roots)
       arena.roots_[static_cast<std::size_t>(r)] = true;
-    for (ChangeSet& c : arena.change_) c.reset();
   }
   // The element-sparse incremental kernels mirror the *scalar*
   // accumulation order.  Under an AVX2 simd plan the dense GEMM
@@ -136,6 +180,7 @@ tensor::Tensor Executor::execute(
   // of these values (pure-observer contract).
   util::trace::Span span(partial ? "exec.run_from" : "exec.run");
   std::size_t t_kernels = 0, t_pruned = 0, t_sparse = 0, t_elements = 0;
+  std::size_t t_materialized = 0;
   std::size_t t_feed_hits = 0, t_feed_builds = 0;
 
   for (const Node& n : g.nodes()) {
@@ -149,9 +194,9 @@ tensor::Tensor Executor::execute(
       //     was masked upstream by a ReLU, pool or clamp);
       //  3. element-sparse — a node whose inputs changed in few elements
       //     recomputes only the affected output patch (incremental.hpp),
-      //     bit-identically mirroring the dense kernels.  Injection roots
-      //     take this tier too: the hook then perturbs the sparse result,
-      //     which is the value a dense recompute would have handed it.
+      //     bit-identically mirroring the dense kernels, and keeps golden
+      //     plus a valued change set.  Injection roots take this tier
+      //     too: their injections act on the change set.
       if (plan.is_const(n.id)) {
         // An overridden Const is a root: its change set (override vs the
         // pre-quantized golden tensor) seeds downstream recomputation.
@@ -185,50 +230,53 @@ tensor::Tensor Executor::execute(
         continue;
       }
       ChangeSet& ch = arena.change_[i];
-      if (is_root && !inputs_changed) {
-        // The recomputed value would equal golden bit-for-bit; only the
-        // hook's injection perturbs it.  Copy-on-write protects the
-        // shared golden storage from the hook's mutation.
-        tensor::Tensor value = (*golden)[i];
-        if (hook) hook(n, value);
-        diff_against_golden(value, (*golden)[i], ch);
-        out[i] = ch.clean() ? (*golden)[i] : std::move(value);
-        continue;
-      }
+      const tensor::Tensor& gold = (*golden)[i];
+      const tensor::QScheme& scheme = plan.qscheme(n.id);
       auto& scratch = arena.input_scratch_;
-      scratch.clear();
-      scratch.reserve(n.inputs.size());
-      auto& in_changes = arena.change_ptrs_;
-      in_changes.clear();
-      for (const NodeId in : n.inputs) {
-        scratch.push_back(out[static_cast<std::size_t>(in)]);
-        in_changes.push_back(&arena.change_[static_cast<std::size_t>(in)]);
+      // A root whose inputs are golden recomputes to golden bit-for-bit:
+      // its injections alone make its change set.
+      bool sparse = !inputs_changed;
+      if (inputs_changed) {
+        scratch.clear();
+        auto& in_changes = arena.change_ptrs_;
+        in_changes.clear();
+        for (const NodeId in : n.inputs) {
+          scratch.push_back(out[static_cast<std::size_t>(in)]);
+          in_changes.push_back(&arena.change_[static_cast<std::size_t>(in)]);
+        }
+        sparse = element_sparse &&
+                 incremental_recompute(*n.op, scheme, scratch, in_changes,
+                                       gold, ch);
+        if (sparse) {
+          ++t_sparse;
+          t_elements += ch.idx.size();
+        }
       }
-      // Hooks fire at injection roots only: sites outside the roots are
-      // not observed in a partial run (see run_from's contract).  A root
-      // the sparse tier handled gets the hook on the sparse result; its
-      // flips may land anywhere, so the change set is rebuilt by a diff
-      // (copy-on-write keeps the shared golden storage intact).
-      tensor::Tensor value;
-      if (element_sparse &&
-          incremental_recompute(*n.op, plan.qscheme(n.id), scratch,
-                                in_changes, (*golden)[i], value, ch)) {
-        ++t_sparse;
-        t_elements += ch.idx.size();
-        if (is_root && hook) {
-          hook(n, value);
-          ch.reset();
-          diff_against_golden(value, (*golden)[i], ch);
-        } else if (2 * ch.idx.size() >= (*golden)[i].elements()) {
+      if (sparse) {
+        out[i] = gold;
+        if (is_root) inject_sparse(injections, n.id, scheme, gold, ch);
+        // Past the tier thresholds (a root keeps the dense diff's cap) the
+        // change tracks as dense, and dense needs the full tensor.
+        const std::size_t elems = gold.elements();
+        if (is_root ? ch.idx.size() > elems / 2
+                    : 2 * ch.idx.size() >= elems) {
+          t_materialized += materialize(out[i], ch);
           ch.mark_dense();
         }
-      } else {
-        value = compute_node(plan, n, scratch);
-        ++t_kernels;
-        if (is_root && hook) hook(n, value);
-        diff_against_golden(value, (*golden)[i], ch);
+        continue;
       }
-      out[i] = ch.clean() ? (*golden)[i] : std::move(value);
+      // Dense recompute: valued inputs become full tensors first.
+      for (std::size_t k = 0; k < n.inputs.size(); ++k) {
+        const auto in = static_cast<std::size_t>(n.inputs[k]);
+        if (arena.change_[in].valued())
+          t_materialized += materialize(out[in], arena.change_[in]);
+        scratch[k] = out[in];
+      }
+      tensor::Tensor value = compute_node(plan, n, scratch);
+      ++t_kernels;
+      if (is_root) inject(injections, n.id, scheme, value);
+      diff_against_golden(value, gold, ch);
+      out[i] = ch.clean() ? gold : std::move(value);
       continue;
     }
     if (plan.is_input(n.id)) {
@@ -285,6 +333,11 @@ tensor::Tensor Executor::execute(
         out[static_cast<std::size_t>(dead)] = tensor::Tensor{};
   }
 
+  // The returned output is always a full tensor.
+  const auto o = static_cast<std::size_t>(g.output());
+  if (partial && arena.change_[o].valued())
+    t_materialized += materialize(out[o], arena.change_[o]);
+
   span.arg("kernels", t_kernels);
   if (partial) {
     span.arg("nodes_pruned", t_pruned);
@@ -300,32 +353,19 @@ tensor::Tensor Executor::execute(
     if (t_pruned) m::counter_add("exec.nodes_pruned", t_pruned);
     if (t_sparse) m::counter_add("exec.sparse_nodes", t_sparse);
     if (t_elements) m::counter_add("exec.elements_touched", t_elements);
+    if (t_materialized)
+      m::counter_add("exec.materialized_elements", t_materialized);
     if (t_feed_hits) m::counter_add("cache.feed.hit", t_feed_hits);
     if (t_feed_builds) m::counter_add("cache.feed.build", t_feed_builds);
   }
-  return out[static_cast<std::size_t>(g.output())];
+  return out[o];
 }
 
 tensor::Tensor Executor::run(
     const ExecutionPlan& plan,
     const std::unordered_map<std::string, tensor::Tensor>& feeds,
     Arena& arena, const PostOpHook& hook) const {
-  return execute(plan, feeds, arena, hook, nullptr, {});
-}
-
-tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
-                                  const std::vector<tensor::Tensor>& golden,
-                                  std::span<const NodeId> roots, Arena& arena,
-                                  const PostOpHook& hook) const {
-  return execute(plan, {}, arena, hook, &golden, roots);
-}
-
-tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
-                                  const std::vector<tensor::Tensor>& golden,
-                                  NodeId start, Arena& arena,
-                                  const PostOpHook& hook) const {
-  const NodeId roots[] = {start};
-  return execute(plan, {}, arena, hook, &golden, roots);
+  return execute(plan, feeds, arena, hook, nullptr, {}, {});
 }
 
 tensor::Tensor Executor::run(
@@ -338,10 +378,11 @@ tensor::Tensor Executor::run(
 
 tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
                                   const std::vector<tensor::Tensor>& golden,
-                                  std::span<const NodeId> roots, Arena& arena,
-                                  std::span<const ConstOverride> overrides,
-                                  const PostOpHook& hook) const {
-  return execute(plan, {}, arena, hook, &golden, roots, overrides);
+                                  std::span<const Injection> injections,
+                                  Arena& arena,
+                                  std::span<const ConstOverride> overrides)
+    const {
+  return execute(plan, {}, arena, nullptr, &golden, injections, overrides);
 }
 
 int argmax(const tensor::Tensor& t) {

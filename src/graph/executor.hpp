@@ -5,17 +5,18 @@
 //  * every operator output is quantised through the active inference
 //    datatype codec (float32 / fixed32 / fixed16), so stored values are
 //    exactly representable and bit flips act on the true representation;
-//  * a post-op hook observes (and may corrupt) each node's output tensor —
-//    the fault injector, the range profiler and the detection baselines all
-//    attach here.
+//  * on a full run, a post-op hook observes (and may corrupt) each node's
+//    output tensor — the reference fault injector, the range profiler and
+//    the detection baselines all attach here.
 //
 // Execution is plan-based: a graph is compiled once into an ExecutionPlan
 // (see plan.hpp) and then run any number of times through a reusable Arena.
-// `run_from` resumes from cached golden activations and recomputes only the
-// downstream cone of the injected node(s) — the partial re-execution that
-// makes fault-injection campaigns cheap.  A one-shot caller compiles its
-// graph with Observe::kAll (graph/passes.hpp), so every node's output stays
-// in arena.outputs() and every hook fires as on the source graph.
+// `run_from` resumes from cached golden activations, applies the trial's
+// injections itself and recomputes only the downstream cone of the
+// injected node(s) — the partial re-execution that makes fault-injection
+// campaigns cheap.  A one-shot caller compiles its graph with
+// Observe::kAll (graph/passes.hpp), so every node's output stays in
+// arena.outputs() and every hook fires as on the source graph.
 #pragma once
 
 #include <functional>
@@ -29,13 +30,22 @@
 
 namespace rangerpp::graph {
 
-// Called after a node's output is computed and quantised.  May mutate the
+// Called by a full run after each op node's output is computed and
+// quantised (partial runs take injections instead).  May mutate the
 // tensor in place (mutations are re-quantised by the caller via the hook
 // contract: hooks that write values are expected to write representable
 // values — the fault injector flips bits of the encoded representation, so
 // this holds by construction).
 using PostOpHook =
     std::function<void(const Node& node, tensor::Tensor& output)>;
+
+// Applies the injections aimed at `node`, in list order, to its full
+// output tensor under `scheme` (tensor::q_apply_bit); elements past the
+// tensor are skipped.  The injection hooks of the reference path
+// (fi::make_injection_hook) and run_from's dense tier both inject through
+// this.
+void inject(std::span<const Injection> injections, NodeId node,
+            const tensor::QScheme& scheme, tensor::Tensor& value);
 
 // Stateless: the plan carries the dtype, backend and batch size.
 class Executor {
@@ -51,32 +61,6 @@ class Executor {
                          feeds,
                      Arena& arena, const PostOpHook& hook = nullptr) const;
 
-  // Partial re-execution from cached golden activations: recomputes only
-  // the nodes reachable from `roots` (the fault-injection sites) and
-  // copies the golden prefix for everything else.  Within the reachable
-  // cone two further prunings apply: a node whose inputs came out
-  // bit-identical to the golden run collapses back to golden (the fault
-  // was masked by a ReLU, pool or clamp), and a node whose inputs changed
-  // in only a few elements recomputes just the affected patch via the
-  // element-sparse kernels of incremental.hpp.  `golden` must be the
-  // arena.outputs() snapshot of a fault-free run of the same plan with the
-  // same feeds.  The hook fires only at the injection roots; provided the
-  // hook mutates nothing but the roots' outputs (true for injection hooks
-  // whose fault sites are the roots), the result is bit-identical to a
-  // full run with the same hook.
-  tensor::Tensor run_from(const ExecutionPlan& plan,
-                          const std::vector<tensor::Tensor>& golden,
-                          std::span<const NodeId> roots, Arena& arena,
-                          const PostOpHook& hook = nullptr) const;
-
-  // Single-site convenience overload.
-  tensor::Tensor run_from(const ExecutionPlan& plan,
-                          const std::vector<tensor::Tensor>& golden,
-                          NodeId start, Arena& arena,
-                          const PostOpHook& hook = nullptr) const;
-
-  // --- Const-override execution (persistent parameter faults) -----------
-
   // As the plan-based `run`, with `overrides` replacing the named Const
   // nodes' pre-quantized outputs for this run only (the plan is not
   // touched).  Override values must match the const's element count and
@@ -87,21 +71,36 @@ class Executor {
                      Arena& arena, std::span<const ConstOverride> overrides,
                      const PostOpHook& hook = nullptr) const;
 
-  // Partial re-execution under const overrides: each overridden Const is
-  // treated as an injection root — its element-level change set (override
-  // vs golden) seeds the same dynamic-masking / element-sparse pruning an
-  // activation fault gets, so only the const's downstream-reachability
-  // cone recomputes and a no-op override (e.g. a stuck-at cell whose bit
-  // already held the stuck value) collapses back to golden outright.
-  // Overridden Const ids are added to `roots` automatically; `golden`
-  // must come from a fault-free run (its const slots equal the plan's
-  // pre-quantized tensors).  Bit-identical to a full `run` with the same
-  // overrides.
+  // Partial re-execution from cached golden activations: applies
+  // `injections` (a trial's transient faults: node, element, bit, action)
+  // after their nodes compute, and recomputes only the nodes reachable
+  // from the injected nodes and from the overridden Consts — copying the
+  // golden prefix for everything else.  Within the reachable cone two
+  // further prunings apply: a node whose inputs came out bit-identical to
+  // the golden run collapses back to golden (the fault was masked by a
+  // ReLU, pool or clamp), and a node whose inputs changed in only a few
+  // elements recomputes just the affected patch via the element-sparse
+  // kernels of incremental.hpp.  There the injections act on the node's
+  // change set, so no tensor is copied or diffed to apply them; the run
+  // costs time in proportion to the elements that changed, and builds a
+  // full tensor only where one is needed (a dense recompute, the returned
+  // output, Arena::outputs()).
+  //
+  // Each overridden Const (a persistent parameter fault) is a root too:
+  // its element-level change set (override vs golden) seeds the same
+  // pruning, and a no-op override collapses back to golden outright.
+  //
+  // `golden` must be the arena.outputs() snapshot of a fault-free run of
+  // the same plan with the same feeds.  Since the executor applies the
+  // injections and nothing else can perturb a node, the result is
+  // bit-identical to a full `run` with fi::make_injection_hook's hook for
+  // the same faults and the same overrides.  Injections on Input and Const
+  // nodes do nothing (a full run's hook never fires there); an injection
+  // element past its node's output throws std::out_of_range.
   tensor::Tensor run_from(const ExecutionPlan& plan,
                           const std::vector<tensor::Tensor>& golden,
-                          std::span<const NodeId> roots, Arena& arena,
-                          std::span<const ConstOverride> overrides,
-                          const PostOpHook& hook = nullptr) const;
+                          std::span<const Injection> injections, Arena& arena,
+                          std::span<const ConstOverride> overrides = {}) const;
 
  private:
   tensor::Tensor execute(const ExecutionPlan& plan,
@@ -109,8 +108,8 @@ class Executor {
                                                   tensor::Tensor>& feeds,
                          Arena& arena, const PostOpHook& hook,
                          const std::vector<tensor::Tensor>* golden,
-                         std::span<const NodeId> roots,
-                         std::span<const ConstOverride> overrides = {}) const;
+                         std::span<const Injection> injections,
+                         std::span<const ConstOverride> overrides) const;
 };
 
 // Argmax over the output tensor — predicted class id for classifiers.

@@ -19,19 +19,95 @@ namespace {
 
 using tensor::Tensor;
 
-// Stores `value` (already quantised) at `i` when it differs bitwise from
-// the golden element; copy-on-write keeps the shared golden storage
-// intact.  Bitwise comparison matches the executor's dense diff (memcmp):
-// NaN-safe and sensitive to -0.0f, so sparse and dense paths agree on what
-// counts as "changed".
-void store_if_changed(Tensor& out, const Tensor& golden, std::size_t i,
-                      float value, ChangeSet& ch) {
-  if (std::bit_cast<std::uint32_t>(value) !=
-      std::bit_cast<std::uint32_t>(golden.at(i))) {
-    out.set(i, value);
-    ch.idx.push_back(i);
-  }
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
 }
+
+// Records output element `i`'s recomputed (already quantised) value when
+// it differs bitwise from golden.  Bitwise comparison matches the
+// executor's dense diff (memcmp): NaN-safe and sensitive to -0.0f, so
+// sparse and dense paths agree on what counts as "changed".
+void record(const float* golden, std::size_t i, float value, ChangeSet& ch) {
+  if (same_bits(value, golden[i])) return;
+  ch.idx.push_back(i);
+  ch.val.push_back(value);
+}
+
+// One input of a sparse kernel: its tensor's values (golden when the
+// change set is valued, the full value when it is index-only) and its
+// change set.
+struct In {
+  In(const Tensor& t, const ChangeSet& c) : base(t.values().data()), ch(c) {}
+  // The value of the j-th changed element, ch.idx[j].
+  float changed(std::size_t j) const {
+    return ch.valued() ? ch.val[j] : base[ch.idx[j]];
+  }
+  const float* base;
+  const ChangeSet& ch;
+};
+
+// Random access to an input for the window kernels (conv, pool, LRN),
+// viewed as rows of `row_len` contiguous values (an NHWC pixel's
+// channels): the calling thread's scatter of a valued change set, with a
+// stamp per element and per row, both set per bind so binding costs
+// O(changed) and a read costs a stamp compare or two.  A row without a
+// change reads the tensor directly, as does an index-only input.  Binding
+// invalidates the thread's previous reader.
+class WindowReader {
+ public:
+  WindowReader(const In& in, std::size_t elements, std::size_t row_len)
+      : base_(in.base), row_len_(row_len) {
+    if (!in.ch.valued()) return;
+    thread_local Scatter scatter;
+    const std::size_t rows = elements / row_len;
+    if (scatter.slots.size() < elements) scatter.slots.resize(elements);
+    if (scatter.rows.size() < rows) scatter.rows.resize(rows);
+    if (++scatter.stamp == 0) {  // wrapped: retire every old stamp
+      for (Slot& slot : scatter.slots) slot.stamp = 0;
+      std::fill(scatter.rows.begin(), scatter.rows.end(), 0u);
+      scatter.stamp = 1;
+    }
+    stamp_ = scatter.stamp;
+    slots_ = scatter.slots.data();
+    rows_ = scatter.rows.data();
+    for (std::size_t j = 0; j < in.ch.idx.size(); ++j) {
+      const std::size_t i = in.ch.idx[j];
+      scatter.slots[i] = {stamp_, in.ch.val[j]};
+      scatter.rows[i / row_len] = stamp_;
+    }
+  }
+  // Element k of row r.
+  float at(std::size_t r, std::size_t k) const {
+    const std::size_t i = r * row_len_ + k;
+    return rows_ && rows_[r] == stamp_ && slots_[i].stamp == stamp_
+               ? slots_[i].value
+               : base_[i];
+  }
+  // Row r: the tensor's own memory unless the row holds a change, then
+  // gathered into `tmp` (row_len values).
+  const float* row(std::size_t r, float* tmp) const {
+    const float* src = base_ + r * row_len_;
+    if (!rows_ || rows_[r] != stamp_) return src;
+    for (std::size_t k = 0; k < row_len_; ++k) tmp[k] = at(r, k);
+    return tmp;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t stamp = 0;
+    float value = 0.0f;
+  };
+  struct Scatter {
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> rows;
+    std::uint32_t stamp = 0;
+  };
+  const float* base_;
+  std::size_t row_len_;
+  const Slot* slots_ = nullptr;
+  const std::uint32_t* rows_ = nullptr;
+  std::uint32_t stamp_ = 0;
+};
 
 // Output coordinates `o` (along one spatial axis) whose window
 // [o*stride - pad, o*stride - pad + k) covers source coordinate `s`;
@@ -49,8 +125,8 @@ AxisRange affected_axis(int s, int k, int stride, int pad, int out_dim) {
 }
 
 bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
-                 const Tensor& x, const Tensor& f, const ChangeSet& cx,
-                 const Tensor& golden, Tensor& out, ChangeSet& ch) {
+                 const Tensor& x, const Tensor& f, const In& in,
+                 const Tensor& golden, ChangeSet& ch) {
   const tensor::Shape& os = golden.shape();
   const tensor::Shape& xs = x.shape();
   const tensor::Shape& fs = f.shape();
@@ -72,7 +148,7 @@ bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
   // channels at each position: the filter couples every input channel to
   // every output channel).
   std::vector<std::size_t> pos;
-  for (const std::size_t idx : cx.idx) {
+  for (const std::size_t idx : in.ch.idx) {
     const std::size_t spatial = idx / static_cast<std::size_t>(ic);
     const int sx = static_cast<int>(spatial % static_cast<std::size_t>(iw));
     const int sy = static_cast<int>((spatial / static_cast<std::size_t>(iw)) %
@@ -91,12 +167,13 @@ bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
   const std::size_t total_pos = golden.elements() / static_cast<std::size_t>(oc);
   if (2 * pos.size() >= total_pos) return false;  // dense is cheaper
 
-  out = golden;  // shared; copy-on-write on first actual difference
-  std::span<const float> xv = x.values();
-  std::span<const float> fv = f.values();
+  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(ic));
+  const float* fv = f.values().data();
+  const float* gv = golden.values().data();
   // Identical accumulation structure (and therefore rounding) to
   // Conv2DOp::compute for each recomputed position.
   std::vector<float> acc(static_cast<std::size_t>(oc));
+  std::vector<float> pixel(static_cast<std::size_t>(ic));
   for (const std::size_t pcode : pos) {
     const int ox = static_cast<int>(pcode % static_cast<std::size_t>(ow));
     const int oy = static_cast<int>((pcode / static_cast<std::size_t>(ow)) %
@@ -113,10 +190,11 @@ bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
         const int sx = base_x + kx;
         if (sx < 0 || sx >= iw) continue;
         const float* xp =
-            &xv[((static_cast<std::size_t>(n) * ih + sy) * iw + sx) * ic];
+            xr.row((static_cast<std::size_t>(n) * ih + sy) * iw + sx,
+                   pixel.data());
         const float* fp =
-            &fv[((static_cast<std::size_t>(ky) * kw + kx) * ic) *
-                static_cast<std::size_t>(oc)];
+            fv + ((static_cast<std::size_t>(ky) * kw + kx) * ic) *
+                     static_cast<std::size_t>(oc);
         for (int ci = 0; ci < ic; ++ci) {
           const float xval = xp[ci];
           const float* frow = fp + static_cast<std::size_t>(ci) * oc;
@@ -126,15 +204,15 @@ bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
     }
     const std::size_t base = pcode * static_cast<std::size_t>(oc);
     for (int co = 0; co < oc; ++co)
-      store_if_changed(out, golden, base + static_cast<std::size_t>(co),
-                       tensor::q_quantize(scheme, acc[co]), ch);
+      record(gv, base + static_cast<std::size_t>(co),
+             tensor::q_quantize(scheme, acc[co]), ch);
   }
   return true;
 }
 
-bool sparse_pool(const ops::PoolOpBase& op, bool is_max, const tensor::QScheme& scheme,
-                 const Tensor& x, const ChangeSet& cx, const Tensor& golden,
-                 Tensor& out, ChangeSet& ch) {
+bool sparse_pool(const ops::PoolOpBase& op, bool is_max,
+                 const tensor::QScheme& scheme, const Tensor& x, const In& in,
+                 const Tensor& golden, ChangeSet& ch) {
   const tensor::Shape& os = golden.shape();
   const tensor::Shape& xs = x.shape();
   const int ih = xs.h(), iw = xs.w(), c = xs.c();
@@ -150,7 +228,7 @@ bool sparse_pool(const ops::PoolOpBase& op, bool is_max, const tensor::QScheme& 
   }
 
   std::vector<std::size_t> cand;  // affected output element indices
-  for (const std::size_t idx : cx.idx) {
+  for (const std::size_t idx : in.ch.idx) {
     const int cc = static_cast<int>(idx % static_cast<std::size_t>(c));
     const std::size_t spatial = idx / static_cast<std::size_t>(c);
     const int sx = static_cast<int>(spatial % static_cast<std::size_t>(iw));
@@ -169,9 +247,8 @@ bool sparse_pool(const ops::PoolOpBase& op, bool is_max, const tensor::QScheme& 
   cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
   if (2 * cand.size() >= golden.elements()) return false;
 
-  out = golden;
-  std::vector<float> window;
-  window.reserve(static_cast<std::size_t>(p.window_h) * p.window_w);
+  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(c));
+  const float* gv = golden.values().data();
   for (const std::size_t oidx : cand) {
     const int cc = static_cast<int>(oidx % static_cast<std::size_t>(c));
     const std::size_t spatial = oidx / static_cast<std::size_t>(c);
@@ -180,123 +257,127 @@ bool sparse_pool(const ops::PoolOpBase& op, bool is_max, const tensor::QScheme& 
                                     static_cast<std::size_t>(oh));
     const int n = static_cast<int>(spatial / static_cast<std::size_t>(ow) /
                                    static_cast<std::size_t>(oh));
-    window.clear();
+    // The dense kernels' window order: the max starts at the first
+    // in-bounds element, the average sums from 0 and divides by the
+    // in-bounds count.
+    float acc = 0.0f;
+    int count = 0;
     for (int ky = 0; ky < p.window_h; ++ky) {
       const int sy = oy * p.stride_h - pad_top + ky;
       if (sy < 0 || sy >= ih) continue;
       for (int kx = 0; kx < p.window_w; ++kx) {
         const int sx = ox * p.stride_w - pad_left + kx;
         if (sx < 0 || sx >= iw) continue;
-        window.push_back(x.at4(n, sy, sx, cc));
+        const float w =
+            xr.at((static_cast<std::size_t>(n) * ih + sy) * iw + sx,
+                  static_cast<std::size_t>(cc));
+        if (!is_max) acc += w;
+        else acc = count == 0 ? w : std::max(acc, w);
+        ++count;
       }
     }
-    float v = 0.0f;
-    if (!window.empty()) {
-      if (is_max) {
-        v = window[0];
-        for (const float w : window) v = std::max(v, w);
-      } else {
-        float s = 0.0f;
-        for (const float w : window) s += w;
-        v = s / static_cast<float>(window.size());
-      }
-    }
-    store_if_changed(out, golden, oidx, tensor::q_quantize(scheme, v), ch);
+    const float v =
+        is_max || count == 0 ? acc : acc / static_cast<float>(count);
+    record(gv, oidx, tensor::q_quantize(scheme, v), ch);
   }
   return true;
 }
 
 // Gather the changed elements of value-only elementwise ops into a tiny
-// tensor, run the op's own compute on it, and scatter the results back.
-// Sound because the Unary/BinaryElementwiseOp contract is a per-element
-// function of values alone (index-dependent ops such as the random-
-// replacement restriction policy do not derive these bases and take the
-// dense path).
-bool sparse_unary(const ops::UnaryElementwiseOp& op, const tensor::QScheme& scheme,
-                  const Tensor& x, const ChangeSet& cx, const Tensor& golden,
-                  Tensor& out, ChangeSet& ch) {
-  if (2 * cx.idx.size() >= golden.elements()) return false;
-  std::vector<float> vals;
-  vals.reserve(cx.idx.size());
-  for (const std::size_t i : cx.idx) vals.push_back(x.at(i));
-  const int k = static_cast<int>(vals.size());
-  const Tensor tiny(tensor::Shape{k}, std::move(vals));
+// tensor, run the op's own compute on it, and record the results.  Sound
+// because the Unary/BinaryElementwiseOp contract is a per-element function
+// of values alone (index-dependent ops such as the random-replacement
+// restriction policy do not derive these bases and take the dense path).
+bool sparse_unary(const ops::UnaryElementwiseOp& op,
+                  const tensor::QScheme& scheme, const In& x,
+                  const Tensor& golden, ChangeSet& ch) {
+  const std::vector<std::size_t>& idx = x.ch.idx;
+  if (2 * idx.size() >= golden.elements()) return false;
+  std::vector<float> vals(idx.size());
+  for (std::size_t j = 0; j < idx.size(); ++j) vals[j] = x.changed(j);
+  const Tensor tiny(tensor::Shape{static_cast<int>(idx.size())},
+                    std::move(vals));
   const Tensor res = op.compute(std::span<const Tensor>{&tiny, 1});
-  out = golden;
-  for (std::size_t j = 0; j < cx.idx.size(); ++j)
-    store_if_changed(out, golden, cx.idx[j],
-                     tensor::q_quantize(scheme, res.at(j)), ch);
+  const std::span<const float> rv = res.values();
+  const float* gv = golden.values().data();
+  for (std::size_t j = 0; j < idx.size(); ++j)
+    record(gv, idx[j], tensor::q_quantize(scheme, rv[j]), ch);
   return true;
 }
 
-bool sparse_binary(const ops::BinaryElementwiseOp& op, const tensor::QScheme& scheme,
-                   const Tensor& a, const Tensor& b, const ChangeSet& ca,
-                   const ChangeSet& cb, const Tensor& golden, Tensor& out,
-                   ChangeSet& ch) {
+bool sparse_binary(const ops::BinaryElementwiseOp& op,
+                   const tensor::QScheme& scheme, const In& a, const In& b,
+                   const Tensor& golden, ChangeSet& ch) {
+  // Merge-walk the two ascending change sets: the union of their indices,
+  // each side's value at every one.
+  const std::vector<std::size_t>& ia = a.ch.idx;
+  const std::vector<std::size_t>& ib = b.ch.idx;
   std::vector<std::size_t> cand;
-  cand.reserve(ca.idx.size() + cb.idx.size());
-  std::set_union(ca.idx.begin(), ca.idx.end(), cb.idx.begin(), cb.idx.end(),
-                 std::back_inserter(cand));
-  if (2 * cand.size() >= golden.elements()) return false;
   std::vector<float> av, bv;
-  av.reserve(cand.size());
-  bv.reserve(cand.size());
-  for (const std::size_t i : cand) {
-    av.push_back(a.at(i));
-    bv.push_back(b.at(i));
+  cand.reserve(ia.size() + ib.size());
+  av.reserve(ia.size() + ib.size());
+  bv.reserve(ia.size() + ib.size());
+  for (std::size_t i = 0, j = 0; i < ia.size() || j < ib.size();) {
+    const std::size_t ea = i < ia.size() ? ia[i] : SIZE_MAX;
+    const std::size_t eb = j < ib.size() ? ib[j] : SIZE_MAX;
+    const std::size_t e = std::min(ea, eb);
+    cand.push_back(e);
+    av.push_back(ea == e ? a.changed(i++) : a.base[e]);
+    bv.push_back(eb == e ? b.changed(j++) : b.base[e]);
   }
+  if (2 * cand.size() >= golden.elements()) return false;
   const int k = static_cast<int>(cand.size());
-  const Tensor ta(tensor::Shape{k}, std::move(av));
-  const Tensor tb(tensor::Shape{k}, std::move(bv));
-  const Tensor inputs[] = {ta, tb};
+  const Tensor inputs[] = {Tensor(tensor::Shape{k}, std::move(av)),
+                           Tensor(tensor::Shape{k}, std::move(bv))};
   const Tensor res = op.compute(inputs);
-  out = golden;
+  const std::span<const float> rv = res.values();
+  const float* gv = golden.values().data();
   for (std::size_t j = 0; j < cand.size(); ++j)
-    store_if_changed(out, golden, cand[j],
-                     tensor::q_quantize(scheme, res.at(j)), ch);
+    record(gv, cand[j], tensor::q_quantize(scheme, rv[j]), ch);
   return true;
 }
 
-bool sparse_bias_add(const tensor::QScheme& scheme, const Tensor& x, const Tensor& bias,
-                     const ChangeSet& cx, const Tensor& golden, Tensor& out,
+bool sparse_bias_add(const tensor::QScheme& scheme, const In& x,
+                     const Tensor& bias, const Tensor& golden,
                      ChangeSet& ch) {
-  if (2 * cx.idx.size() >= golden.elements()) return false;
+  const std::vector<std::size_t>& idx = x.ch.idx;
+  if (2 * idx.size() >= golden.elements()) return false;
   const std::size_t c = bias.elements();
-  out = golden;
-  for (const std::size_t i : cx.idx)
-    store_if_changed(out, golden, i,
-                     tensor::q_quantize(scheme, x.at(i) + bias.at(i % c)),
-                     ch);
+  const float* bv = bias.values().data();
+  const float* gv = golden.values().data();
+  for (std::size_t j = 0; j < idx.size(); ++j)
+    record(gv, idx[j],
+           tensor::q_quantize(scheme, x.changed(j) + bv[idx[j] % c]), ch);
   return true;
 }
 
-bool sparse_batch_norm(const ops::BatchNormOp& op, const tensor::QScheme& scheme,
-                       const Tensor& x, const ChangeSet& cx,
-                       const Tensor& golden, Tensor& out, ChangeSet& ch) {
-  if (2 * cx.idx.size() >= golden.elements()) return false;
+bool sparse_batch_norm(const ops::BatchNormOp& op,
+                       const tensor::QScheme& scheme, const In& x,
+                       const Tensor& golden, ChangeSet& ch) {
+  const std::vector<std::size_t>& idx = x.ch.idx;
+  if (2 * idx.size() >= golden.elements()) return false;
   const std::vector<float>& scale = op.scale();
   const std::vector<float>& shift = op.shift();
   const std::size_t c = scale.size();
-  out = golden;
-  for (const std::size_t i : cx.idx)
-    store_if_changed(
-        out, golden, i,
-        tensor::q_quantize(scheme, x.at(i) * scale[i % c] + shift[i % c]),
-        ch);
+  const float* gv = golden.values().data();
+  for (std::size_t j = 0; j < idx.size(); ++j)
+    record(gv, idx[j],
+           tensor::q_quantize(scheme, x.changed(j) * scale[idx[j] % c] +
+                                          shift[idx[j] % c]),
+           ch);
   return true;
 }
 
 // LRN couples channels within a depth_radius window at one spatial
 // position; a changed input element affects only the outputs of its
 // position's neighbouring channels.
-bool sparse_lrn(const ops::LrnOp& op, const tensor::QScheme& scheme, const Tensor& x,
-                const ChangeSet& cx, const Tensor& golden, Tensor& out,
+bool sparse_lrn(const ops::LrnOp& op, const tensor::QScheme& scheme,
+                const Tensor& x, const In& in, const Tensor& golden,
                 ChangeSet& ch) {
-  const tensor::Shape& s = x.shape();
-  const int c = s.c();
+  const int c = x.shape().c();
   const ops::LrnParams& p = op.params();
   std::vector<std::size_t> cand;
-  for (const std::size_t idx : cx.idx) {
+  for (const std::size_t idx : in.ch.idx) {
     const int cc = static_cast<int>(idx % static_cast<std::size_t>(c));
     const std::size_t spatial_base = idx - static_cast<std::size_t>(cc);
     const int lo = std::max(0, cc - p.depth_radius);
@@ -308,59 +389,52 @@ bool sparse_lrn(const ops::LrnOp& op, const tensor::QScheme& scheme, const Tenso
   cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
   if (2 * cand.size() >= golden.elements()) return false;
 
-  out = golden;
+  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(c));
+  const float* gv = golden.values().data();
   for (const std::size_t oidx : cand) {
     const int cc = static_cast<int>(oidx % static_cast<std::size_t>(c));
-    const std::size_t spatial_base = oidx - static_cast<std::size_t>(cc);
+    const std::size_t pixel = oidx / static_cast<std::size_t>(c);
     // Identical arithmetic to LrnOp::compute.
     float sum_sq = 0.0f;
     const int lo = std::max(0, cc - p.depth_radius);
     const int hi = std::min(c - 1, cc + p.depth_radius);
     for (int k = lo; k <= hi; ++k) {
-      const float v = x.at(spatial_base + static_cast<std::size_t>(k));
+      const float v = xr.at(pixel, static_cast<std::size_t>(k));
       sum_sq += v * v;
     }
     const float denom = std::pow(p.bias + p.alpha * sum_sq, p.beta);
-    store_if_changed(out, golden, oidx,
-                     tensor::q_quantize(scheme, x.at(oidx) / denom), ch);
+    record(gv, oidx,
+           tensor::q_quantize(
+               scheme, xr.at(pixel, static_cast<std::size_t>(cc)) / denom),
+           ch);
   }
   return true;
 }
 
 // Channel-axis Concat maps each input element to one output element.
-bool sparse_concat(const tensor::QScheme& scheme, const Tensor& a, const Tensor& b,
-                   const ChangeSet& ca_set, const ChangeSet& cb_set,
-                   const Tensor& golden, Tensor& out, ChangeSet& ch) {
-  const int ca = a.shape().c();
-  const int cb = b.shape().c();
-  const int co = ca + cb;
-  if (2 * (ca_set.idx.size() + cb_set.idx.size()) >= golden.elements())
+bool sparse_concat(const tensor::QScheme& scheme, const Tensor& a,
+                   const Tensor& b, const In& ia, const In& ib,
+                   const Tensor& golden, ChangeSet& ch) {
+  const auto ca = static_cast<std::size_t>(a.shape().c());
+  const auto cb = static_cast<std::size_t>(b.shape().c());
+  const std::size_t co = ca + cb;
+  if (2 * (ia.ch.idx.size() + ib.ch.idx.size()) >= golden.elements())
     return false;
-  out = golden;
-  std::vector<std::size_t> cand;
-  cand.reserve(ca_set.idx.size() + cb_set.idx.size());
-  for (const std::size_t idx : ca_set.idx) {
-    const std::size_t spatial = idx / static_cast<std::size_t>(ca);
-    const std::size_t c = idx % static_cast<std::size_t>(ca);
-    cand.push_back(spatial * static_cast<std::size_t>(co) + c);
+  std::vector<std::pair<std::size_t, float>> cand;  // (output index, value)
+  cand.reserve(ia.ch.idx.size() + ib.ch.idx.size());
+  for (std::size_t j = 0; j < ia.ch.idx.size(); ++j) {
+    const std::size_t idx = ia.ch.idx[j];
+    cand.emplace_back(idx / ca * co + idx % ca, ia.changed(j));
   }
-  for (const std::size_t idx : cb_set.idx) {
-    const std::size_t spatial = idx / static_cast<std::size_t>(cb);
-    const std::size_t c = idx % static_cast<std::size_t>(cb);
-    cand.push_back(spatial * static_cast<std::size_t>(co) +
-                   static_cast<std::size_t>(ca) + c);
+  for (std::size_t j = 0; j < ib.ch.idx.size(); ++j) {
+    const std::size_t idx = ib.ch.idx[j];
+    cand.emplace_back(idx / cb * co + ca + idx % cb, ib.changed(j));
   }
-  std::sort(cand.begin(), cand.end());
-  for (const std::size_t oidx : cand) {
-    const std::size_t spatial = oidx / static_cast<std::size_t>(co);
-    const std::size_t c = oidx % static_cast<std::size_t>(co);
-    const float v =
-        c < static_cast<std::size_t>(ca)
-            ? a.at(spatial * static_cast<std::size_t>(ca) + c)
-            : b.at(spatial * static_cast<std::size_t>(cb) +
-                   (c - static_cast<std::size_t>(ca)));
-    store_if_changed(out, golden, oidx, tensor::q_quantize(scheme, v), ch);
-  }
+  std::sort(cand.begin(), cand.end(),
+            [](const auto& l, const auto& r) { return l.first < r.first; });
+  const float* gv = golden.values().data();
+  for (const auto& [oidx, v] : cand)
+    record(gv, oidx, tensor::q_quantize(scheme, v), ch);
   return true;
 }
 
@@ -370,98 +444,104 @@ bool sparse_concat(const tensor::QScheme& scheme, const Tensor& a, const Tensor&
 // kernel's, so the result is byte-equal under either backend.  When every
 // row changed — always the case at batch 1 — there is nothing to skip and
 // the dense kernel runs instead.
-bool sparse_matmul(const tensor::QScheme& scheme, const Tensor& x,
-                   const Tensor& w, const ChangeSet& cx, const Tensor& golden,
-                   Tensor& out, ChangeSet& ch) {
+bool sparse_matmul(const tensor::QScheme& scheme, const In& x,
+                   const Tensor& w, const Tensor& golden, ChangeSet& ch) {
   const auto k = static_cast<std::size_t>(w.shape().dim(0));
   const auto n = static_cast<std::size_t>(w.shape().dim(1));
-  std::vector<std::size_t> rows;  // ascending: cx.idx is
-  for (const std::size_t idx : cx.idx)
-    if (rows.empty() || rows.back() != idx / k) rows.push_back(idx / k);
+  const std::vector<std::size_t>& idx = x.ch.idx;
+  std::vector<std::size_t> rows;  // ascending: idx is
+  for (const std::size_t i : idx)
+    if (rows.empty() || rows.back() != i / k) rows.push_back(i / k);
   if (rows.size() >= golden.elements() / n) return false;
 
-  const std::span<const float> xv = x.values();
   std::vector<float> a(rows.size() * k);
   std::vector<float> c(rows.size() * n);
   std::vector<float*> crows(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    std::copy_n(xv.begin() + static_cast<std::ptrdiff_t>(rows[r] * k), k,
-                a.begin() + static_cast<std::ptrdiff_t>(r * k));
+    std::copy_n(x.base + rows[r] * k, k, a.data() + r * k);
     crows[r] = c.data() + r * n;
   }
+  if (x.ch.valued())
+    for (std::size_t j = 0, r = 0; j < idx.size(); ++j) {
+      while (rows[r] != idx[j] / k) ++r;
+      a[r * k + idx[j] % k] = x.ch.val[j];
+    }
   ops::blocked::gemm_rows(a.data(), w.values().data(), crows.data(),
                           rows.size(), n, k, scheme);
-  out = golden;
+  const float* gv = golden.values().data();
   for (std::size_t r = 0; r < rows.size(); ++r)
     for (std::size_t j = 0; j < n; ++j)
-      store_if_changed(out, golden, rows[r] * n + j, c[r * n + j], ch);
+      record(gv, rows[r] * n + j, c[r * n + j], ch);
   return true;
 }
 
 // Reshape/Flatten copy elements 1:1 in storage order.
-bool sparse_passthrough(const tensor::QScheme& scheme, const Tensor& x,
-                        const ChangeSet& cx, const Tensor& golden,
-                        Tensor& out, ChangeSet& ch) {
-  if (2 * cx.idx.size() >= golden.elements()) return false;
-  out = golden;
-  for (const std::size_t i : cx.idx)
-    store_if_changed(out, golden, i, tensor::q_quantize(scheme, x.at(i)),
-                     ch);
+bool sparse_passthrough(const tensor::QScheme& scheme, const In& x,
+                        const Tensor& golden, ChangeSet& ch) {
+  const std::vector<std::size_t>& idx = x.ch.idx;
+  if (2 * idx.size() >= golden.elements()) return false;
+  const float* gv = golden.values().data();
+  for (std::size_t j = 0; j < idx.size(); ++j)
+    record(gv, idx[j], tensor::q_quantize(scheme, x.changed(j)), ch);
   return true;
 }
 
 }  // namespace
 
+std::size_t materialize(tensor::Tensor& t, ChangeSet& ch) {
+  tensor::Tensor full = t.clone();
+  const std::span<float> v = full.mutable_values();
+  for (std::size_t j = 0; j < ch.idx.size(); ++j) v[ch.idx[j]] = ch.val[j];
+  t = std::move(full);
+  ch.val.clear();
+  return v.size();
+}
+
 bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
                            std::span<const tensor::Tensor> inputs,
                            std::span<const ChangeSet* const> changes,
-                           const tensor::Tensor& golden, tensor::Tensor& out,
+                           const tensor::Tensor& golden,
                            ChangeSet& out_change) {
   for (const ChangeSet* c : changes)
     if (c->dense) return false;
+  const In x(inputs[0], *changes[0]);
 
   switch (op.kind()) {
     case ops::OpKind::kConv2D:
       if (!changes[1]->clean()) return false;  // filter changed: dense
       return sparse_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
-                         inputs[0], inputs[1], *changes[0], golden, out,
-                         out_change);
+                         inputs[0], inputs[1], x, golden, out_change);
     case ops::OpKind::kBiasAdd:
       if (!changes[1]->clean()) return false;
-      return sparse_bias_add(scheme, inputs[0], inputs[1], *changes[0], golden,
-                             out, out_change);
+      return sparse_bias_add(scheme, x, inputs[1], golden, out_change);
     case ops::OpKind::kBatchNorm:
       return sparse_batch_norm(static_cast<const ops::BatchNormOp&>(op),
-                               scheme, inputs[0], *changes[0], golden, out,
-                               out_change);
+                               scheme, x, golden, out_change);
     case ops::OpKind::kMaxPool:
     case ops::OpKind::kAvgPool:
       return sparse_pool(static_cast<const ops::PoolOpBase&>(op),
                          op.kind() == ops::OpKind::kMaxPool, scheme, inputs[0],
-                         *changes[0], golden, out, out_change);
+                         x, golden, out_change);
     case ops::OpKind::kReshape:
     case ops::OpKind::kFlatten:
-      return sparse_passthrough(scheme, inputs[0], *changes[0], golden, out,
-                                out_change);
+      return sparse_passthrough(scheme, x, golden, out_change);
     case ops::OpKind::kLrn:
       return sparse_lrn(static_cast<const ops::LrnOp&>(op), scheme, inputs[0],
-                        *changes[0], golden, out, out_change);
+                        x, golden, out_change);
     case ops::OpKind::kConcat:
-      return sparse_concat(scheme, inputs[0], inputs[1], *changes[0],
-                           *changes[1], golden, out, out_change);
+      return sparse_concat(scheme, inputs[0], inputs[1], x,
+                           In(inputs[1], *changes[1]), golden, out_change);
     case ops::OpKind::kMatMul:
       if (!changes[1]->clean()) return false;  // weights changed: dense
-      return sparse_matmul(scheme, inputs[0], inputs[1], *changes[0], golden,
-                           out, out_change);
+      return sparse_matmul(scheme, x, inputs[1], golden, out_change);
     default:
       break;
   }
   if (const auto* u = dynamic_cast<const ops::UnaryElementwiseOp*>(&op))
-    return sparse_unary(*u, scheme, inputs[0], *changes[0], golden, out,
-                        out_change);
+    return sparse_unary(*u, scheme, x, golden, out_change);
   if (const auto* b = dynamic_cast<const ops::BinaryElementwiseOp*>(&op))
-    return sparse_binary(*b, scheme, inputs[0], inputs[1], *changes[0],
-                         *changes[1], golden, out, out_change);
+    return sparse_binary(*b, scheme, x, In(inputs[1], *changes[1]), golden,
+                         out_change);
   return false;  // Softmax, GlobalAvgPool, unknown
 }
 

@@ -22,9 +22,26 @@
 // reports "no sparse kernel" too, and the executor falls back to a dense
 // recompute, which is always correct.
 //
-// The executor runs this tier at injection roots as well: the fault hook
-// is applied to the sparse result, and the root's change set is then
-// rebuilt from a full diff against golden.
+// Representation and the O(changed) contract: a node the sparse tier
+// handled keeps its shared golden tensor as its output, and its ChangeSet
+// carries the changed values (`idx` plus `val`).  No tensor is copied or
+// diffed in full on this tier: a kernel reads its inputs' changed values
+// from their change sets, emits (index, value) pairs for the outputs that
+// differ from golden, and costs time proportional to the elements it
+// recomputes.  Only a consumer that needs the whole tensor builds golden
+// + changes (materialize below): a dense recompute, the run's returned
+// output, and Arena::outputs().  A node that was recomputed densely (or
+// an overridden Const) already holds its full tensor, so its change set
+// stays index-only and kernels read its values from the tensor.
+//
+// Window reads stay O(1): conv, pool and LRN read an input with a valued
+// change set through a per-thread scatter of that set — a slot per
+// element, stamped per call, so binding costs O(changed) and a read is one
+// stamp compare.  Binding the scatter for one input invalidates the
+// previous binding on the same thread; each kernel binds at most one.
+//
+// The executor runs this tier at injection roots as well, then applies
+// the root's injections to the resulting change set (executor.hpp).
 //
 // Determinism contract: each sparse kernel recomputes an affected element
 // with exactly the dense kernels' per-element operation order (which both
@@ -48,9 +65,10 @@
 // masked at the consumer (ReLU/pool/clamp) still collapses the rest of
 // the cone back to golden.
 //
-// Thread-safety: incremental_recompute is a pure function of its
-// arguments; concurrent calls are safe as long as each call owns its
-// `out`/`out_change` (the executor calls it from per-arena state).
+// Thread-safety: incremental_recompute is a function of its arguments
+// plus the calling thread's scatter; concurrent calls are safe as long as
+// each call owns its `out_change` (the executor calls it from per-arena
+// state).
 #pragma once
 
 #include <span>
@@ -67,37 +85,50 @@ struct ChangeSet {
   // where tracking individual indices pays off); idx is empty then.
   bool dense = false;
   std::vector<std::size_t> idx;  // ascending, unique
+  // The new values at idx (same length) while the node's output is still
+  // its golden tensor; empty once the output holds the full value
+  // (index-only: a dense recompute, or after materialize).
+  std::vector<float> val;
 
   bool clean() const { return !dense && idx.empty(); }
+  bool valued() const { return !val.empty(); }
   void reset() {
     dense = false;
     idx.clear();
+    val.clear();
   }
   void mark_dense() {
     dense = true;
     idx.clear();
+    val.clear();
   }
 };
 
+// Turns a node's golden output `t` plus its valued change set `ch` into
+// the full output tensor (a copy of golden with the changes written in),
+// in place; `ch` becomes index-only.  Returns the elements copied.
+std::size_t materialize(tensor::Tensor& t, ChangeSet& ch);
+
 // Attempts an element-sparse recompute of one node.
 //
-//  * `inputs` are the node's current input tensors; outside their change
-//    sets they are bit-identical to the golden run's inputs.
+//  * `inputs` are the node's current input tensors: golden where
+//    `changes[k]` is valued (its values are the changes), the full value
+//    where it is index-only.
 //  * `changes[k]` describes how inputs[k] differs from golden.  Any dense
 //    input change disables the sparse path.
 //  * `golden` is the node's fault-free output (quantised under `scheme` —
 //    the node's plan.qscheme, canonical except under int8).
 //
-// On success: `out` holds the updated output — sharing `golden`'s storage
-// when the change turned out to be fully masked — `out_change` lists the
-// elements that differ from golden, and the function returns true.
-// Returns false when the op has no sparse kernel or the affected region is
-// so large that a dense recompute is cheaper; the caller handles that case
-// (and it is always correct to do so).
+// On success the node's output is `golden` plus `out_change`, which lists
+// (with values) the elements that differ from golden — empty when the
+// change was fully masked — and the function returns true.  Returns false,
+// leaving `out_change` untouched, when the op has no sparse kernel or the
+// affected region is so large that a dense recompute is cheaper; the
+// caller handles that case (and it is always correct to do so).
 bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
                            std::span<const tensor::Tensor> inputs,
                            std::span<const ChangeSet* const> changes,
-                           const tensor::Tensor& golden, tensor::Tensor& out,
+                           const tensor::Tensor& golden,
                            ChangeSet& out_change);
 
 }  // namespace rangerpp::graph

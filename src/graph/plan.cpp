@@ -335,4 +335,10 @@ void Arena::bind(const ExecutionPlan& plan) {
   change_ptrs_.clear();
 }
 
+const std::vector<tensor::Tensor>& Arena::outputs() {
+  for (std::size_t i = 0; i < change_.size(); ++i)
+    if (change_[i].valued()) materialize(outputs_[i], change_[i]);
+  return outputs_;
+}
+
 }  // namespace rangerpp::graph

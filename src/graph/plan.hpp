@@ -220,6 +220,19 @@ struct ConstOverride {
   tensor::Tensor value;
 };
 
+// --- Injections --------------------------------------------------------------
+
+// One bit fault on one element of one node's output, applied by the
+// executor after the node is computed (Executor::run_from) — the transient
+// activation faults of a trial.  On a batched plan `element` addresses
+// the batched tensor (fi::make_injections offsets each row).
+struct Injection {
+  NodeId node = kInvalidNode;
+  std::size_t element = 0;
+  int bit = 0;
+  tensor::BitAction action = tensor::BitAction::kFlip;
+};
+
 // --- Batch packing helpers ---------------------------------------------------
 
 // Stacks per-image tensors (identical rank-2/4 shapes with a leading
@@ -251,8 +264,11 @@ class Arena {
 
   // All node outputs of the most recent run through this arena (indexed by
   // NodeId).  Tensors share storage; copying the vector is cheap and gives
-  // the caller a stable golden-activation snapshot.
-  const std::vector<tensor::Tensor>& outputs() const { return outputs_; }
+  // the caller a stable golden-activation snapshot.  After a partial run
+  // the element-sparse nodes still hold golden plus their changes; the
+  // first call materialises them (incremental.hpp), so every slot is the
+  // node's full value.
+  const std::vector<tensor::Tensor>& outputs();
 
   void bind(const ExecutionPlan& plan);
   const ExecutionPlan* bound_plan() const { return plan_; }
@@ -277,6 +293,7 @@ class Arena {
   // run_from scratch: static dirty candidates, injection roots, and the
   // per-node element-level change sets of the current trial.
   std::vector<bool> dirty_, roots_;
+  std::vector<NodeId> root_ids_;
   std::vector<ChangeSet> change_;
   std::vector<const ChangeSet*> change_ptrs_;  // per-node-input scratch
 };

@@ -324,6 +324,18 @@ float q_write_bit_value(const QScheme& s, float value, int bit, bool set) {
       s.fmt, set ? bits | (1ULL << bit) : bits & ~(1ULL << bit));
 }
 
+float q_apply_bit(const QScheme& s, float value, int bit, BitAction action) {
+  switch (action) {
+    case BitAction::kFlip:
+      return q_flip_value(s, value, bit);
+    case BitAction::kStuck0:
+      return q_write_bit_value(s, value, bit, false);
+    case BitAction::kStuck1:
+      return q_write_bit_value(s, value, bit, true);
+  }
+  return value;
+}
+
 FixedPointFormat int8_format_for_range(double lo, double hi) {
   if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi)) return kInt8;
   // Largest frac_bits whose scaled span fits the raw range [-128, 127]

@@ -132,6 +132,18 @@ void q_quantize_span(const QScheme& s, std::span<float> v);
 float q_flip_value(const QScheme& s, float value, int bit);
 float q_write_bit_value(const QScheme& s, float value, int bit, bool set);
 
+// How a bit fault perturbs its target bit.  kFlip is the transient
+// datapath model (XOR); the stuck-at actions model a failed cell that
+// reads a fixed level — forcing a bit to its stored value is a no-op,
+// which is exactly the physical behaviour.
+enum class BitAction : std::uint8_t { kFlip, kStuck0, kStuck1 };
+
+// Applies `action` to bit `bit` of `value`'s encoding under `s` and
+// decodes the result (always representable).  The one place a bit fault
+// is applied: the executor's injections and fi::apply_fault_value both
+// call it, so the partial and the reference path cannot drift.
+float q_apply_bit(const QScheme& s, float value, int bit, BitAction action);
+
 // Picks the int8 format for values bounded by [lo, hi]: the finest
 // resolution (largest frac_bits) whose scaled span fits the 8-bit raw
 // range with a step of headroom, and the zero point that centres the

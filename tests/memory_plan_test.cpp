@@ -207,8 +207,7 @@ TEST(ArenaMode, RefusesPartialReexecution) {
   const Executor exec;
   const std::vector<tensor::Tensor> golden(plan.size());
   Arena arena;
-  EXPECT_THROW(exec.run_from(plan, golden, NodeId{0}, arena),
-               std::invalid_argument);
+  EXPECT_THROW(exec.run_from(plan, golden, {}, arena), std::invalid_argument);
 }
 
 TEST(ArenaMode, ReportMatchesPlannedBytes) {

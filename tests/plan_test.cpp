@@ -2,7 +2,7 @@
 //
 // The load-bearing property: for any graph, any injected node, and any
 // datatype, run_from over a compiled plan is *bit-identical* to a full
-// run with the same injection hook.  Randomised graphs exercise the
+// run whose hook injects the same faults.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
 // concat, residual add, row-sparse matmul) as well as the dense fallbacks
 // (single-row matmul, softmax).
@@ -180,17 +180,11 @@ PartialRun run_batched_trial(const Executor& exec, const ExecutionPlan& plan,
                              std::span<const fi::FaultSet> row_faults,
                              const std::string& what) {
   const Graph& g = plan.graph();
-  const PostOpHook hook = fi::make_batched_injection_hook(plan, row_faults);
-  std::vector<NodeId> roots;
-  for (const fi::FaultSet& fs : row_faults)
-    for (const fi::FaultPoint& f : fs) roots.push_back(g.find(f.node_name));
-  std::sort(roots.begin(), roots.end());
-  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-
   Arena full_arena, arena;
-  exec.run(plan, feeds, full_arena, hook);
+  exec.run(plan, feeds, full_arena,
+           fi::make_batched_injection_hook(plan, row_faults));
   util::metrics::reset();
-  exec.run_from(plan, golden, roots, arena, hook);
+  exec.run_from(plan, golden, fi::make_injections(plan, row_faults), arena);
   expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
   const std::string kernels =
       "kernel." + std::string(ops::backend_name(plan.backend()));
@@ -199,8 +193,8 @@ PartialRun run_batched_trial(const Executor& exec, const ExecutionPlan& plan,
 }
 
 // For random graphs, every injectable node k and all three dtypes:
-// run_from(plan, golden, k, hook) must equal a full run with the same
-// hook, node by node, bit for bit.
+// run_from with one injection at k must equal a full run whose hook
+// injects the same fault, node by node, bit for bit.
 TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
   const DType dtypes[] = {DType::kFloat32, DType::kFixed32, DType::kFixed16};
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -229,7 +223,8 @@ TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
 
         const Tensor full = exec.run(plan, feeds, full_arena, hook);
         const std::vector<Tensor>& full_outputs = full_arena.outputs();
-        const Tensor partial = exec.run_from(plan, golden, n.id, arena, hook);
+        const Tensor partial = exec.run_from(
+            plan, golden, fi::make_injections(plan, faults), arena);
         expect_bitwise_equal(partial, full,
                              "output (seed " + std::to_string(seed) +
                                  ", node " + n.name + ")");
@@ -262,13 +257,12 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
   const fi::SiteSpace sites(g, DType::kFixed32);
   for (int trial = 0; trial < 20; ++trial) {
     const fi::FaultSet faults = sites.sample(rng, 3);
-    std::vector<NodeId> roots;
-    for (const auto& f : faults) roots.push_back(g.find(f.node_name));
     const PostOpHook hook = fi::make_injection_hook(g, DType::kFixed32,
                                                     faults);
     const Tensor full = exec.run(plan, feeds, full_arena, hook);
     const std::vector<Tensor>& full_outputs = full_arena.outputs();
-    const Tensor partial = exec.run_from(plan, golden, roots, arena, hook);
+    const Tensor partial = exec.run_from(
+        plan, golden, fi::make_injections(plan, faults), arena);
     expect_bitwise_equal(partial, full, "multi-root trial");
     expect_all_nodes_equal(arena.outputs(), full_outputs, g,
                            "multi-root trial " + std::to_string(trial));
@@ -367,6 +361,49 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
         run_batched_trial(exec, head1, feeds1, golden_of(head1, feeds1),
                           solo, be + " headed batch 1");
     EXPECT_GE(dense_row.dense, 1u) << be;
+  }
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
+}
+
+// The O(changed) property: a mid-image flip at conv1 of the conv/tanh
+// tower stays element-sparse through its whole cone, so the run builds no
+// full tensor but the returned output (act2, 8x8x3 = 192 elements), and
+// every node still equals the full run once outputs() materialises them.
+TEST(ExecutionPlan, SparseConeMaterializesOnlyTheOutput) {
+  const Graph g = sparse_tower(false);
+  util::Rng rng(23);
+  const std::unordered_map<std::string, Tensor> feeds{
+      {"input", random_tensor(Shape{1, 8, 8, 2}, rng)}};
+  const fi::FaultSet faults{{"conv1", (4 * 8 + 4) * 3 + 1, 9}};
+  const auto out_id = static_cast<std::size_t>(g.output());
+  util::metrics::set_enabled(true);
+  for (const ops::KernelBackend backend :
+       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
+    const std::string be(ops::backend_name(backend));
+    const ExecutionPlan plan = compile(
+        g, {.dtype = DType::kFixed32, .backend = backend,
+            .observe = Observe::kAll});
+    const Executor exec;
+    Arena golden_arena, full_arena, arena;
+    exec.run(plan, feeds, golden_arena);
+    const std::vector<Tensor> golden = golden_arena.outputs();
+    exec.run(plan, feeds, full_arena, fi::make_injection_hook(plan, faults));
+    util::metrics::reset();
+    const Tensor out = exec.run_from(
+        plan, golden, fi::make_injections(plan, faults), arena);
+    EXPECT_EQ(util::metrics::counter_value("exec.materialized_elements"),
+              192u)
+        << be;
+    EXPECT_EQ(util::metrics::counter_value("kernel." + be), 0u) << be;
+    // Every node below the root took the element-sparse tier.
+    EXPECT_EQ(util::metrics::counter_value("exec.sparse_nodes"),
+              plan.downstream_count(g.find("conv1")) - 1)
+        << be;
+    ASSERT_TRUE(bitwise_differs(out, golden[out_id]))
+        << be << ": the flip must reach the output";
+    expect_bitwise_equal(out, full_arena.outputs()[out_id], be + " output");
+    expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, be);
   }
   util::metrics::set_enabled(false);
   util::metrics::reset();
@@ -514,8 +551,8 @@ TEST(ExecutionPlan, ProtectedGraphReplaysByName) {
     const fi::FaultSet faults{{n.name, 0, 28}};
     const PostOpHook hook = fi::make_injection_hook(prot, dtype, faults);
     const Tensor full = exec.run(plan, {{"input", x}}, full_arena, hook);
-    const Tensor partial =
-        exec.run_from(plan, golden, replay, arena, hook);
+    const Tensor partial = exec.run_from(
+        plan, golden, fi::make_injections(plan, faults), arena);
     expect_bitwise_equal(partial, full, "protected replay at " + n.name);
   }
 }

@@ -1,14 +1,21 @@
 // Record identity on real zoo graphs: the default campaign path (blocked
 // kernels, 8 trials per batched plan run, partial re-execution) must write
 // byte-for-byte the records of the reference path (scalar kernels, one
-// trial per run, full re-execution).  AlexNet and LeNet carry untrained
-// He-initialised weights, so no weight files are needed; batched partial
-// runs there routinely put one row's injection root downstream of another
-// row's fault, the case the element-sparse tier handles at roots.
+// trial per run, full re-execution with the injection hook).  The models
+// carry untrained He-initialised weights, so no weight files are needed;
+// batched partial runs there routinely put one row's injection root
+// downstream of another row's fault, the case the element-sparse tier
+// handles at roots.  The cells beyond the single-bit fixed32 ones cover
+// what the partial path's injections must get right: several injections
+// on one element (3-bit bursts), several roots per trial (3 independent
+// bits), the fixed16 codec, and ResNet-18 — residual Adds whose two
+// inputs both changed, BatchNorm, and a GlobalAvgPool that recomputes
+// densely from a sparse input.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -40,6 +47,16 @@ class BitExactJudge final : public fi::SdcJudge {
   }
 };
 
+struct IdentityCell {
+  std::string name;
+  ModelId model;
+  tensor::DType dtype = tensor::DType::kFixed32;
+  int n_bits = 1;
+  bool consecutive = false;
+};
+
+void PrintTo(const IdentityCell& cell, std::ostream* os) { *os << cell.name; }
+
 std::vector<fi::Feeds> random_inputs(ModelId id, std::size_t count,
                                      std::uint64_t seed) {
   const tensor::Shape shape = id == ModelId::kLeNet
@@ -57,10 +74,12 @@ std::vector<fi::Feeds> random_inputs(ModelId id, std::size_t count,
 
 std::string records_of(const graph::Graph& g,
                        const std::vector<fi::Feeds>& inputs,
-                       ops::KernelBackend backend, std::size_t batch,
-                       bool partial) {
+                       const IdentityCell& cell, ops::KernelBackend backend,
+                       std::size_t batch, bool partial) {
   fi::RunnerConfig rc;
-  rc.campaign.dtype = tensor::DType::kFixed32;
+  rc.campaign.dtype = cell.dtype;
+  rc.campaign.n_bits = cell.n_bits;
+  rc.campaign.consecutive_bits = cell.consecutive;
   rc.campaign.trials_per_input = 64;
   rc.campaign.seed = 2021;
   rc.campaign.threads = 2;
@@ -77,10 +96,11 @@ std::string records_of(const graph::Graph& g,
   return lines;
 }
 
-class RecordIdentityTest : public ::testing::TestWithParam<ModelId> {};
+class RecordIdentityTest : public ::testing::TestWithParam<IdentityCell> {};
 
 TEST_P(RecordIdentityTest, DefaultPathMatchesScalarFullReference) {
-  const ModelId id = GetParam();
+  const IdentityCell& cell = GetParam();
+  const ModelId id = cell.model;
   const graph::Graph g = models::build_model(
       id, models::default_act(id),
       models::init_weights(id, models::default_act(id), 99));
@@ -90,12 +110,14 @@ TEST_P(RecordIdentityTest, DefaultPathMatchesScalarFullReference) {
   const graph::Graph protected_g = core::RangerTransform{}.apply(g, bounds);
 
   for (const graph::Graph* graph : {&g, &protected_g}) {
-    const std::string what = models::model_name(id) +
-                             (graph == &g ? " unprotected" : " ranger");
-    const std::string reference = records_of(
-        *graph, inputs, ops::KernelBackend::kScalar, 1, /*partial=*/false);
-    const std::string fast = records_of(
-        *graph, inputs, ops::KernelBackend::kBlocked, 8, /*partial=*/true);
+    const std::string what =
+        cell.name + (graph == &g ? " unprotected" : " ranger");
+    const std::string reference =
+        records_of(*graph, inputs, cell, ops::KernelBackend::kScalar, 1,
+                   /*partial=*/false);
+    const std::string fast =
+        records_of(*graph, inputs, cell, ops::KernelBackend::kBlocked, 8,
+                   /*partial=*/true);
     ASSERT_FALSE(reference.empty()) << what;
     EXPECT_EQ(fast, reference) << what;
     // The bit-exact judge saw faults that reached the output, so the
@@ -106,12 +128,19 @@ TEST_P(RecordIdentityTest, DefaultPathMatchesScalarFullReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, RecordIdentityTest,
-                         ::testing::Values(ModelId::kLeNet,
-                                           ModelId::kAlexNet),
-                         [](const auto& info) {
-                           return models::model_token(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, RecordIdentityTest,
+    ::testing::Values(
+        IdentityCell{"lenet", ModelId::kLeNet},
+        IdentityCell{"alexnet", ModelId::kAlexNet},
+        IdentityCell{"alexnet_burst3", ModelId::kAlexNet,
+                     tensor::DType::kFixed32, 3, /*consecutive=*/true},
+        IdentityCell{"alexnet_multi3", ModelId::kAlexNet,
+                     tensor::DType::kFixed32, 3},
+        IdentityCell{"lenet_fixed16", ModelId::kLeNet,
+                     tensor::DType::kFixed16},
+        IdentityCell{"resnet18", ModelId::kResNet18}),
+    [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace rangerpp
