@@ -88,7 +88,7 @@ int main() {
   // 6. One anecdote is not a rate: run a stratified fault-injection
   //    campaign through the CampaignRunner.  Trials are a pure function
   //    of (seed, trial index), so the two "shards" below — normally two
-  //    machines writing JSONL checkpoints merged later — together execute
+  //    machines writing RPRC checkpoints merged later — together execute
   //    exactly the trial set a single run would, and every per-stratum
   //    SDC rate carries a Wilson 95% interval.
   fi::RunnerConfig rc;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -207,17 +206,23 @@ bool next_frame(std::string_view& in, std::string_view& frame) {
   return true;
 }
 
+bool has_magic(std::string_view bytes) {
+  return bytes.starts_with(
+      std::string_view(kRecordCodecMagic, sizeof kRecordCodecMagic));
+}
+
+// Writes `bytes` to `path` opened with `mode`; false when the open, the
+// write or the close fails (fclose flushes, so a failed flush fails it).
+bool write_file(const std::string& path, const char* mode,
+                std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), mode);
+  if (!f) return false;
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  return std::fclose(f) == 0 && wrote;
+}
+
 }  // namespace
-
-bool is_binary_checkpoint(std::string_view bytes) {
-  return bytes.size() >= sizeof kRecordCodecMagic &&
-         std::memcmp(bytes.data(), kRecordCodecMagic,
-                     sizeof kRecordCodecMagic) == 0;
-}
-
-bool binary_checkpoint_path(std::string_view path) {
-  return path.ends_with(".rcp");
-}
 
 void encode_stream_header(std::string& out, const CheckpointHeader& h) {
   out.append(kRecordCodecMagic, sizeof kRecordCodecMagic);
@@ -242,8 +247,8 @@ std::string encode_records(const std::vector<TrialRecord>& records) {
   return out;
 }
 
-DecodedStream decode_stream(std::string_view bytes) {
-  if (!is_binary_checkpoint(bytes))
+Checkpoint decode_stream(std::string_view bytes) {
+  if (!has_magic(bytes))
     throw std::runtime_error("record_codec: missing stream magic");
   bytes.remove_prefix(sizeof kRecordCodecMagic);
   if (bytes.size() < 4)
@@ -263,7 +268,7 @@ DecodedStream decode_stream(std::string_view bytes) {
   std::string_view header_frame;
   if (!next_frame(bytes, header_frame))
     throw std::runtime_error("record_codec: truncated stream header");
-  DecodedStream out;
+  Checkpoint out;
   out.header = decode_header_body(header_frame);
   out.records = decode_records(bytes, &out.torn_tail);
   return out;
@@ -284,14 +289,42 @@ std::vector<TrialRecord> decode_records(std::string_view bytes,
   return out;
 }
 
-Checkpoint load_binary_checkpoint(const std::string& path) {
+Checkpoint load_checkpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("checkpoint: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  DecodedStream s = decode_stream(bytes);
-  return Checkpoint{std::move(s.header), std::move(s.records)};
+  if (!in) throw std::runtime_error("checkpoint: cannot open " + path);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  if (!has_magic(bytes))
+    throw std::runtime_error(
+        "checkpoint: " + path +
+        " is not an RPRC checkpoint (JSONL checkpoints are no longer "
+        "read; re-run the campaign to rebuild it)");
+  try {
+    return decode_stream(bytes);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("checkpoint: " + path + ": " + e.what());
+  }
+}
+
+void write_checkpoint(const std::string& path, const CheckpointHeader& h,
+                      const std::vector<TrialRecord>& records) {
+  std::string bytes;
+  encode_stream_header(bytes, h);
+  for (const TrialRecord& r : records) encode_record(bytes, r);
+  const std::string tmp = path + ".tmp";
+  std::error_code ec;
+  const bool wrote = write_file(tmp, "wb", bytes);
+  if (wrote) std::filesystem::rename(tmp, path, ec);
+  if (!wrote || ec) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("checkpoint: cannot write " + path);
+  }
+}
+
+void append_records(const std::string& path,
+                    const std::vector<TrialRecord>& records) {
+  if (!write_file(path, "ab", encode_records(records)))
+    throw std::runtime_error("checkpoint: cannot append to " + path);
 }
 
 std::string to_jsonl(const CheckpointHeader& h,
@@ -299,21 +332,6 @@ std::string to_jsonl(const CheckpointHeader& h,
   std::string out = checkpoint_header_line(h);
   for (const TrialRecord& r : records) out += trial_record_line(r);
   return out;
-}
-
-void write_jsonl_checkpoint(const std::string& path, const CheckpointHeader& h,
-                            const std::vector<TrialRecord>& records) {
-  const std::string text = to_jsonl(h, records);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  bool ok = f && std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  if (f) ok = std::fclose(f) == 0 && ok;
-  std::error_code ec;
-  if (ok) std::filesystem::rename(tmp, path, ec);
-  if (!ok || ec) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: cannot write " + path);
-  }
 }
 
 std::vector<TrialRecord> sort_unique_records(

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstring>
-#include <fstream>
+#include <cstdio>
 #include <stdexcept>
-#include <string_view>
 
 #include "fi/record_codec.hpp"
 #include "util/table.hpp"
@@ -14,39 +12,9 @@ namespace rangerpp::fi {
 
 namespace {
 
-// The checkpoint grammar is written and read only by this module, so
-// parsing is a handful of key lookups rather than a JSON library.  Values
-// written by us never contain quotes or backslashes (sanitise_label below
-// enforces it for the one free-form field).
-
-bool find_raw(const std::string& line, const std::string& key,
-              std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t start = pos + needle.size();
-  if (start >= line.size()) return false;
-  if (line[start] == '"') {
-    const std::size_t end = line.find('"', start + 1);
-    if (end == std::string::npos) return false;
-    out = line.substr(start + 1, end - start - 1);
-    return true;
-  }
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  if (end >= line.size()) return false;  // torn line: no closing brace
-  out = line.substr(start, end - start);
-  return true;
-}
-
-bool find_u64(const std::string& line, const std::string& key,
-              std::uint64_t& out) {
-  std::string raw;
-  if (!find_raw(line, key, raw) || raw.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return end && *end == '\0';
-}
+// Values written by us never contain quotes or backslashes
+// (sanitise_label enforces it for the one free-form field), so the text
+// form needs no escaping.
 
 std::string sanitise_label(const std::string& s) {
   std::string out;
@@ -71,51 +39,6 @@ std::string encode_faults(const FaultSet& faults) {
     else if (f.action == FaultAction::kStuck1) out += "s1";
   }
   return out;
-}
-
-bool decode_faults(const std::string& s, FaultSet& out) {
-  out.clear();
-  std::size_t start = 0;
-  while (start < s.size()) {
-    std::size_t end = s.find(',', start);
-    if (end == std::string::npos) end = s.size();
-    const std::string part = s.substr(start, end - start);
-    const std::size_t at = part.rfind('@');
-    const std::size_t colon = part.rfind(':');
-    if (at == std::string::npos || colon == std::string::npos ||
-        colon <= at + 1)
-      return false;
-    FaultPoint f;
-    f.node_name = part.substr(0, at);
-    f.element = std::strtoull(part.c_str() + at + 1, nullptr, 10);
-    char* bit_end = nullptr;
-    f.bit = static_cast<int>(
-        std::strtol(part.c_str() + colon + 1, &bit_end, 10));
-    const std::string suffix(bit_end ? bit_end : "");
-    if (suffix == "s0") f.action = FaultAction::kStuck0;
-    else if (suffix == "s1") f.action = FaultAction::kStuck1;
-    else if (!suffix.empty()) return false;
-    out.push_back(std::move(f));
-    start = end + 1;
-  }
-  return !out.empty();
-}
-
-bool parse_trial_line(const std::string& line, TrialRecord& r) {
-  std::uint64_t u = 0;
-  if (!find_u64(line, "t", u)) return false;
-  r.trial = u;
-  if (!find_u64(line, "input", u)) return false;
-  r.input = static_cast<std::uint32_t>(u);
-  std::string faults;
-  if (!find_raw(line, "faults", faults) || !decode_faults(faults, r.faults))
-    return false;
-  if (!find_raw(line, "stratum", r.stratum)) return false;
-  if (!find_u64(line, "sdc", u)) return false;
-  r.sdc_mask = static_cast<std::uint32_t>(u);
-  // A torn line would have lost its closing brace and failed find_raw
-  // above; require it anyway for the numeric-tail case.
-  return line.find('}') != std::string::npos;
 }
 
 }  // namespace
@@ -191,98 +114,6 @@ std::string trial_record_line(const TrialRecord& r) {
   return line;
 }
 
-void write_checkpoint_header(std::FILE* f, const CheckpointHeader& h) {
-  const std::string line = checkpoint_header_line(h);
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fflush(f);
-}
-
-void append_trial_record(std::FILE* f, const TrialRecord& r) {
-  const std::string line = trial_record_line(r);
-  std::fwrite(line.data(), 1, line.size(), f);
-}
-
-Checkpoint load_checkpoint(const std::string& path) {
-  // Binary (checkpoint-v2) files announce themselves with the codec
-  // magic; route them to the binary decoder so every consumer of JSONL
-  // checkpoints — resume, Suite::merge — reads both formats
-  // transparently.
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe)
-      throw std::runtime_error("checkpoint: cannot open " + path);
-    char magic[4] = {};
-    probe.read(magic, sizeof magic);
-    if (probe.gcount() == sizeof magic &&
-        is_binary_checkpoint(std::string_view(magic, sizeof magic)))
-      return load_binary_checkpoint(path);
-  }
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("checkpoint: cannot open " + path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line))
-    if (!line.empty()) lines.push_back(line);
-  if (lines.empty())
-    throw std::runtime_error("checkpoint: empty file " + path);
-
-  Checkpoint cp;
-  std::string type;
-  if (!find_raw(lines[0], "type", type) || type != "header")
-    throw std::runtime_error("checkpoint: missing header line in " + path);
-  CheckpointHeader& h = cp.header;
-  std::uint64_t u = 0;
-  find_raw(lines[0], "label", h.label);
-  if (!find_u64(lines[0], "seed", u))
-    throw std::runtime_error("checkpoint: bad header (seed) in " + path);
-  h.seed = u;
-  if (!find_raw(lines[0], "dtype", h.dtype))
-    throw std::runtime_error("checkpoint: bad header (dtype) in " + path);
-  if (find_u64(lines[0], "n_bits", u)) h.n_bits = static_cast<int>(u);
-  if (find_u64(lines[0], "consecutive", u)) h.consecutive_bits = u != 0;
-  // Absent in pre-weight-subsystem files; the defaults are the
-  // activation fault class those files were written under.
-  find_raw(lines[0], "fault_class", h.fault_class);
-  find_raw(lines[0], "weight_kind", h.weight_kind);
-  find_raw(lines[0], "ecc", h.ecc);
-  std::uint64_t tpi = 0, inputs = 0, judges = 0;
-  if (!find_u64(lines[0], "trials_per_input", tpi) ||
-      !find_u64(lines[0], "inputs", inputs) ||
-      !find_u64(lines[0], "judges", judges))
-    throw std::runtime_error("checkpoint: bad header (counts) in " + path);
-  h.trials_per_input = tpi;
-  h.inputs = inputs;
-  h.judges = judges;
-  find_raw(lines[0], "sampling", h.sampling);
-  if (find_u64(lines[0], "bit_group", u))
-    h.bit_group_size = static_cast<int>(u);
-  if (find_u64(lines[0], "shard_index", u)) h.shard_index = u;
-  if (find_u64(lines[0], "shard_count", u)) h.shard_count = u;
-  find_raw(lines[0], "strata", h.strata_weights);
-
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    TrialRecord r;
-    if (!find_raw(lines[i], "type", type) || type != "trial" ||
-        !parse_trial_line(lines[i], r)) {
-      if (i + 1 == lines.size()) break;  // torn final line: killed writer
-      // A torn line mid-file (disk-full write, a writer killed while the
-      // tail was later appended to, interleaved NFS writes) must not
-      // discard the surrounding valid records: every trial line is
-      // self-contained, so recovery keeps everything that parses and the
-      // runner simply re-executes the lost trials on resume.  Warn so an
-      // unexpectedly corrupted file is still visible.
-      std::fprintf(stderr,
-                   "checkpoint: warning: skipping malformed line %zu in %s "
-                   "(recovering the remaining records; missing trials will "
-                   "be re-executed on resume)\n",
-                   i + 1, path.c_str());
-      continue;
-    }
-    cp.records.push_back(std::move(r));
-  }
-  return cp;
-}
-
 // ---- Report -----------------------------------------------------------------
 
 CampaignReport build_report(
@@ -291,25 +122,7 @@ CampaignReport build_report(
     const std::map<std::string, double>& stratum_weights) {
   if (judge_count == 0 || judge_count > 32)
     throw std::invalid_argument("build_report: judge_count out of range");
-  std::sort(records.begin(), records.end(),
-            [](const TrialRecord& a, const TrialRecord& b) {
-              return a.trial < b.trial;
-            });
-  // Deduplicate (merged shard files may overlap a resumed range); two
-  // records for one trial index must agree — trials are deterministic.
-  std::vector<TrialRecord> unique;
-  unique.reserve(records.size());
-  for (TrialRecord& r : records) {
-    if (!unique.empty() && unique.back().trial == r.trial) {
-      if (!(unique.back() == r))
-        throw std::runtime_error(
-            "build_report: conflicting records for trial " +
-            std::to_string(r.trial) +
-            " (checkpoints disagree about a deterministic trial)");
-      continue;
-    }
-    unique.push_back(std::move(r));
-  }
+  std::vector<TrialRecord> unique = sort_unique_records(std::move(records));
 
   CampaignReport rep;
   rep.planned = planned;

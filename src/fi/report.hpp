@@ -1,18 +1,15 @@
-// Campaign aggregation layer: per-trial records, JSONL checkpoint files,
-// shard merging and the statistical campaign report.
-//
-// Checkpoint format (one JSON object per line, written by this module and
-// parsed only by it — field values avoid characters that would need
-// escaping):
+// Campaign aggregation layer: per-trial records, checkpoint headers,
+// shard merging and the statistical campaign report.  Checkpoint files
+// are RPRC streams, read and written by record_codec.hpp; this module
+// owns the records themselves and their canonical JSONL text form:
 //
 //   {"type":"header","label":"LeNet","seed":2021,"dtype":"fixed32",...}
 //   {"type":"trial","t":17,"input":0,"faults":"conv1@37:29",
-//    "stratum":"conv1:b24-31","sdc":"01"}
+//    "stratum":"conv1:b24-31","sdc":1}
 //
 // The header carries the campaign fingerprint (seed, datatype, fault
 // model, trial counts, sampling mode) so resume and merge can refuse
-// mismatched files; trial lines are self-contained records, so a file
-// truncated by a killed job loses at most the partially written last line.
+// mismatched files.
 //
 // Determinism contract: a trial's record is a pure function of the
 // campaign fingerprint and the trial index — never of which machine,
@@ -23,13 +20,11 @@
 // operator==, or `cmp` of the written files) a meaningful
 // reproducibility gate.
 //
-// Thread-safety: everything here is plain value manipulation plus
-// caller-owned FILE* streams; no function is safe to call concurrently on
-// the same FILE* or the same mutable object, and CampaignRunner is the
-// single writer of any checkpoint file.
+// Thread-safety: everything here is plain value manipulation; no
+// function is safe to call concurrently on the same mutable object, and
+// CampaignRunner is the single writer of any checkpoint file.
 #pragma once
 
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,34 +79,18 @@ struct CheckpointHeader {
   std::string fingerprint() const;
 };
 
+// A decoded checkpoint (record_codec.hpp's load_checkpoint).
 struct Checkpoint {
   CheckpointHeader header;
   std::vector<TrialRecord> records;  // in file order
+  bool torn_tail = false;  // the stream ended mid-record (killed writer)
 };
 
-// Streaming writers (runner-side).  Records are buffered; CampaignRunner
-// flushes at batch boundaries (check_every trials), so a killed campaign
-// loses at most the current batch plus the line being written — resume
-// re-executes exactly the missing trials.
-void write_checkpoint_header(std::FILE* f, const CheckpointHeader& h);
-void append_trial_record(std::FILE* f, const TrialRecord& r);
-
-// The exact line (newline included) the corresponding writer above
-// emits — the single source of truth for the JSONL grammar, exposed so
-// record_codec's lossless export is byte-identical to a natively
-// written checkpoint by construction rather than by parallel printf
-// maintenance.
+// The canonical JSONL text of a header / a record, newline included —
+// the one text form of the records (to_jsonl, perfbench's record digest
+// and record_identity_test print it; nothing parses it back).
 std::string checkpoint_header_line(const CheckpointHeader& h);
 std::string trial_record_line(const TrialRecord& r);
-
-// Loads a checkpoint file; throws std::runtime_error on a missing file,
-// empty file, or malformed header.  Trial lines are self-contained, so a
-// torn or malformed line anywhere in the body only loses itself: a torn
-// *final* line — the signature of a killed writer — is dropped silently,
-// and a torn line mid-file (disk-full, interleaved writer crash) is
-// skipped with a stderr warning while every other record is recovered
-// (the runner re-executes the lost trials on resume).
-Checkpoint load_checkpoint(const std::string& path);
 
 // ---- Report -----------------------------------------------------------------
 
@@ -141,9 +120,10 @@ struct CampaignReport {
   std::size_t executed() const { return records.size(); }
 };
 
-// Builds a report from records (deduplicated, sorted).  Two records for
-// the same trial index must be identical — anything else means two
-// checkpoints disagree about a deterministic trial, and throws.
+// Builds a report from records, sorted and deduplicated by
+// sort_unique_records: two records for the same trial index must be
+// identical — anything else means two checkpoints disagree about a
+// deterministic trial, and throws.
 CampaignReport build_report(
     std::vector<TrialRecord> records, std::size_t judge_count,
     std::size_t planned,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <unordered_set>
@@ -14,49 +13,6 @@
 #include "util/trace.hpp"
 
 namespace rangerpp::fi {
-
-namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-// Format-agnostic checkpoint appender: JSONL or the binary v2 codec,
-// chosen by the path suffix (see RunnerConfig::checkpoint_path).
-struct CheckpointWriter {
-  FilePtr file;
-  bool binary = false;
-
-  explicit operator bool() const { return file != nullptr; }
-
-  void header(const CheckpointHeader& h) {
-    if (binary) {
-      std::string bytes;
-      encode_stream_header(bytes, h);
-      std::fwrite(bytes.data(), 1, bytes.size(), file.get());
-      std::fflush(file.get());
-    } else {
-      write_checkpoint_header(file.get(), h);
-    }
-  }
-
-  void record(const TrialRecord& r) {
-    if (binary) {
-      std::string bytes;
-      encode_record(bytes, r);
-      std::fwrite(bytes.data(), 1, bytes.size(), file.get());
-    } else {
-      append_trial_record(file.get(), r);
-    }
-  }
-
-  void flush() { std::fflush(file.get()); }
-};
-
-}  // namespace
 
 CampaignRunner::CampaignRunner(RunnerConfig config)
     : config_(std::move(config)) {
@@ -143,15 +99,14 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
   // Resume: load existing records and subtract them from the work list.
   std::vector<TrialRecord> records;
   std::unordered_set<std::uint64_t> done;
-  bool resuming = false;
-  if (!config_.checkpoint_path.empty() &&
-      std::ifstream(config_.checkpoint_path).good()) {
-    Checkpoint cp = load_checkpoint(config_.checkpoint_path);
+  const std::string& path = config_.checkpoint_path;
+  if (!path.empty() && std::ifstream(path).good()) {
+    Checkpoint cp = load_checkpoint(path);
     if (cp.header.fingerprint() != header.fingerprint() ||
         cp.header.shard_index != header.shard_index ||
         cp.header.shard_count != header.shard_count)
       throw std::runtime_error(
-          "CampaignRunner: checkpoint " + config_.checkpoint_path +
+          "CampaignRunner: checkpoint " + path +
           " was written by a different campaign/shard\n  expected " +
           header.fingerprint() + " shard " +
           std::to_string(header.shard_index) + "/" +
@@ -162,14 +117,12 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
     for (TrialRecord& r : cp.records) {
       if (r.trial >= total ||
           r.trial % config_.shard_count != config_.shard_index)
-        throw std::runtime_error("CampaignRunner: checkpoint " +
-                                 config_.checkpoint_path +
+        throw std::runtime_error("CampaignRunner: checkpoint " + path +
                                  " contains trial " +
                                  std::to_string(r.trial) +
                                  " outside this shard");
       if (done.insert(r.trial).second) records.push_back(std::move(r));
     }
-    resuming = true;
   }
 
   std::vector<std::size_t> pending;
@@ -188,39 +141,15 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
   if (!done.empty())
     util::metrics::counter_add("campaign.trials_resumed", done.size());
 
-  // On resume the checkpoint is rewritten (via temp + rename), not
-  // appended: a killed writer can leave a torn, newline-less final line
-  // that load_checkpoint drops, and appending after that fragment would
-  // corrupt the file.  Re-serialising the parsed state makes the file
-  // canonical again, and the rename keeps the old file intact if this
-  // process dies mid-rewrite.
-  CheckpointWriter file;
-  file.binary = binary_checkpoint_path(config_.checkpoint_path);
-  if (!config_.checkpoint_path.empty()) {
-    const char* write_mode = file.binary ? "wb" : "w";
-    if (resuming) {
-      const std::string tmp = config_.checkpoint_path + ".tmp";
-      CheckpointWriter rewrite{FilePtr(std::fopen(tmp.c_str(), write_mode)),
-                               file.binary};
-      if (!rewrite)
-        throw std::runtime_error("CampaignRunner: cannot write " + tmp);
-      rewrite.header(header);
-      for (const TrialRecord& r : records) rewrite.record(r);
-      rewrite.file.reset();
-      if (std::rename(tmp.c_str(), config_.checkpoint_path.c_str()) != 0)
-        throw std::runtime_error("CampaignRunner: cannot replace " +
-                                 config_.checkpoint_path);
-      file.file.reset(std::fopen(config_.checkpoint_path.c_str(),
-                                 file.binary ? "ab" : "a"));
-    } else {
-      file.file.reset(
-          std::fopen(config_.checkpoint_path.c_str(), write_mode));
-      if (file) file.header(header);
-    }
-    if (!file)
-      throw std::runtime_error("CampaignRunner: cannot open checkpoint " +
-                               config_.checkpoint_path);
-  }
+  // The checkpoint is written whole before any trial runs — header only
+  // on a fresh run, the loaded records on resume — and each batch is
+  // appended after it.  Rewriting rather than appending on resume drops
+  // a torn tail frame a killed writer may have left (appending after
+  // that fragment would corrupt the file); the temp + rename inside
+  // write_checkpoint keeps the old file intact if this process dies
+  // mid-rewrite.  A failed write throws, so a torn tail is the only
+  // tear a run can leave.
+  if (!path.empty()) write_checkpoint(path, header, records);
 
   // Aggregate Wilson half-width of judge 0, in percent, over everything
   // recorded so far — the early-stop criterion.
@@ -365,11 +294,9 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
                                 batch_timer.elapsed_ms());
       util::trace::Span write_span("checkpoint.write");
       write_span.arg("records", batch_n);
-      for (TrialRecord& r : batch) {
-        if (file) file.record(r);
-        records.push_back(std::move(r));
-      }
-      if (file) file.flush();
+      if (!path.empty()) append_records(path, batch);
+      records.insert(records.end(), std::make_move_iterator(batch.begin()),
+                     std::make_move_iterator(batch.end()));
     }
   }
 

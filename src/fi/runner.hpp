@@ -9,11 +9,10 @@
 //    trial index, any shard subset reproduces bit-identically on any
 //    machine, and the union of shards equals the single-process run
 //    trial for trial.
-//  * JSONL checkpointing — every executed trial is streamed to the
-//    checkpoint file as a self-contained record; a killed campaign
-//    resumes by re-reading the file and executing only the missing
-//    trials (the resumed run's records are bit-identical to an
-//    uninterrupted one).
+//  * Checkpointing — every batch of executed trials is appended to an
+//    RPRC checkpoint file (record_codec.hpp); a killed campaign resumes
+//    by re-reading the file and executing only the missing trials (the
+//    resumed run's records are bit-identical to an uninterrupted one).
 //  * Stratified sampling — optional (layer, bit-group) strata with
 //    per-stratum Wilson intervals and a weighted unbiased aggregate
 //    (report.hpp).
@@ -51,12 +50,8 @@ struct RunnerConfig {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  // Checkpoint path; empty = in-memory only.  An existing file is
+  // RPRC checkpoint path; empty = in-memory only.  An existing file is
   // resumed (its header must match this config, else the run throws).
-  // A ".rcp" suffix selects the compact binary checkpoint-v2 format
-  // (record_codec.hpp); anything else writes JSONL.  Resume reads
-  // either format regardless of suffix and rewrites in the configured
-  // one.
   std::string checkpoint_path;
 
   // Early stop: finish once the aggregate Wilson-95 half-width of judge 0

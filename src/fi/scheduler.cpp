@@ -327,8 +327,8 @@ SuiteResult Scheduler::wait(std::uint64_t id) {
   return out;
 }
 
-std::vector<std::string> Scheduler::export_request_jsonl(
-    std::uint64_t id, const std::string& dir) {
+std::vector<std::string> Scheduler::export_request(std::uint64_t id,
+                                                  const std::string& dir) {
   const std::shared_ptr<Request> req = find_request(id);
   if (!req) throw std::invalid_argument("Scheduler: unknown request id");
   {
@@ -364,8 +364,7 @@ std::vector<std::string> Scheduler::export_request_jsonl(
         (std::filesystem::path(dir) /
          cell_checkpoint_name(req->plan.spec.name, cell, 0, 1))
             .string();
-    write_jsonl_checkpoint(path, header,
-                           sort_unique_records(std::move(records)));
+    write_checkpoint(path, header, sort_unique_records(std::move(records)));
     paths.push_back(path);
   }
   return paths;
@@ -580,7 +579,7 @@ bool Scheduler::run_unit_slice(unsigned w, Unit& u, bool suppress_stream) {
     rc.checkpoint_path =
         (std::filesystem::path(config_.checkpoint_dir) /
          cell_checkpoint_name(spec.name, cell, u.partition,
-                              config_.partitions_per_cell, ".rcp"))
+                              config_.partitions_per_cell))
             .string();
 
   const CampaignRunner runner(rc);

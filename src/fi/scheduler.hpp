@@ -25,12 +25,13 @@
 //    request's RecordSink (scheduler_cli forwards them to the client as
 //    binary codec frames) together with the cell's export-form header.
 //  * Crash recovery — units checkpoint through the ordinary
-//    CampaignRunner resume path (binary ".rcp" checkpoint-v2 files,
-//    record_codec.hpp), so a killed worker — or a SIGKILLed daemon —
-//    loses at most the slice in flight; resubmitting the same spec
-//    resumes from the surviving checkpoints with no lost or duplicated
-//    trials.  cancel() stops a request at slice boundaries and leaves
-//    its checkpoints resumable the same way.
+//    CampaignRunner resume path (RPRC files, record_codec.hpp, named as
+//    suite shards, so `suite_cli --merge` reads them too), so a killed
+//    worker — or a SIGKILLed daemon — loses at most the slice in
+//    flight; resubmitting the same spec resumes from the surviving
+//    checkpoints with no lost or duplicated trials.  cancel() stops a
+//    request at slice boundaries and leaves its checkpoints resumable
+//    the same way.
 #pragma once
 
 #include <atomic>
@@ -68,7 +69,7 @@ struct SchedulerConfig {
   // slice boundary without a checkpoint would forget its records.
   std::size_t slice_trials = 256;
 
-  // Directory for per-unit binary checkpoints
+  // Directory for per-unit RPRC checkpoints
   // (<name>.<cell-id>.s<p>of<P>.rcp); empty = in-memory only, no crash
   // recovery.  Requests resume from whatever matching checkpoints the
   // directory already holds — the daemon-restart recovery path.
@@ -154,12 +155,12 @@ class Scheduler {
   SuiteResult wait(std::uint64_t id);
 
   // Writes each cell of a settled request to
-  // <dir>/<name>.<cell-id>.s0of1.jsonl — byte-identical to the
+  // <dir>/<name>.<cell-id>.s0of1.rcp — byte-identical to the
   // checkpoints a one-shot unsharded suite_cli run of the same spec
   // writes (the determinism gate's cmp target).  Returns the paths in
   // cell order.  Throws after release() dropped the records.
-  std::vector<std::string> export_request_jsonl(std::uint64_t id,
-                                                const std::string& dir);
+  std::vector<std::string> export_request(std::uint64_t id,
+                                          const std::string& dir);
 
   // Drops a settled request's buffered records and work units, keeping
   // its lightweight status (state/streamed counts) queryable until the

@@ -252,9 +252,9 @@ std::optional<ops::OpKind> act_from_token(std::string_view s) {
 std::string cell_checkpoint_name(const std::string& suite,
                                  const SuiteCell& cell,
                                  std::size_t shard_index,
-                                 std::size_t shard_count, const char* ext) {
+                                 std::size_t shard_count) {
   return suite + "." + cell.id + ".s" + std::to_string(shard_index) + "of" +
-         std::to_string(shard_count) + ext;
+         std::to_string(shard_count) + ".rcp";
 }
 
 std::size_t cell_shard_index(std::size_t suite_shard_index,
@@ -465,7 +465,7 @@ SuiteResult Suite::run() {
 
 namespace {
 
-// Whether `file` is `cell`'s JSONL checkpoint under some shard spec: the
+// Whether `file` is `cell`'s checkpoint under some shard spec: the
 // shard field is read back from the name and the name rebuilt from it.
 bool is_cell_checkpoint(const std::string& file, const std::string& suite,
                         const SuiteCell& cell) {
@@ -516,10 +516,10 @@ SuiteResult Suite::merge(const std::vector<std::string>& dirs) const {
     // run's own checkpoint.  It may also be one of this merge's inputs,
     // hence the temp-file-plus-rename writer.
     if (!spec.checkpoint_dir.empty())
-      write_jsonl_checkpoint((std::filesystem::path(spec.checkpoint_dir) /
-                              cell_checkpoint_name(spec.name, cell, 0, 1))
-                                 .string(),
-                             header, report.records);
+      write_checkpoint((std::filesystem::path(spec.checkpoint_dir) /
+                        cell_checkpoint_name(spec.name, cell, 0, 1))
+                           .string(),
+                       header, report.records);
     out.cells.push_back({cell, std::move(report)});
   }
   return out;
@@ -609,7 +609,9 @@ void write_suite_manifest(const std::string& path, const SuiteResult& r) {
     first = false;
   }
   std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  const bool wrote = !std::ferror(f);
+  if (std::fclose(f) != 0 || !wrote)
+    throw std::runtime_error("write_suite_manifest: cannot write " + path);
 }
 
 // ---- Report layer -----------------------------------------------------------

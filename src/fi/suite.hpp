@@ -14,7 +14,7 @@
 //    TrialExecutors (ExecutionPlans + goldens) are cached per (model,
 //    act[, dtype]) and reused by every fault-model/technique cell.
 //  * Each cell executes on the existing CampaignRunner, so per-cell
-//    JSONL checkpoints, deterministic sharding, stratified sampling and
+//    RPRC checkpoints, deterministic sharding, stratified sampling and
 //    Wilson-CI early stopping compose for free.  Suite-level `--shard i/N` partitions
 //    the *global* cell×trial stream: a cell at global offset O maps the
 //    suite shard onto the runner-local shard ((i - O) mod N), so the
@@ -136,7 +136,7 @@ struct SuiteSpec {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  // Directory for per-cell JSONL checkpoints (created on demand); empty
+  // Directory for per-cell RPRC checkpoints (created on demand); empty
   // = in-memory only.  Files are named by cell_checkpoint_name.
   std::string checkpoint_dir;
 
@@ -182,14 +182,14 @@ struct SuitePlan {
 SuitePlan compile_suite(const SuiteSpec& spec);
 
 // The file name of `cell`'s checkpoint for shard i of N:
-// "<suite>.<cell-id>.s<i>of<N>.jsonl".  Suite runs, merges, scheduler
-// exports (s0of1) and the scheduler's binary partition checkpoints
-// (ext ".rcp") all name their files through this one function.
+// "<suite>.<cell-id>.s<i>of<N>.rcp".  Suite runs, merges, scheduler
+// exports (s0of1) and the scheduler's partition checkpoints all name
+// their files through this one function, so Suite::merge reads a
+// daemon's partitions like any suite shards.
 std::string cell_checkpoint_name(const std::string& suite,
                                  const SuiteCell& cell,
                                  std::size_t shard_index,
-                                 std::size_t shard_count,
-                                 const char* ext = ".jsonl");
+                                 std::size_t shard_count);
 
 // The runner-local shard index a suite shard maps to for a cell at
 // `global_offset` (suite trial g = offset + t executes when
@@ -236,7 +236,8 @@ class Suite {
   SuiteResult run();
 
   // Loads and merges the per-cell shard checkpoints found in `dirs`
-  // (files written by run() under any shard spec) into full-campaign
+  // (files written by run() under any shard spec, or a scheduler
+  // daemon's partition checkpoints of the same spec) into full-campaign
   // reports — no trials execute.  Throws if a cell has no checkpoint or
   // its files were written under another configuration.  With a
   // checkpoint_dir in the spec, each cell's merged records are also
@@ -261,7 +262,8 @@ class Suite {
 // artifacts are comparable across machines), per-cell counts with
 // Wilson intervals, and the paired-coverage join.  Derived only from
 // (spec, per-trial records), so merged shards and an unsharded run
-// produce byte-identical manifests on the same host.
+// produce byte-identical manifests on the same host.  Throws
+// std::runtime_error naming the path when the file cannot be written.
 void write_suite_manifest(const std::string& path, const SuiteResult& r);
 
 // ---- Report layer -----------------------------------------------------------

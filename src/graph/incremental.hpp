@@ -55,15 +55,16 @@
 // Const (weight) faults: a ConstOverride run seeds the overridden
 // Const's ChangeSet with the corrupted elements, so the invalidation is
 // exactly the downstream-reachability cone of the const — i.e. of its
-// first consumer(s).  The weight-consuming kernels here (Conv2D filter,
-// MatMul weights, BiasAdd bias, the second input of a
-// BinaryElementwiseOp) treat a
-// changed *parameter* input as "recompute dense at this node" (see the
-// changes[1] guards below): the parameter perturbs every output element
-// of that one consumer, which is the correct dense frontier — but from
-// there on the element-sparse tracking resumes as usual, and a fault
-// masked at the consumer (ReLU/pool/clamp) still collapses the rest of
-// the cone back to golden.
+// first consumer(s).  Conv2D (filter), MatMul (weights) and BiasAdd
+// (bias) treat a changed *parameter* input as "recompute dense at this
+// node" (the changes[1] guards in incremental.cpp): the parameter
+// perturbs a whole channel or more of that one consumer's output, which
+// is the correct dense frontier — but from there on the element-sparse
+// tracking resumes as usual, and a fault masked at the consumer
+// (ReLU/pool/clamp) still collapses the rest of the cone back to golden.
+// A BinaryElementwiseOp has no such guard: sparse_binary merges both
+// inputs' change sets element by element, so a changed second input
+// stays sparse until the merged set reaches the dense threshold.
 //
 // Thread-safety: incremental_recompute is a function of its arguments
 // plus the calling thread's scatter; concurrent calls are safe as long as

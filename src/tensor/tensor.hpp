@@ -1,7 +1,8 @@
-// Dense float tensor with shared (copy-on-write-free, explicitly cloned)
-// storage.  Values are stored as float; the active inference datatype is a
-// property of the *executor*, which quantises operator outputs through the
-// DType codec (see dtype.hpp).
+// Dense float tensor with shared, copy-on-write storage: copies alias
+// one buffer, and set, set4 and mutable_values unshare aliased storage
+// before writing (clone copies eagerly).  Values are stored as float;
+// the active inference datatype is a property of the *executor*, which
+// quantises operator outputs through the DType codec (see dtype.hpp).
 #pragma once
 
 #include <memory>

@@ -7,8 +7,8 @@
 // records, status, …) and the length counts only the payload.  Frames
 // are the unit of atomicity: a reader either receives a whole frame or
 // detects the torn connection — there is no partial-frame state to
-// resynchronise from, mirroring the self-contained-record JSONL
-// contract of the checkpoint layer.
+// resynchronise from, mirroring the length-prefixed RPRC records of the
+// checkpoint layer (fi/record_codec.hpp).
 //
 // Two local transports share the grammar: an AF_UNIX socket (the
 // default; filesystem permissions gate access) and a TCP socket bound

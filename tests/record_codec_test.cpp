@@ -1,12 +1,9 @@
-// Binary record codec (record_codec.hpp): round-trip fidelity over
+// RPRC record codec (record_codec.hpp): round-trip fidelity over
 // randomised headers/records (including stuck-at weight faults and int8
 // campaigns), torn-tail recovery at every truncation point, version-
-// mismatch refusal, the runner's .rcp checkpoint/resume path, and the
-// losslessness contract — to_jsonl must be byte-identical to a natively
-// written JSONL checkpoint.
+// mismatch refusal, and the checkpoint file writer and reader.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -87,8 +84,8 @@ TEST(RecordCodec, StreamRoundTripIsExact) {
   encode_stream_header(bytes, h);
   for (const TrialRecord& r : records) encode_record(bytes, r);
 
-  ASSERT_TRUE(is_binary_checkpoint(bytes));
-  const DecodedStream d = decode_stream(bytes);
+  ASSERT_TRUE(bytes.starts_with("RPRC"));
+  const Checkpoint d = decode_stream(bytes);
   EXPECT_FALSE(d.torn_tail);
   EXPECT_EQ(d.header.fingerprint(), h.fingerprint());
   EXPECT_EQ(d.header.label, h.label);
@@ -114,7 +111,7 @@ TEST(RecordCodec, WireFramesRoundTripWithoutHeader) {
 
 TEST(RecordCodec, StuckAtActionsSurviveBothFormats) {
   // The stuck-at actions are the newest field of the fault grammar —
-  // pin their round trip through binary *and* the JSONL re-export.
+  // pin their round trip through RPRC *and* their canonical text form.
   TrialRecord r;
   r.trial = 11;
   r.input = 4;
@@ -147,7 +144,7 @@ TEST(RecordCodec, Int8HeaderRoundTrips) {
   h.consecutive_bits = false;
   std::string bytes;
   encode_stream_header(bytes, h);
-  const DecodedStream d = decode_stream(bytes);
+  const Checkpoint d = decode_stream(bytes);
   EXPECT_EQ(d.header.dtype, "int8");
   EXPECT_EQ(d.header.fingerprint(), h.fingerprint());
 }
@@ -167,7 +164,7 @@ TEST(RecordCodec, TornTailRecoversThePrefixAtEveryTruncation) {
   // Truncating anywhere inside record k must recover records [0, k)
   // and flag the tear — the killed-writer contract.
   for (std::size_t cut = header_size; cut < bytes.size(); ++cut) {
-    const DecodedStream d = decode_stream(bytes.substr(0, cut));
+    const Checkpoint d = decode_stream(bytes.substr(0, cut));
     std::size_t whole = 0;
     while (whole < frame_ends.size() && frame_ends[whole] <= cut) ++whole;
     EXPECT_EQ(d.records.size(), whole) << "cut at " << cut;
@@ -201,32 +198,7 @@ TEST(RecordCodec, BadMagicAndGarbageAreRefused) {
   EXPECT_THROW(decode_stream(bytes), std::runtime_error);
 }
 
-TEST(RecordCodec, ToJsonlMatchesNativeWriterByteForByte) {
-  const CheckpointHeader h = sample_header();
-  std::vector<TrialRecord> records = sample_records(32, 4);
-  // The JSONL grammar cannot express an empty fault set (decode_faults
-  // rejects it; the runner never emits one) — keep those to the binary
-  // round-trip tests and give every record here at least one fault.
-  for (TrialRecord& r : records)
-    if (r.faults.empty())
-      r.faults.push_back({"fc2.weight", 1, 0, FaultAction::kFlip});
-
-  const std::string path = temp_path("codec_native.jsonl");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  write_checkpoint_header(f, h);
-  for (const TrialRecord& r : records) append_trial_record(f, r);
-  std::fclose(f);
-
-  EXPECT_EQ(to_jsonl(h, records), slurp(path));
-
-  // And the native file round-trips through load_checkpoint into the
-  // same records, closing the loop: binary → jsonl → loader agree.
-  const Checkpoint cp = load_checkpoint(path);
-  EXPECT_TRUE(cp.records == records);
-}
-
-TEST(RecordCodec, BinaryCheckpointFileLoadsViaBothEntryPoints) {
+TEST(RecordCodec, WrittenCheckpointLoadsBack) {
   const CheckpointHeader h = sample_header();
   const std::vector<TrialRecord> records = sample_records(16, 5);
   std::string bytes;
@@ -234,26 +206,28 @@ TEST(RecordCodec, BinaryCheckpointFileLoadsViaBothEntryPoints) {
   for (const TrialRecord& r : records) encode_record(bytes, r);
 
   const std::string path = temp_path("codec_ckpt.rcp");
-  std::ofstream(path, std::ios::binary).write(bytes.data(),
-                                              static_cast<std::streamsize>(
-                                                  bytes.size()));
+  write_checkpoint(path, h, records);
+  EXPECT_EQ(slurp(path), bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const Checkpoint cp = load_checkpoint(path);
+  EXPECT_EQ(cp.header.fingerprint(), h.fingerprint());
+  EXPECT_TRUE(cp.records == records);
+  EXPECT_FALSE(cp.torn_tail);
 
-  const Checkpoint direct = load_binary_checkpoint(path);
-  EXPECT_EQ(direct.header.fingerprint(), h.fingerprint());
-  EXPECT_TRUE(direct.records == records);
+  // Appends extend the same stream.
+  append_records(path, records);
+  EXPECT_EQ(load_checkpoint(path).records.size(), 2 * records.size());
 
-  // load_checkpoint sniffs the magic — .rcp content is readable through
-  // the JSONL-era entry point every merge/report tool calls.
-  const Checkpoint sniffed = load_checkpoint(path);
-  EXPECT_EQ(sniffed.header.fingerprint(), h.fingerprint());
-  EXPECT_TRUE(sniffed.records == records);
-}
-
-TEST(RecordCodec, PathConventionSelectsBinary) {
-  EXPECT_TRUE(binary_checkpoint_path("dir/run.s0of4.rcp"));
-  EXPECT_FALSE(binary_checkpoint_path("dir/run.s0of4.jsonl"));
-  EXPECT_FALSE(binary_checkpoint_path(""));
-  EXPECT_FALSE(binary_checkpoint_path("rcp"));
+  // A stream torn inside its header is no checkpoint: the refusal names
+  // the file.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, 9);
+  try {
+    load_checkpoint(path);
+    FAIL() << "load_checkpoint accepted a torn header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+  }
 }
 
 TEST(RecordCodec, SortUniqueRecordsMergesAndRefusesConflicts) {

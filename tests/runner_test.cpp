@@ -1,13 +1,18 @@
-// CampaignRunner orchestration: shard determinism, JSONL checkpoint
-// resume, stratified sampling, merging and early stopping.  Everything
-// here runs on a tiny builder graph — the properties under test are the
+// CampaignRunner orchestration: shard determinism, checkpoint resume
+// and its failure modes (torn tails, JSONL files, failed writes),
+// stratified sampling, merging and early stopping.  Everything here
+// runs on a tiny builder graph — the properties under test are the
 // runner's, not the models'.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "fi/record_codec.hpp"
 #include "fi/report.hpp"
 #include "fi/runner.hpp"
 #include "graph/builder.hpp"
@@ -58,6 +63,13 @@ std::string temp_path(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 RunnerConfig base_config(std::size_t trials_per_input = 90) {
   RunnerConfig rc;
   rc.campaign.trials_per_input = trials_per_input;
@@ -102,7 +114,7 @@ TEST(CampaignRunner, CheckpointResumeIsBitIdentical) {
   const graph::Graph g = relu_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string path = temp_path("resume.jsonl");
+  const std::string path = temp_path("resume.rcp");
   std::remove(path.c_str());
 
   // Uninterrupted reference run (no checkpoint).
@@ -146,7 +158,7 @@ TEST(CampaignRunner, ResumeRejectsMismatchedCheckpoint) {
   const graph::Graph g = relu_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string path = temp_path("mismatch.jsonl");
+  const std::string path = temp_path("mismatch.rcp");
   std::remove(path.c_str());
 
   RunnerConfig rc = base_config();
@@ -232,8 +244,8 @@ TEST(CampaignRunner, MergedShardCheckpointsMatchSingleRun) {
   const graph::Graph g = relu_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string p0 = temp_path("shard0.jsonl");
-  const std::string p1 = temp_path("shard1.jsonl");
+  const std::string p0 = temp_path("shard0.rcp");
+  const std::string p1 = temp_path("shard1.rcp");
   std::remove(p0.c_str());
   std::remove(p1.c_str());
 
@@ -257,7 +269,7 @@ TEST(CampaignRunner, MergedShardCheckpointsMatchSingleRun) {
   EXPECT_EQ(merged.weighted.size(), judges.size());
 
   // A checkpoint from a different campaign refuses to merge.
-  const std::string alien = temp_path("alien.jsonl");
+  const std::string alien = temp_path("alien.rcp");
   std::remove(alien.c_str());
   RunnerConfig rc = base_config();
   rc.campaign.seed = 7;
@@ -288,74 +300,106 @@ TEST(CampaignRunner, EarlyStopHaltsOnTightInterval) {
     EXPECT_EQ(rep.records[i].trial, i);
 }
 
-TEST(Checkpoint, TornFinalLineIsDropped) {
-  const graph::Graph g = relu_net();
-  const std::string path = temp_path("torn.jsonl");
-  std::remove(path.c_str());
-  RunnerConfig rc = base_config();
-  rc.checkpoint_path = path;
-  CampaignRunner(rc).run(g, two_inputs(), dev1_judges());
-
-  // Truncate mid-record, as a killed writer would.
-  std::ifstream in(path);
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t cut = all.rfind("\"stratum\"");
-  ASSERT_NE(cut, std::string::npos);
-  std::ofstream(path, std::ios::trunc) << all.substr(0, cut);
-
-  const Checkpoint cp = load_checkpoint(path);
-  EXPECT_EQ(cp.records.size(), 179u);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, TornMidFileLineIsRecoveredAndResumeIsBitIdentical) {
-  // A torn line *mid-file* (disk-full write, interleaved writer crash)
-  // must lose only itself: the surrounding records are recovered with a
-  // warning, and a resume re-executes exactly the lost trial,
-  // reproducing the uninterrupted run bit for bit.
+TEST(Checkpoint, TornFinalRecordIsDropped) {
+  // A killed writer leaves the file cut mid-frame: the load keeps every
+  // whole record and flags the tear, and a resume re-executes the lost
+  // trial and rewrites a canonical file — the uninterrupted run's bytes.
   const graph::Graph g = relu_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string path = temp_path("torn_mid.jsonl");
-  std::remove(path.c_str());
-
-  const CampaignReport ref =
-      CampaignRunner(base_config()).run(g, inputs, judges);
-
+  const std::string ref_path = temp_path("torn_ref.rcp");
+  const std::string path = temp_path("torn.rcp");
+  std::remove(ref_path.c_str());
   RunnerConfig rc = base_config();
-  rc.checkpoint_path = path;
-  CampaignRunner(rc).run(g, inputs, judges);
+  rc.checkpoint_path = ref_path;
+  const CampaignReport ref = CampaignRunner(rc).run(g, inputs, judges);
+  const std::string whole = slurp(ref_path);
 
-  // Tear record line 50 (1-based file line 51) mid-record, keeping every
-  // line after it intact.
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 60u);
-  const std::size_t torn = 50;
-  const std::size_t cut = lines[torn].find("\"stratum\"");
-  ASSERT_NE(cut, std::string::npos);
-  lines[torn] = lines[torn].substr(0, cut);
-  {
-    std::ofstream out(path, std::ios::trunc);
-    for (const std::string& l : lines) out << l << "\n";
-  }
+  // Cut three bytes into the last record's frame.
+  std::string last_frame;
+  encode_record(last_frame, ref.records.back());
+  ASSERT_GT(last_frame.size(), 3u);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << whole.substr(0, whole.size() - last_frame.size() + 3);
 
-  // The load recovers all 179 intact records (180 minus the torn line).
   const Checkpoint cp = load_checkpoint(path);
+  EXPECT_TRUE(cp.torn_tail);
   EXPECT_EQ(cp.records.size(), 179u);
 
-  // Resume executes only the lost trial and matches the reference.
+  rc.checkpoint_path = path;
   const CampaignReport resumed = CampaignRunner(rc).run(g, inputs, judges);
   EXPECT_TRUE(resumed.records == ref.records);
-  // The rewritten file is canonical again.
   const Checkpoint canonical = load_checkpoint(path);
+  EXPECT_FALSE(canonical.torn_tail);
   EXPECT_EQ(canonical.records.size(), 180u);
+  EXPECT_EQ(slurp(path), whole);
+  std::remove(ref_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, JsonlFileIsRefusedNamingThePath) {
+  // Checkpoints are RPRC only: a JSONL checkpoint from an older build is
+  // refused by name — neither resumed nor overwritten.
+  const graph::Graph g = relu_net();
+  const auto inputs = two_inputs();
+  const auto judges = dev1_judges();
+  RunnerConfig rc = base_config();
+  const CampaignReport ref = CampaignRunner(rc).run(g, inputs, judges);
+  const std::string path = temp_path("legacy.jsonl");
+  const std::string text = to_jsonl(
+      CampaignRunner(rc).make_header(inputs.size(), judges.size()),
+      ref.records);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+  const auto refusal = [&](const auto& load) {
+    try {
+      load();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string loaded = refusal([&] { load_checkpoint(path); });
+  EXPECT_NE(loaded.find(path), std::string::npos) << loaded;
+  EXPECT_NE(loaded.find("JSONL"), std::string::npos) << loaded;
+  rc.checkpoint_path = path;
+  const std::string resumed =
+      refusal([&] { CampaignRunner(rc).run(g, inputs, judges); });
+  EXPECT_NE(resumed.find(path), std::string::npos) << resumed;
+  EXPECT_EQ(slurp(path), text);
+  std::remove(path.c_str());
+}
+
+TEST(CampaignRunner, FailedCheckpointWriteStopsTheRun) {
+  // A checkpoint that cannot grow (a full disk, a file-size limit) must
+  // stop the run with the path in the error rather than report trials
+  // the file does not hold.  The limit is this process's own and is
+  // restored below; SIGXFSZ is ignored so the write fails with EFBIG
+  // instead of killing the process.
+  const std::string path = temp_path("fsize.rcp");
+  std::remove(path.c_str());
+  RunnerConfig rc = base_config();
+  rc.checkpoint_path = path;
+
+  rlimit old_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit low = old_limit;
+  low.rlim_cur = 2048;  // room for the header and about 45 of 180 records
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &low), 0);
+  std::string message;
+  try {
+    CampaignRunner(rc).run(relu_net(), two_inputs(), dev1_judges());
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  // What did reach the file is a valid prefix: the header and whole
+  // records, at most a torn tail.
+  EXPECT_LT(load_checkpoint(path).records.size(), 180u);
   std::remove(path.c_str());
 }
 

@@ -130,9 +130,10 @@ void expect_stream_matches_goldens(
         cell_checkpoint_name(spec.name, plan.cells[ci], 0, 1);
     const auto it = golden.find(name);
     ASSERT_NE(it, golden.end());
-    const std::string jsonl = to_jsonl(
-        c.headers.at(ci), sort_unique_records(c.records.at(ci)));
-    EXPECT_EQ(jsonl, it->second) << "streamed " << name << " diverges";
+    std::string bytes;
+    encode_stream_header(bytes, c.headers.at(ci));
+    bytes += encode_records(sort_unique_records(c.records.at(ci)));
+    EXPECT_EQ(bytes, it->second) << "streamed " << name << " diverges";
   }
 }
 
@@ -275,9 +276,9 @@ TEST(SchedulerIdentity, ConcurrentSubmittersMatchOneShotGoldens) {
   // Server-side export and the client-side reassembly of the streamed
   // frames must both match the one-shot bytes.
   expect_matches_goldens(
-      sched.export_request_jsonl(ida, temp_dir("conc_a_out")), golden_a);
+      sched.export_request(ida, temp_dir("conc_a_out")), golden_a);
   expect_matches_goldens(
-      sched.export_request_jsonl(idb, temp_dir("conc_b_out")), golden_b);
+      sched.export_request(idb, temp_dir("conc_b_out")), golden_b);
   expect_stream_matches_goldens(spec_a, ca, golden_a);
   expect_stream_matches_goldens(spec_b, cb, golden_b);
 
@@ -304,7 +305,7 @@ TEST(SchedulerIdentity, StratifiedRequestMatchesOneShotSuite) {
   const std::uint64_t id =
       sched.submit(parse_suite_spec(serialize_suite_spec(spec)));
   sched.wait(id);
-  expect_matches_goldens(sched.export_request_jsonl(id, temp_dir("strat_out")),
+  expect_matches_goldens(sched.export_request(id, temp_dir("strat_out")),
                          golden);
 }
 
@@ -324,7 +325,7 @@ TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {
   Scheduler s1(serial, &shared_cache());
   const std::uint64_t id1 = s1.submit(spec);
   s1.wait(id1);
-  expect_matches_goldens(s1.export_request_jsonl(id1, temp_dir("inv_out1")),
+  expect_matches_goldens(s1.export_request(id1, temp_dir("inv_out1")),
                          golden);
 
   SchedulerConfig wide;
@@ -335,7 +336,7 @@ TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {
   Scheduler s4(wide, &shared_cache());
   const std::uint64_t id4 = s4.submit(spec);
   s4.wait(id4);
-  expect_matches_goldens(s4.export_request_jsonl(id4, temp_dir("inv_out4")),
+  expect_matches_goldens(s4.export_request(id4, temp_dir("inv_out4")),
                          golden);
 }
 
@@ -369,8 +370,8 @@ TEST(SchedulerIdentity, WarmCachesChangeNothing) {
   EXPECT_GT(util::metrics::counter_value("cache.executor.hit"), cold_hits);
   util::metrics::reset();
 
-  const auto cold_paths = sched.export_request_jsonl(ca, temp_dir("warm_o1"));
-  const auto warm_paths = sched.export_request_jsonl(wa, temp_dir("warm_o2"));
+  const auto cold_paths = sched.export_request(ca, temp_dir("warm_o1"));
+  const auto warm_paths = sched.export_request(wa, temp_dir("warm_o2"));
   expect_matches_goldens(cold_paths, golden);
   ASSERT_EQ(cold_paths.size(), warm_paths.size());
   // Names differ (request name prefixes the file); bytes must not.
@@ -401,9 +402,19 @@ TEST(SchedulerCrash, KilledWorkerLosesNoTrialsAndDuplicatesNone) {
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->state, RequestState::kDone);
   EXPECT_EQ(st->streamed_trials, compile_suite(spec).total_trials);
-  expect_matches_goldens(sched.export_request_jsonl(id, temp_dir("kill_out")),
+  expect_matches_goldens(sched.export_request(id, temp_dir("kill_out")),
                          golden);
   expect_stream_matches_goldens(spec, c, golden);
+
+  // The daemon's partition checkpoints are ordinary suite shards: a
+  // merge over its directory writes each cell's s0of1 file, equal to
+  // the one-shot run's.
+  SuiteSpec merge_spec = spec;
+  merge_spec.checkpoint_dir = cfg.checkpoint_dir;
+  Suite(merge_spec, &shared_cache()).merge({cfg.checkpoint_dir});
+  for (const auto& [name, bytes] : golden)
+    EXPECT_EQ(slurp(cfg.checkpoint_dir + "/" + name), bytes)
+        << name << " merged from the daemon's partitions";
 }
 
 TEST(SchedulerCrash, CancelLeavesResumableCheckpointsThenResumeCompletes) {
@@ -460,7 +471,7 @@ TEST(SchedulerCrash, CancelLeavesResumableCheckpointsThenResumeCompletes) {
     const std::uint64_t id = sched.submit(spec);
     sched.wait(id);
     expect_matches_goldens(
-        sched.export_request_jsonl(id, temp_dir("cxl_out")), golden);
+        sched.export_request(id, temp_dir("cxl_out")), golden);
 
     // No-op resume: everything is already checkpointed, so a third run
     // executes nothing new yet streams the full record set again and
@@ -473,7 +484,7 @@ TEST(SchedulerCrash, CancelLeavesResumableCheckpointsThenResumeCompletes) {
     EXPECT_EQ(st->state, RequestState::kDone);
     EXPECT_EQ(st->streamed_trials, compile_suite(spec).total_trials);
     expect_matches_goldens(
-        sched.export_request_jsonl(noop, temp_dir("cxl_out2")), golden);
+        sched.export_request(noop, temp_dir("cxl_out2")), golden);
     expect_stream_matches_goldens(spec, c, golden);
   }
 }
@@ -494,7 +505,7 @@ TEST(SchedulerRetention, ReleaseDropsRecordsButKeepsStatus) {
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->state, RequestState::kDone);
   EXPECT_EQ(st->streamed_trials, compile_suite(spec).total_trials);
-  EXPECT_THROW(sched.export_request_jsonl(id, temp_dir("rel_out")),
+  EXPECT_THROW(sched.export_request(id, temp_dir("rel_out")),
                std::runtime_error);
 }
 
@@ -676,7 +687,7 @@ TEST(SchedulerRetention, ExportRacingReleaseIsAllOrNothing) {
       // Reference bytes from an uncontended export (records and headers
       // are identical across rounds: same spec, same seed).
       const std::string dir = temp_dir("exp_ref");
-      for (const std::string& path : sched.export_request_jsonl(id, dir))
+      for (const std::string& path : sched.export_request(id, dir))
         golden[std::filesystem::path(path).filename().string().substr(
             tag.size())] = slurp(path);
     }
@@ -685,7 +696,7 @@ TEST(SchedulerRetention, ExportRacingReleaseIsAllOrNothing) {
     bool export_threw = false;
     std::thread exporter([&] {
       try {
-        paths = sched.export_request_jsonl(id, out);
+        paths = sched.export_request(id, out);
       } catch (const std::runtime_error&) {
         export_threw = true;
       }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <set>
 
+#include "fi/record_codec.hpp"
 #include "fi/report.hpp"
 #include "fi/runner.hpp"
 #include "fi/suite.hpp"
@@ -388,7 +389,7 @@ TEST(WeightRunner, KillAndResumeReproducesTheUninterruptedRun) {
   const graph::Graph g = weight_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string path = temp_path("weight_resume.jsonl");
+  const std::string path = temp_path("weight_resume.rcp");
   std::remove(path.c_str());
 
   RunnerConfig killed = weight_config();
@@ -462,7 +463,7 @@ TEST(WeightRunner, FingerprintSeparatesClassesAndEcc) {
   const graph::Graph g = weight_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string path = temp_path("weight_fp.jsonl");
+  const std::string path = temp_path("weight_fp.rcp");
   std::remove(path.c_str());
 
   RunnerConfig rc = weight_config();
@@ -489,7 +490,7 @@ TEST(WeightRunner, StuckAtRecordsRoundTripThroughCheckpoints) {
   const graph::Graph g = weight_net();
   const auto inputs = two_inputs();
   const auto judges = dev1_judges();
-  const std::string path = temp_path("weight_stuck.jsonl");
+  const std::string path = temp_path("weight_stuck.rcp");
   std::remove(path.c_str());
 
   RunnerConfig rc = weight_config(20);

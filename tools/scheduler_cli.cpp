@@ -12,11 +12,13 @@
 //                        --name smoke --models lenet --faults b1
 //                        --trials 100 --inputs 2 --out build/sched_out
 //
-// The client re-exports each cell as <name>.<cell-id>.s0of1.jsonl —
-// byte-identical to the checkpoints a one-shot `suite_cli --dir` run of
+// The client writes each cell as <name>.<cell-id>.s0of1.rcp —
+// byte-identical to the checkpoint a one-shot `suite_cli --dir` run of
 // the same spec writes, which is exactly what the CI scheduler-smoke job
-// `cmp`s.  Records travel as binary codec frames (fi/record_codec.hpp),
-// the same encoding the daemon's .rcp checkpoints use.
+// `cmp`s.  Records travel as RPRC frames (fi/record_codec.hpp), the
+// encoding of every checkpoint; the daemon's partition checkpoints are
+// named as suite shards, so `suite_cli --merge --dir <serve dir>` merges
+// them like any shards.
 //
 // Inspect / cancel / stop:
 //   scheduler_cli status --socket S [--id N]
@@ -80,8 +82,9 @@ namespace {
       "  --verify-plan        statically verify every compiled cell plan\n"
       "                       (graph/verify); a malformed grid request is\n"
       "                       refused with a diagnostic instead of running\n"
-      "  --dir DIR            binary checkpoint directory (crash/cancel\n"
-      "                       recovery; default: in-memory only)\n"
+      "  --dir DIR            checkpoint directory (crash/cancel\n"
+      "                       recovery; suite_cli --merge reads it;\n"
+      "                       default: in-memory only)\n"
       "  --crash-worker W:S   fault drill: worker W dies after S slices\n"
       "                       (its last slice checkpoints but does not\n"
       "                       stream — survivors must adopt and resume)\n"
@@ -105,8 +108,8 @@ namespace {
       "  --seed S             campaign seed\n"
       "  --check-every N      checkpoint/early-stop batch\n"
       "  --target-ci PCT      per-cell Wilson-CI early stop\n"
-      "  --out DIR            write per-cell JSONL exports\n"
-      "                       (<name>.<cell-id>.s0of1.jsonl — byte-equal\n"
+      "  --out DIR            write per-cell checkpoints\n"
+      "                       (<name>.<cell-id>.s0of1.rcp — byte-equal\n"
       "                       to a one-shot suite_cli --dir run)\n"
       "  --quiet              no per-frame progress\n");
   std::exit(2);
@@ -424,8 +427,7 @@ int run_submit(const ClientOptions& opt, const fi::SuiteSpec& spec,
           (std::filesystem::path(out_dir) /
            fi::cell_checkpoint_name(spec.name, plan.cells[ci], 0, 1))
               .string();
-      fi::write_jsonl_checkpoint(path, h->second,
-                                 fi::sort_unique_records(r->second));
+      fi::write_checkpoint(path, h->second, fi::sort_unique_records(r->second));
       std::printf("wrote %s (%zu records)\n", path.c_str(),
                   r->second.size());
     }

@@ -1,7 +1,7 @@
 // suite_cli — the campaign CLI.  Runs the zoo-wide campaign suite
 // (fi::Suite) from the shell and CI: one declarative grid of (model ×
 // act × dtype × fault-model × technique) cells, executed on the
-// shared-cache orchestrator with per-cell JSONL checkpoints, suite-level
+// shared-cache orchestrator with per-cell RPRC checkpoints, suite-level
 // sharding, an aggregated SUITE_<name>.json manifest and the
 // figure/table report layer.  A single campaign is a one-cell grid:
 //   suite_cli --models lenet --techniques ranger --trials 100 --inputs 2
@@ -15,10 +15,12 @@
 //
 // Merge the shard checkpoints written above (same grid flags; no trials
 // execute), write each cell's merged records back into --dir as its
-// unsharded checkpoint (<name>.<cell-id>.s0of1.jsonl) and write the
+// unsharded checkpoint (<name>.<cell-id>.s0of1.rcp) and write the
 // full-suite manifest:
 //   suite_cli --merge --name smoke ...same grid flags...
 //             --dir build/suite --out build/suite/SUITE_smoke.json
+// A scheduler_cli daemon names its partition checkpoints like suite
+// shards, so --merge over its serve --dir works the same way.
 //
 // The manifest and the merged checkpoints are derived only from
 // per-trial records and the spec, so once every shard is merged they are
@@ -114,9 +116,10 @@ using util::env_size;
       "  --verify-plan        run the static plan verifier (graph/verify)\n"
       "                       on every cell's compiled plans\n"
       "  --merge              merge the shard checkpoints in DIR (default\n"
-      "                       .) instead of running; with --dir, also\n"
+      "                       .; suite shards or a scheduler_cli serve\n"
+      "                       --dir) instead of running; with --dir, also\n"
       "                       write each cell's merged records there as\n"
-      "                       its unsharded <name>.<cell-id>.s0of1.jsonl\n"
+      "                       its unsharded <name>.<cell-id>.s0of1.rcp\n"
       "  --out FILE           manifest path (default:\n"
       "                       DIR/SUITE_<name>[.s<i>of<N>].json)\n"
       "  --quiet              manifest only, no tables\n"
