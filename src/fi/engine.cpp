@@ -58,13 +58,6 @@ const graph::Graph& Engine::protected_graph(const SuiteSpec& spec,
       });
 }
 
-const graph::Graph& Engine::plan_graph(const SuiteSpec& spec,
-                                       const SuiteCell& cell) {
-  if (cell.technique == Technique::kRanger)
-    return protected_graph(spec, cell.model, cell.act);
-  return workloads(spec.seed, spec.inputs).get(cell.model, cell.act).graph;
-}
-
 Engine::CellRun Engine::prepare(const SuiteSpec& spec,
                                 const SuiteCell& cell) {
   const models::Workload& w =
@@ -77,7 +70,11 @@ Engine::CellRun Engine::prepare(const SuiteSpec& spec,
   const bool is_protected = cell.technique != Technique::kUnprotected;
   CellRun run;
   run.inputs = &w.eval_feeds;
-  run.ctx.plan_graph = &plan_graph(spec, cell);
+  // Fault sites are planned on the protected graph for kRanger cells
+  // and on the workload graph otherwise (see Technique).
+  run.ctx.plan_graph = cell.technique == Technique::kRanger
+                           ? &protected_graph(spec, cell.model, cell.act)
+                           : &w.graph;
   run.ctx.exec_graph =
       is_protected ? &protected_graph(spec, cell.model, cell.act) : &w.graph;
   run.ctx.executor = &executor(spec, cell, is_protected);

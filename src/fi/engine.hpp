@@ -57,11 +57,6 @@ class Engine {
                                       models::ModelId model,
                                       ops::OpKind act);
 
-  // The graph a cell plans its fault sites on (see Technique): the
-  // protected graph for kRanger cells, the workload graph otherwise.
-  const graph::Graph& plan_graph(const SuiteSpec& spec,
-                                 const SuiteCell& cell);
-
   // What one cell's campaign runs on: its inputs (the workload's eval
   // feeds) and a RunContext with the cell's planning and execution
   // graphs, the shared executor and, for kRangerPaired cells, the

@@ -169,8 +169,7 @@ CampaignReport build_report(
   return rep;
 }
 
-CampaignReport merge_checkpoints(const std::vector<std::string>& paths,
-                                 CheckpointHeader* merged_header) {
+CampaignReport merge_checkpoints(const std::vector<std::string>& paths) {
   if (paths.empty())
     throw std::invalid_argument("merge_checkpoints: no files");
   std::vector<TrialRecord> records;
@@ -192,15 +191,15 @@ CampaignReport merge_checkpoints(const std::vector<std::string>& paths,
                    std::make_move_iterator(cp.records.begin()),
                    std::make_move_iterator(cp.records.end()));
   }
-  if (merged_header) {
-    *merged_header = first;
-    merged_header->shard_index = 0;
-    merged_header->shard_count = 1;
-    if (!weights.empty())
-      merged_header->strata_weights = format_strata_weights(weights);
-  }
-  return build_report(std::move(records), first.judges,
-                      first.trials_per_input * first.inputs, weights);
+  CampaignReport report = build_report(std::move(records), first.judges,
+                                       first.trials_per_input * first.inputs,
+                                       weights);
+  report.header = std::move(first);
+  report.header.shard_index = 0;
+  report.header.shard_count = 1;
+  if (!weights.empty())
+    report.header.strata_weights = format_strata_weights(weights);
+  return report;
 }
 
 void print_report(const CampaignReport& report,

@@ -21,8 +21,10 @@
 // reproducibility gate.
 //
 // Thread-safety: everything here is plain value manipulation; no
-// function is safe to call concurrently on the same mutable object, and
-// CampaignRunner is the single writer of any checkpoint file.
+// function is safe to call concurrently on the same mutable object.
+// Each checkpoint file has one writer at a time: the CampaignRunner
+// filling it, or a whole-file write_checkpoint (record_codec.hpp) by
+// Suite::merge or a scheduler client's export.
 #pragma once
 
 #include <map>
@@ -106,6 +108,10 @@ struct StratumStats {
 };
 
 struct CampaignReport {
+  // The records' checkpoint header: the one a run wrote (its own shard),
+  // or for merge_checkpoints the shard-agnostic merged header (shard
+  // 0/1).  Default-constructed for a bare build_report.
+  CheckpointHeader header;
   std::size_t planned = 0;  // trials the covered shard set should execute
   std::size_t judge_count = 0;
   std::vector<TrialRecord> records;       // sorted by trial index
@@ -131,10 +137,9 @@ CampaignReport build_report(
 
 // Merges shard checkpoints into one report.  All fingerprints must match;
 // overlapping trials must agree.  `planned` becomes the full campaign
-// size (trials_per_input × inputs).  When `merged_header` is non-null it
-// receives a shard-agnostic header suitable for writing a merged file.
-CampaignReport merge_checkpoints(const std::vector<std::string>& paths,
-                                 CheckpointHeader* merged_header = nullptr);
+// size (trials_per_input × inputs), and `header` the shard-agnostic
+// header a merged file is written with.
+CampaignReport merge_checkpoints(const std::vector<std::string>& paths);
 
 // Renders aggregate + per-stratum tables to stdout.  `judge_labels` (when
 // sized to judge_count) names the per-judge columns.

@@ -100,6 +100,7 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
   std::vector<TrialRecord> records;
   std::unordered_set<std::uint64_t> done;
   const std::string& path = config_.checkpoint_path;
+  bool rewrite = true;  // a fresh checkpoint starts with the header
   if (!path.empty() && std::ifstream(path).good()) {
     Checkpoint cp = load_checkpoint(path);
     if (cp.header.fingerprint() != header.fingerprint() ||
@@ -123,6 +124,13 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
                                  " outside this shard");
       if (done.insert(r.trial).second) records.push_back(std::move(r));
     }
+    const auto header_bytes = [](const CheckpointHeader& h) {
+      std::string bytes;
+      encode_stream_header(bytes, h);
+      return bytes;
+    };
+    rewrite = cp.torn_tail || records.size() != cp.records.size() ||
+              header_bytes(cp.header) != header_bytes(header);
   }
 
   std::vector<std::size_t> pending;
@@ -141,15 +149,16 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
   if (!done.empty())
     util::metrics::counter_add("campaign.trials_resumed", done.size());
 
-  // The checkpoint is written whole before any trial runs — header only
-  // on a fresh run, the loaded records on resume — and each batch is
-  // appended after it.  Rewriting rather than appending on resume drops
-  // a torn tail frame a killed writer may have left (appending after
-  // that fragment would corrupt the file); the temp + rename inside
-  // write_checkpoint keeps the old file intact if this process dies
-  // mid-rewrite.  A failed write throws, so a torn tail is the only
+  // Each batch is appended to the checkpoint.  A fresh run first writes
+  // the header; a resume appends to the file as loaded, unless the load
+  // saw a torn tail (appending after that fragment would corrupt the
+  // file), dropped duplicate records, or read a header whose bytes
+  // differ from this run's (another label, say).  Then the loaded
+  // records are rewritten whole before any trial runs; the temp + rename
+  // inside write_checkpoint keeps the old file intact if this process
+  // dies mid-rewrite.  A failed write throws, so a torn tail is the only
   // tear a run can leave.
-  if (!path.empty()) write_checkpoint(path, header, records);
+  if (!path.empty() && rewrite) write_checkpoint(path, header, records);
 
   // Aggregate Wilson half-width of judge 0, in percent, over everything
   // recorded so far — the early-stop criterion.
@@ -300,8 +309,10 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
     }
   }
 
-  return build_report(std::move(records), judges.size(), shard_planned,
-                      weights);
+  CampaignReport report =
+      build_report(std::move(records), judges.size(), shard_planned, weights);
+  report.header = std::move(header);
+  return report;
 }
 
 }  // namespace rangerpp::fi

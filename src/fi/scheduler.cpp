@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fi/engine.hpp"
-#include "fi/record_codec.hpp"
 #include "util/metrics.hpp"
 #include "util/parse.hpp"
 #include "util/threadpool.hpp"
@@ -19,6 +18,12 @@ namespace {
 
 // kill_after_ sentinel: no kill scheduled for this worker.
 constexpr std::size_t kNoKill = static_cast<std::size_t>(-1);
+
+// A resident daemon must not grow without bound: each submit() reaps the
+// oldest *settled* requests beyond this many — their ids then read as
+// unknown.  A settled request holds only its status, so the cap bounds
+// the duplicate-name scan and the status walks, not memory for records.
+constexpr std::size_t kSettledRetention = 64;
 
 }  // namespace
 
@@ -45,16 +50,16 @@ struct Scheduler::Unit {
 };
 
 struct Scheduler::Request {
-  // Immutable after submit() publishes the request: id, plan, sink (the
-  // *field*; calls through it serialise under `mu`, and only a submit
-  // that loses to shutdown() clears it, under `mu`), and the shape of
-  // `cells` (its entries' mutable state is guarded individually).
+  // Immutable after submit() publishes the request.
   std::uint64_t id = 0;
   SuitePlan plan;
-  RecordSink sink;
 
   util::Mutex mu;  // also serialises the sink
   util::CondVar cv;
+  // Dropped when the request settles (or loses its submit to shutdown):
+  // no slice runs after that, and the caller's closure may reference
+  // state — a client connection — that its owner is about to close.
+  RecordSink sink RANGERPP_GUARDED_BY(mu);
   // Atomic so readers that must not block on a request's sink (submit's
   // duplicate-name check, status over many requests) can read it
   // without `mu`; writers still settle it under `mu` + cv notify.
@@ -64,22 +69,8 @@ struct Scheduler::Request {
   std::string error RANGERPP_GUARDED_BY(mu);
   std::size_t outstanding RANGERPP_GUARDED_BY(mu) = 0;  // unsettled units
   std::size_t streamed RANGERPP_GUARDED_BY(mu) = 0;  // across all cells
-  // Streamed records per cell (unordered across a cell's partitions).
-  // Lives here, not in CellState, so its guard is expressible: the
-  // analysis matches capability expressions syntactically and cannot
-  // equate an inner struct's back-pointer with `mu`.
-  std::vector<std::vector<TrialRecord>> cell_records RANGERPP_GUARDED_BY(mu);
   std::vector<std::unique_ptr<Unit>> units RANGERPP_GUARDED_BY(mu);
-  bool released RANGERPP_GUARDED_BY(mu) = false;  // records/units dropped
   util::Timer submitted;  // settle latency (sched.settle_ms histogram)
-
-  struct CellState {
-    // header is published by call_once, not `mu`: built at most once
-    // inside header_once and read only through ensure_cell_header.
-    std::once_flag header_once;
-    CheckpointHeader header;  // export-form (shard 0/1)
-  };
-  std::vector<std::unique_ptr<CellState>> cells;
 };
 
 // ---- Scheduler --------------------------------------------------------------
@@ -127,16 +118,14 @@ std::uint64_t Scheduler::submit(SuiteSpec spec, RecordSink sink) {
 
   auto req = std::make_shared<Request>();
   req->plan = compile_suite(spec);  // throws on a bad spec
-  req->sink = std::move(sink);
   // Nothing shares the request yet, but the guarded fields are guarded:
   // populate them under the (uncontended) lock rather than poke a hole
   // in the analysis for the pre-publication window.
   std::vector<Unit*> unit_ptrs;
   {
     util::MutexLock lk(req->mu);
-    req->cell_records.resize(req->plan.cells.size());
+    req->sink = std::move(sink);
     for (std::size_t ci = 0; ci < req->plan.cells.size(); ++ci) {
-      req->cells.push_back(std::make_unique<Request::CellState>());
       for (std::size_t p = 0; p < config_.partitions_per_cell; ++p) {
         auto u = std::make_unique<Unit>();
         u->req = req.get();
@@ -236,18 +225,17 @@ std::shared_ptr<Scheduler::Request> Scheduler::find_request(
   return it == requests_.end() ? nullptr : it->second;
 }
 
-// Oldest-first eviction of settled requests beyond the retention cap —
-// the bound on resident memory (and on the duplicate-name scan and
-// status_all walks).  Holders of the shared_ptr (a concurrent wait or
-// export) keep the request alive past the erase; a settled request has
-// no units left in any worker deque, so nothing dangles.
+// Oldest-first eviction of settled requests beyond kSettledRetention.
+// Holders of the shared_ptr (a concurrent wait or status) keep the
+// request alive past the erase; a settled request has no units left in
+// any worker deque, so nothing dangles.
 void Scheduler::reap_settled() {
   std::size_t settled = 0;
   for (const auto& [id, req] : requests_)
     if (req->state.load(std::memory_order_acquire) != RequestState::kRunning)
       ++settled;
   for (auto it = requests_.begin();
-       settled > config_.settled_retention && it != requests_.end();) {
+       settled > kSettledRetention && it != requests_.end();) {
     if (it->second->state.load(std::memory_order_acquire) ==
         RequestState::kRunning) {
       ++it;
@@ -294,7 +282,7 @@ bool Scheduler::cancel(std::uint64_t id) {
   return true;
 }
 
-SuiteResult Scheduler::wait(std::uint64_t id) {
+RequestStatus Scheduler::wait(std::uint64_t id) {
   const std::shared_ptr<Request> req = find_request(id);
   if (!req) throw std::invalid_argument("Scheduler: unknown request id");
   {
@@ -304,92 +292,9 @@ SuiteResult Scheduler::wait(std::uint64_t id) {
       throw std::runtime_error("Scheduler: request '" + req->plan.spec.name +
                                "' failed: " + req->error);
   }
-  SuiteResult out;
-  out.plan = req->plan;
-  out.cells.reserve(req->plan.cells.size());
-  for (std::size_t ci = 0; ci < req->plan.cells.size(); ++ci) {
-    const SuiteCell& cell = req->plan.cells[ci];
-    // The header via ensure_cell_header, never cs.header directly: the
-    // call_once is the publication point, and a cell that never ran
-    // (cancel) gets its header built here — same as the export path.
-    const CheckpointHeader& header = ensure_cell_header(*req, ci);
-    std::vector<TrialRecord> records;
-    {
-      util::MutexLock lk(req->mu);
-      records = req->cell_records[ci];
-    }
-    out.cells.push_back(
-        {cell, build_report(records,
-                            models::default_judges(cell.model).size(),
-                            cell.total_trials,
-                            parse_strata_weights(header.strata_weights))});
-  }
-  return out;
-}
-
-std::vector<std::string> Scheduler::export_request(std::uint64_t id,
-                                                  const std::string& dir) {
-  const std::shared_ptr<Request> req = find_request(id);
-  if (!req) throw std::invalid_argument("Scheduler: unknown request id");
-  {
-    util::MutexLock lk(req->mu);
-    if (req->state == RequestState::kRunning)
-      throw std::runtime_error(
-          "Scheduler: export requires a settled request (wait first)");
-    if (req->released)
-      throw std::runtime_error(
-          "Scheduler: request '" + req->plan.spec.name +
-          "' was released — its records are gone (checkpoints, if "
-          "configured, remain resumable)");
-  }
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> paths;
-  paths.reserve(req->plan.cells.size());
-  for (std::size_t ci = 0; ci < req->plan.cells.size(); ++ci) {
-    const SuiteCell& cell = req->plan.cells[ci];
-    const CheckpointHeader& header = ensure_cell_header(*req, ci);
-    std::vector<TrialRecord> records;
-    {
-      util::MutexLock lk(req->mu);
-      // Re-checked per cell: a concurrent release() between the entry
-      // check and this copy empties the buffers, and exporting those as
-      // if they were the records would silently write truncated files.
-      if (req->released)
-        throw std::runtime_error(
-            "Scheduler: request '" + req->plan.spec.name +
-            "' was released mid-export — its records are gone");
-      records = req->cell_records[ci];
-    }
-    const std::string path =
-        (std::filesystem::path(dir) /
-         cell_checkpoint_name(req->plan.spec.name, cell, 0, 1))
-            .string();
-    write_checkpoint(path, header, sort_unique_records(std::move(records)));
-    paths.push_back(path);
-  }
-  return paths;
-}
-
-bool Scheduler::release(std::uint64_t id) {
-  const std::shared_ptr<Request> req = find_request(id);
-  if (!req) return false;
-  // Atomic state check before touching req->mu: a running request's mu
-  // may be held across a (possibly slow) sink call, and release must
-  // refuse, not block.  Settling is one-way, so a settled answer here
-  // stays settled under the lock below.
-  if (req->state.load(std::memory_order_acquire) == RequestState::kRunning)
-    return false;
-  util::MutexLock lk(req->mu);
-  req->released = true;
-  // A settled request has settled every unit, so no worker deque still
-  // points into `units` — dropping them (and the buffered records) is
-  // safe.  Status counters stay behind for history queries.
-  for (auto& recs : req->cell_records) {
-    recs.clear();
-    recs.shrink_to_fit();
-  }
-  req->units.clear();
-  return true;
+  // Settling is one-way and nothing streams after it: the status read
+  // below is final.
+  return status_of(*req);
 }
 
 void Scheduler::kill_worker_after(unsigned worker, std::size_t slices) {
@@ -411,6 +316,7 @@ void Scheduler::shutdown() {
   for (auto& [id, req] : requests_) {
     util::MutexLock lk2(req->mu);
     if (req->state != RequestState::kRunning) continue;
+    req->sink = nullptr;
     req->state = RequestState::kFailed;
     if (req->error.empty())
       req->error =
@@ -516,6 +422,7 @@ void Scheduler::settle_unit(Unit* u) {
   util::MutexLock lk(req.mu);
   --req.outstanding;
   if (req.outstanding == 0 && req.state == RequestState::kRunning) {
+    req.sink = nullptr;  // no slice of this request runs after this one
     req.state = !req.error.empty() ? RequestState::kFailed
                 : req.cancelled   ? RequestState::kCancelled
                                   : RequestState::kDone;
@@ -528,28 +435,6 @@ void Scheduler::fail_request(Request& req, const std::string& error) {
   util::MutexLock lk(req.mu);
   if (req.error.empty()) req.error = error;
   req.cancelled = true;  // pending units skip at pickup
-}
-
-const CheckpointHeader& Scheduler::ensure_cell_header(Request& req,
-                                                      std::size_t ci) {
-  Request::CellState& cs = *req.cells[ci];
-  std::call_once(cs.header_once, [&] {
-    const SuiteSpec& spec = req.plan.spec;
-    const SuiteCell& cell = req.plan.cells[ci];
-    RunnerConfig hc = cell_runner_config(spec, cell);
-    hc.shard_index = 0;
-    hc.shard_count = 1;
-    CheckpointHeader h = CampaignRunner(hc).make_header(
-        spec.inputs, models::default_judges(cell.model).size());
-    const TrialPlanner planner(engine_->plan_graph(spec, cell), hc.campaign,
-                               spec.inputs, hc.stratified);
-    std::map<std::string, double> weights;
-    for (std::size_t s = 0; s < planner.strata_count(); ++s)
-      weights[planner.stratum_key(s)] = planner.stratum_weight(s);
-    h.strata_weights = format_strata_weights(weights);
-    cs.header = std::move(h);
-  });
-  return cs.header;
 }
 
 bool Scheduler::run_unit_slice(unsigned w, Unit& u, bool suppress_stream) {
@@ -583,37 +468,39 @@ bool Scheduler::run_unit_slice(unsigned w, Unit& u, bool suppress_stream) {
             .string();
 
   const CampaignRunner runner(rc);
-  const CampaignReport report = runner.run(
-      run.ctx, *run.inputs, models::default_judges(cell.model));
+  CampaignReport report = runner.run(run.ctx, *run.inputs,
+                                     models::default_judges(cell.model));
 
   // Complete when every partition trial ran — or when a slice made no
   // progress (early stop tripped, or a resumed checkpoint already
   // covered everything new): requeueing such a unit would spin forever.
   const std::size_t prev = u.streamed;
+  const std::size_t available = report.records.size();
   const bool finished =
-      report.executed() >= report.planned || report.records.size() == prev;
+      report.executed() >= report.planned || available == prev;
   if (suppress_stream) return finished;
 
-  if (report.records.size() > prev) {
+  if (available > prev) {
     // report.records is ascending and every slice appends strictly later
     // trials of this partition, so the already-streamed records are
     // exactly the prefix [0, prev).
-    const CheckpointHeader& header = ensure_cell_header(req, u.cell_index);
-    std::vector<TrialRecord> fresh(
-        report.records.begin() + static_cast<std::ptrdiff_t>(prev),
-        report.records.end());
+    report.records.erase(report.records.begin(),
+                         report.records.begin() +
+                             static_cast<std::ptrdiff_t>(prev));
+    // The partition's header in export form: the header a one-shot
+    // unsharded run of the cell writes.
+    report.header.shard_index = 0;
+    report.header.shard_count = 1;
     util::MutexLock lk(req.mu);
-    if (req.sink) req.sink(u.cell_index, header, fresh);
-    std::vector<TrialRecord>& recs = req.cell_records[u.cell_index];
-    recs.insert(recs.end(), std::make_move_iterator(fresh.begin()),
-                std::make_move_iterator(fresh.end()));
-    req.streamed += fresh.size();
+    if (req.sink) req.sink(u.cell_index, report.header, report.records);
+    req.streamed += report.records.size();
     // Streamed position, not raw execution: a suppressed (dying) slice's
     // records are counted when the adopting worker re-streams them, so
     // the figure stays monotone and matches the client-visible stream.
-    trials_executed_.fetch_add(fresh.size(), std::memory_order_relaxed);
+    trials_executed_.fetch_add(report.records.size(),
+                               std::memory_order_relaxed);
   }
-  u.streamed = report.records.size();
+  u.streamed = available;
   return finished;
 }
 

@@ -24,6 +24,10 @@
 //  * Streaming — each slice's newly available records are handed to the
 //    request's RecordSink (scheduler_cli forwards them to the client as
 //    binary codec frames) together with the cell's export-form header.
+//    The sink and the partition checkpoints are the only places a
+//    record lives: the scheduler keeps no copy, and a settled request
+//    holds only its status until a later submit() reaps it (the 64
+//    most recent settled requests stay queryable).
 //  * Crash recovery — units checkpoint through the ordinary
 //    CampaignRunner resume path (RPRC files, record_codec.hpp, named as
 //    suite shards, so `suite_cli --merge` reads them too), so a killed
@@ -82,14 +86,6 @@ struct SchedulerConfig {
   // wrong records.  Debug builds verify regardless (the compiler's
   // own debug-default); this knob forces it in release daemons.
   bool verify_plans = false;
-
-  // A resident daemon must not grow without bound: each submit() reaps
-  // the oldest *settled* requests beyond this many, dropping them (and
-  // their buffered records) entirely — their ids then read as unknown.
-  // Running requests are never reaped.  Size this above the number of
-  // settled requests whose records/status callers may still come back
-  // for; 0 keeps only running requests.
-  std::size_t settled_retention = 64;
 };
 
 enum class RequestState { kRunning, kDone, kCancelled, kFailed };
@@ -112,7 +108,8 @@ struct RequestStatus {
 // different partitions of a cell interleave).  Serialised per request —
 // implementations need no locking of their own — but must not call back
 // into the scheduler.  `header` is the cell's export-form (shard 0/1)
-// header, constant across calls.
+// header, equal across calls.  The request drops its sink when it
+// settles, so no call reaches the sink once wait() can return.
 using RecordSink = std::function<void(
     std::size_t cell_index, const CheckpointHeader& header,
     const std::vector<TrialRecord>& records)>;
@@ -149,26 +146,13 @@ class Scheduler {
   // False when the id is unknown or the request already settled.
   bool cancel(std::uint64_t id);
 
-  // Blocks until the request settles and returns its per-cell reports
-  // (partial for a cancelled request).  Throws std::runtime_error when
-  // the request failed, with the failure message.
-  SuiteResult wait(std::uint64_t id);
-
-  // Writes each cell of a settled request to
-  // <dir>/<name>.<cell-id>.s0of1.rcp — byte-identical to the
-  // checkpoints a one-shot unsharded suite_cli run of the same spec
-  // writes (the determinism gate's cmp target).  Returns the paths in
-  // cell order.  Throws after release() dropped the records.
-  std::vector<std::string> export_request(std::uint64_t id,
-                                          const std::string& dir);
-
-  // Drops a settled request's buffered records and work units, keeping
-  // its lightweight status (state/streamed counts) queryable until the
-  // retention reaper evicts it.  The daemon calls this once a client's
-  // stream is fully delivered — the client holds the records, and any
-  // on-disk checkpoints stay resumable.  False when the id is unknown
-  // or the request is still running.
-  bool release(std::uint64_t id);
+  // Blocks until the request settles and returns its settled status —
+  // no later lookup is needed, so a reap racing the caller cannot lose
+  // it.  The records went to the sink; there is nothing else to return.
+  // Throws std::runtime_error when the request failed, with the failure
+  // message, and std::invalid_argument when the id is unknown (never
+  // submitted, or already reaped).
+  RequestStatus wait(std::uint64_t id);
 
   // Stops the workers after their current slices; queued units are
   // abandoned (checkpoints resumable) and unfinished requests settle as
@@ -183,7 +167,6 @@ class Scheduler {
   void kill_worker_after(unsigned worker, std::size_t slices);
 
   unsigned worker_count() const { return workers_; }
-  const SchedulerConfig& config() const { return config_; }
 
   // Live engine statistics as one JSON object: worker count and uptime,
   // slices/steals/trials executed (with trials/sec), per-worker busy
@@ -204,12 +187,10 @@ class Scheduler {
   // `suppress_stream` models a worker dying after the checkpoint write
   // but before delivery.
   bool run_unit_slice(unsigned w, Unit& u, bool suppress_stream);
-  // Builds (once) and returns the cell's export-form header.
-  const CheckpointHeader& ensure_cell_header(Request& req, std::size_t ci);
   void settle_unit(Unit* u);
   void fail_request(Request& req, const std::string& error);
   // Shared ownership: the retention reaper may erase a settled request
-  // from the map while a concurrent status/wait/export still holds it.
+  // from the map while a concurrent status/wait still holds it.
   std::shared_ptr<Request> find_request(std::uint64_t id) const
       RANGERPP_EXCLUDES(requests_mu_);
   RequestStatus status_of(Request& req) const;

@@ -357,6 +357,7 @@ SuitePlan compile_suite(const SuiteSpec& spec) {
         throw std::invalid_argument(
             "compile_suite: duplicate fault model in the grid");
 
+  constexpr std::size_t kMax = static_cast<std::size_t>(-1);
   SuitePlan plan;
   plan.spec = spec;
   for (const models::ModelId model : spec.models)
@@ -373,7 +374,15 @@ SuitePlan compile_suite(const SuiteSpec& spec) {
             c.trials_per_input =
                 models::scaled_trials(model, spec.trials_small) /
                 spec.trials_divisor;
+            // A wrapped count would plan a small grid in silence.
+            if (c.trials_per_input > kMax / spec.inputs)
+              throw std::invalid_argument(
+                  "compile_suite: trials x inputs overflows a cell's "
+                  "trial count");
             c.total_trials = c.trials_per_input * spec.inputs;
+            if (c.total_trials > kMax - plan.total_trials)
+              throw std::invalid_argument(
+                  "compile_suite: the suite's total trial count overflows");
             c.global_offset = plan.total_trials;
             c.shard_offset = c.global_offset;
             c.id = cell_id_of(c);
@@ -499,16 +508,15 @@ SuiteResult Suite::merge(const std::vector<std::string>& dirs) const {
     if (paths.empty())
       throw std::runtime_error("Suite::merge: no checkpoints for cell " +
                                cell.id);
-    CheckpointHeader header;
-    CampaignReport report = merge_checkpoints(paths, &header);
+    CampaignReport report = merge_checkpoints(paths);
     // The header this cell's own run writes, with the files' strata
     // table: every campaign scalar, sampling included, must match.
     CheckpointHeader expected =
         CampaignRunner(cell_runner_config(spec, cell))
             .make_header(spec.inputs,
                          models::default_judges(cell.model).size());
-    expected.strata_weights = header.strata_weights;
-    if (expected.fingerprint() != header.fingerprint())
+    expected.strata_weights = report.header.strata_weights;
+    if (expected.fingerprint() != report.header.fingerprint())
       throw std::runtime_error(
           "Suite::merge: checkpoints for cell " + cell.id +
           " were written by a different suite configuration");
@@ -519,7 +527,7 @@ SuiteResult Suite::merge(const std::vector<std::string>& dirs) const {
       write_checkpoint((std::filesystem::path(spec.checkpoint_dir) /
                         cell_checkpoint_name(spec.name, cell, 0, 1))
                            .string(),
-                       header, report.records);
+                       report.header, report.records);
     out.cells.push_back({cell, std::move(report)});
   }
   return out;

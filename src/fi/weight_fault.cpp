@@ -247,17 +247,4 @@ std::vector<graph::ConstOverride> make_const_overrides(
   return out;
 }
 
-std::vector<graph::NodeId> const_fault_roots(const graph::Graph& g,
-                                             const FaultSet& faults) {
-  std::vector<graph::NodeId> roots;
-  roots.reserve(faults.size());
-  for (const FaultPoint& f : faults) {
-    const graph::NodeId id = g.find(f.node_name);
-    if (id != graph::kInvalidNode) roots.push_back(id);
-  }
-  std::sort(roots.begin(), roots.end());
-  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-  return roots;
-}
-
 }  // namespace rangerpp::fi

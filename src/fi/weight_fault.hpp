@@ -155,10 +155,4 @@ class WeightSiteSpace {
 std::vector<graph::ConstOverride> make_const_overrides(
     const graph::ExecutionPlan& plan, const FaultSet& faults);
 
-// Injection roots of a weight fault on `g`: the ids of the targeted
-// Const nodes (their reachability cones are exactly the consumers').
-// Names absent from `g` are skipped.
-std::vector<graph::NodeId> const_fault_roots(const graph::Graph& g,
-                                             const FaultSet& faults);
-
 }  // namespace rangerpp::fi

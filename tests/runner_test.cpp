@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <csignal>
 #include <cstdio>
@@ -154,6 +155,42 @@ TEST(CampaignRunner, CheckpointResumeIsBitIdentical) {
   std::remove(path.c_str());
 }
 
+TEST(CampaignRunner, CleanResumeAppendsInPlace) {
+  // A clean checkpoint (no torn tail, no duplicates, this run's header)
+  // is resumed by appending: the file keeps its inode rather than being
+  // rewritten through a temp file, and ends byte-equal to an
+  // uninterrupted run's.
+  const graph::Graph g = relu_net();
+  const auto inputs = two_inputs();
+  const auto judges = dev1_judges();
+  const std::string ref_path = temp_path("append_ref.rcp");
+  const std::string path = temp_path("append.rcp");
+  std::remove(ref_path.c_str());
+  std::remove(path.c_str());
+  RunnerConfig rc = base_config();
+  rc.checkpoint_path = ref_path;
+  const CampaignReport ref = CampaignRunner(rc).run(g, inputs, judges);
+  // The report carries the header the run wrote.
+  std::string header_bytes;
+  encode_stream_header(header_bytes, ref.header);
+  EXPECT_EQ(slurp(ref_path).substr(0, header_bytes.size()), header_bytes);
+
+  rc.checkpoint_path = path;
+  rc.max_new_trials = 37;
+  CampaignRunner(rc).run(g, inputs, judges);
+  struct stat before {};
+  ASSERT_EQ(stat(path.c_str(), &before), 0);
+  // Five more slices: the last finds nothing left and appends nothing.
+  for (int slice = 0; slice < 5; ++slice)
+    CampaignRunner(rc).run(g, inputs, judges);
+  struct stat after {};
+  ASSERT_EQ(stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(slurp(path), slurp(ref_path));
+  std::remove(ref_path.c_str());
+  std::remove(path.c_str());
+}
+
 TEST(CampaignRunner, ResumeRejectsMismatchedCheckpoint) {
   const graph::Graph g = relu_net();
   const auto inputs = two_inputs();
@@ -259,9 +296,12 @@ TEST(CampaignRunner, MergedShardCheckpointsMatchSingleRun) {
   const CampaignReport single =
       CampaignRunner(base_config()).run(g, inputs, judges);
 
-  CheckpointHeader header;
-  const CampaignReport merged = merge_checkpoints({p0, p1}, &header);
-  EXPECT_EQ(header.shard_count, 1u);
+  const CampaignReport merged = merge_checkpoints({p0, p1});
+  EXPECT_EQ(merged.header.shard_index, 0u);
+  EXPECT_EQ(merged.header.shard_count, 1u);
+  // The merged header is the one the unsharded run wrote.
+  EXPECT_EQ(checkpoint_header_line(merged.header),
+            checkpoint_header_line(single.header));
   EXPECT_EQ(merged.planned, 180u);
   EXPECT_TRUE(merged.records == single.records);
   EXPECT_EQ(merged.aggregate[0].sdcs, single.aggregate[0].sdcs);

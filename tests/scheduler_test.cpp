@@ -90,19 +90,9 @@ std::map<std::string, std::string> one_shot_goldens(SuiteSpec spec,
   return out;
 }
 
-void expect_matches_goldens(const std::vector<std::string>& paths,
-                            const std::map<std::string, std::string>& golden) {
-  ASSERT_EQ(paths.size(), golden.size());
-  for (const std::string& path : paths) {
-    const std::string name = std::filesystem::path(path).filename().string();
-    const auto it = golden.find(name);
-    ASSERT_NE(it, golden.end()) << "unexpected export " << name;
-    EXPECT_EQ(slurp(path), it->second) << name << " diverges from one-shot";
-  }
-}
-
 // Client-side record collector: what scheduler_cli reassembles from the
-// streamed frames.
+// streamed frames.  The scheduler keeps no copy of the records, so every
+// identity gate below compares what the sink collected.
 struct Collected {
   std::mutex mu;
   std::map<std::size_t, CheckpointHeader> headers;
@@ -119,6 +109,9 @@ RecordSink collector(Collected& c) {
   };
 }
 
+// The collected stream, written as scheduler_cli submit --out writes it,
+// must equal the one-shot checkpoint bytes of every cell.  `spec` names
+// the golden files; the request itself may carry another name.
 void expect_stream_matches_goldens(
     const SuiteSpec& spec, Collected& c,
     const std::map<std::string, std::string>& golden) {
@@ -196,6 +189,18 @@ TEST(SchedulerWire, ParserIsStrict) {
   EXPECT_THROW(parse_suite_spec("target_ci=-1\n"), std::invalid_argument);
   EXPECT_THROW(parse_suite_spec("sampling=neyman\n"), std::invalid_argument);
   EXPECT_THROW(parse_suite_spec("bit_group=0\n"), std::invalid_argument);
+  // Trial counts that overflow are refused, not wrapped: 2^63 + 5 trials
+  // at 2 inputs would plan a 10-trial cell, and two 2^63-trial cells a
+  // suite of 0 trials.
+  const std::string grid = "name=ovf\nmodels=lenet\ntechniques=unprotected\n";
+  EXPECT_THROW(compile_suite(parse_suite_spec(
+                   grid + "trials=9223372036854775813\ninputs=2\n")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      compile_suite(parse_suite_spec(
+          grid + "techniques=unprotected,ranger\n"
+                 "trials=9223372036854775808\ninputs=1\n")),
+      std::invalid_argument);
 }
 
 TEST(SchedulerSubmit, RejectsShardedSpecsAndDuplicateNames) {
@@ -273,12 +278,8 @@ TEST(SchedulerIdentity, ConcurrentSubmittersMatchOneShotGoldens) {
   sched.wait(ida);
   sched.wait(idb);
 
-  // Server-side export and the client-side reassembly of the streamed
-  // frames must both match the one-shot bytes.
-  expect_matches_goldens(
-      sched.export_request(ida, temp_dir("conc_a_out")), golden_a);
-  expect_matches_goldens(
-      sched.export_request(idb, temp_dir("conc_b_out")), golden_b);
+  // The client-side reassembly of the streamed frames must match the
+  // one-shot bytes.
   expect_stream_matches_goldens(spec_a, ca, golden_a);
   expect_stream_matches_goldens(spec_b, cb, golden_b);
 
@@ -289,7 +290,7 @@ TEST(SchedulerIdentity, ConcurrentSubmittersMatchOneShotGoldens) {
 }
 
 // Stratified sampling rides the wire and the partitioned slices: the
-// export equals the one-shot suite's stratified checkpoints.
+// stream equals the one-shot suite's stratified checkpoints.
 TEST(SchedulerIdentity, StratifiedRequestMatchesOneShotSuite) {
   SuiteSpec spec = tiny_spec("strat");
   spec.stratified.enabled = true;
@@ -302,11 +303,10 @@ TEST(SchedulerIdentity, StratifiedRequestMatchesOneShotSuite) {
   cfg.slice_trials = 5;
   cfg.checkpoint_dir = temp_dir("strat_ckpt");
   Scheduler sched(cfg, &shared_cache());
-  const std::uint64_t id =
-      sched.submit(parse_suite_spec(serialize_suite_spec(spec)));
-  sched.wait(id);
-  expect_matches_goldens(sched.export_request(id, temp_dir("strat_out")),
-                         golden);
+  Collected c;
+  sched.wait(
+      sched.submit(parse_suite_spec(serialize_suite_spec(spec)), collector(c)));
+  expect_stream_matches_goldens(spec, c, golden);
 }
 
 TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {
@@ -323,10 +323,9 @@ TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {
   serial.workers = 1;
   serial.partitions_per_cell = 1;
   Scheduler s1(serial, &shared_cache());
-  const std::uint64_t id1 = s1.submit(spec);
-  s1.wait(id1);
-  expect_matches_goldens(s1.export_request(id1, temp_dir("inv_out1")),
-                         golden);
+  Collected c1;
+  s1.wait(s1.submit(spec, collector(c1)));
+  expect_stream_matches_goldens(spec, c1, golden);
 
   SchedulerConfig wide;
   wide.workers = 4;
@@ -334,10 +333,9 @@ TEST(SchedulerIdentity, WorkerCountSliceAndStealOrderAreInvisible) {
   wide.slice_trials = 3;
   wide.checkpoint_dir = temp_dir("inv_ckpt");
   Scheduler s4(wide, &shared_cache());
-  const std::uint64_t id4 = s4.submit(spec);
-  s4.wait(id4);
-  expect_matches_goldens(s4.export_request(id4, temp_dir("inv_out4")),
-                         golden);
+  Collected c4;
+  s4.wait(s4.submit(spec, collector(c4)));
+  expect_stream_matches_goldens(spec, c4, golden);
 }
 
 TEST(SchedulerIdentity, WarmCachesChangeNothing) {
@@ -353,14 +351,13 @@ TEST(SchedulerIdentity, WarmCachesChangeNothing) {
   util::metrics::set_enabled(true);
   util::metrics::reset();
   Scheduler sched(cfg, &shared_cache());
-  const std::uint64_t ca = sched.submit(cold);
-  sched.wait(ca);
+  Collected cold_stream, warm_stream;
+  sched.wait(sched.submit(cold, collector(cold_stream)));
   const std::uint64_t cold_builds =
       util::metrics::counter_value("cache.executor.build");
   const std::uint64_t cold_hits =
       util::metrics::counter_value("cache.executor.hit");
-  const std::uint64_t wa = sched.submit(warm);
-  sched.wait(wa);
+  sched.wait(sched.submit(warm, collector(warm_stream)));
   util::metrics::set_enabled(false);
   // The cold request builds one executor per variant ({unprotected,
   // ranger}); the warm one only hits them.
@@ -370,13 +367,10 @@ TEST(SchedulerIdentity, WarmCachesChangeNothing) {
   EXPECT_GT(util::metrics::counter_value("cache.executor.hit"), cold_hits);
   util::metrics::reset();
 
-  const auto cold_paths = sched.export_request(ca, temp_dir("warm_o1"));
-  const auto warm_paths = sched.export_request(wa, temp_dir("warm_o2"));
-  expect_matches_goldens(cold_paths, golden);
-  ASSERT_EQ(cold_paths.size(), warm_paths.size());
-  // Names differ (request name prefixes the file); bytes must not.
-  for (std::size_t i = 0; i < cold_paths.size(); ++i)
-    EXPECT_EQ(slurp(warm_paths[i]), slurp(cold_paths[i]));
+  // Names differ (request name prefixes the file); bytes must not, so
+  // both streams are held to the cold spec's golden files.
+  expect_stream_matches_goldens(cold, cold_stream, golden);
+  expect_stream_matches_goldens(cold, warm_stream, golden);
 }
 
 TEST(SchedulerCrash, KilledWorkerLosesNoTrialsAndDuplicatesNone) {
@@ -395,15 +389,9 @@ TEST(SchedulerCrash, KilledWorkerLosesNoTrialsAndDuplicatesNone) {
   sched.kill_worker_after(1, 2);
 
   Collected c;
-  const std::uint64_t id = sched.submit(spec, collector(c));
-  sched.wait(id);
-
-  const auto st = sched.status(id);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->state, RequestState::kDone);
-  EXPECT_EQ(st->streamed_trials, compile_suite(spec).total_trials);
-  expect_matches_goldens(sched.export_request(id, temp_dir("kill_out")),
-                         golden);
+  const RequestStatus st = sched.wait(sched.submit(spec, collector(c)));
+  EXPECT_EQ(st.state, RequestState::kDone);
+  EXPECT_EQ(st.streamed_trials, compile_suite(spec).total_trials);
   expect_stream_matches_goldens(spec, c, golden);
 
   // The daemon's partition checkpoints are ordinary suite shards: a
@@ -447,15 +435,11 @@ TEST(SchedulerCrash, CancelLeavesResumableCheckpointsThenResumeCompletes) {
       cv.wait(lk, [&] { return streamed; });
     }
     EXPECT_TRUE(sched.cancel(id));
-    const SuiteResult partial = sched.wait(id);
-    const auto st = sched.status(id);
-    ASSERT_TRUE(st.has_value());
-    EXPECT_EQ(st->state, RequestState::kCancelled);
-    cancelled_streamed = st->streamed_trials;
+    const RequestStatus st = sched.wait(id);
+    EXPECT_EQ(st.state, RequestState::kCancelled);
+    cancelled_streamed = st.streamed_trials;
     EXPECT_GT(cancelled_streamed, 0u);
     EXPECT_LT(cancelled_streamed, compile_suite(spec).total_trials);
-    // Partial reports still build (prefix-consistent records).
-    EXPECT_EQ(partial.cells.size(), compile_suite(spec).cells.size());
     EXPECT_FALSE(sched.cancel(id));  // already settled
   }
 
@@ -468,98 +452,43 @@ TEST(SchedulerCrash, CancelLeavesResumableCheckpointsThenResumeCompletes) {
     cfg.slice_trials = 4;
     cfg.checkpoint_dir = ckpt;
     Scheduler sched(cfg, &shared_cache());
-    const std::uint64_t id = sched.submit(spec);
-    sched.wait(id);
-    expect_matches_goldens(
-        sched.export_request(id, temp_dir("cxl_out")), golden);
+    Collected resumed;
+    sched.wait(sched.submit(spec, collector(resumed)));
+    expect_stream_matches_goldens(spec, resumed, golden);
 
     // No-op resume: everything is already checkpointed, so a third run
-    // executes nothing new yet streams the full record set again and
-    // exports the same bytes.
+    // executes nothing new yet streams the full record set again.
     Collected c;
-    const std::uint64_t noop = sched.submit(spec, collector(c));
-    sched.wait(noop);
-    const auto st = sched.status(noop);
-    ASSERT_TRUE(st.has_value());
-    EXPECT_EQ(st->state, RequestState::kDone);
-    EXPECT_EQ(st->streamed_trials, compile_suite(spec).total_trials);
-    expect_matches_goldens(
-        sched.export_request(noop, temp_dir("cxl_out2")), golden);
+    const RequestStatus st = sched.wait(sched.submit(spec, collector(c)));
+    EXPECT_EQ(st.state, RequestState::kDone);
+    EXPECT_EQ(st.streamed_trials, compile_suite(spec).total_trials);
     expect_stream_matches_goldens(spec, c, golden);
   }
 }
 
-TEST(SchedulerRetention, ReleaseDropsRecordsButKeepsStatus) {
-  SchedulerConfig cfg;
-  cfg.workers = 2;
-  Scheduler sched(cfg, &shared_cache());
-  const SuiteSpec spec = tiny_spec("rel");
-  const std::uint64_t id = sched.submit(spec);
-  sched.wait(id);
-
-  EXPECT_FALSE(sched.release(9999));  // unknown id
-  ASSERT_TRUE(sched.release(id));
-  // Lightweight status survives the release; the buffered records do
-  // not — export must refuse instead of writing empty files.
-  const auto st = sched.status(id);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->state, RequestState::kDone);
-  EXPECT_EQ(st->streamed_trials, compile_suite(spec).total_trials);
-  EXPECT_THROW(sched.export_request(id, temp_dir("rel_out")),
-               std::runtime_error);
-}
-
-TEST(SchedulerRetention, ReleaseRefusesRunningRequests) {
-  SchedulerConfig cfg;
-  cfg.workers = 2;
-  Scheduler sched(cfg, &shared_cache());
-  std::mutex mu;
-  std::condition_variable cv;
-  bool unblock = false, entered = false;
-  // The sink blocks while the scheduler holds the request's internal
-  // lock — release() must still answer false immediately (the atomic
-  // state check), not wait out the stream.
-  const std::uint64_t id = sched.submit(
-      tiny_spec("rel_run"), [&](std::size_t, const CheckpointHeader&,
-                                const std::vector<TrialRecord>&) {
-        std::unique_lock<std::mutex> lk(mu);
-        entered = true;
-        cv.notify_all();
-        cv.wait(lk, [&] { return unblock; });
-      });
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return entered; });
-  }
-  EXPECT_FALSE(sched.release(id));
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    unblock = true;
-  }
-  cv.notify_all();
-  sched.wait(id);
-  EXPECT_TRUE(sched.release(id));
-}
-
 TEST(SchedulerRetention, SettledRequestsAreReapedBeyondTheCap) {
+  // The scheduler retains the 64 most recent settled requests
+  // (kSettledRetention in scheduler.cpp); each submit reaps the oldest
+  // settled ones beyond that.
+  constexpr std::size_t kCap = 64;
   SchedulerConfig cfg;
   cfg.workers = 2;
-  cfg.settled_retention = 1;
   Scheduler sched(cfg, &shared_cache());
 
-  const std::uint64_t a = sched.submit(tiny_spec("reap_a"));
-  sched.wait(a);
-  // One settled request ≤ cap: submitting b keeps a around.
-  const std::uint64_t b = sched.submit(tiny_spec("reap_b"));
-  EXPECT_TRUE(sched.status(a).has_value());
-  sched.wait(b);
-  // Two settled > cap: submitting c evicts the oldest (a), keeps b.
-  const std::uint64_t c = sched.submit(tiny_spec("reap_c"));
-  EXPECT_FALSE(sched.status(a).has_value());
-  EXPECT_THROW(sched.wait(a), std::invalid_argument);
-  EXPECT_TRUE(sched.status(b).has_value());
-  sched.wait(c);
-  EXPECT_EQ(sched.status_all().size(), 2u);  // b (retained) + c
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    ids.push_back(sched.submit(tiny_spec("reap" + std::to_string(i))));
+    // At most kCap settled requests so far: nothing was reaped.
+    EXPECT_TRUE(sched.status(ids.front()).has_value()) << i;
+    sched.wait(ids.back());
+  }
+  // kCap + 1 settled > cap: the next submit evicts the oldest only.
+  const std::uint64_t last = sched.submit(tiny_spec("reap_last"));
+  EXPECT_FALSE(sched.status(ids[0]).has_value());
+  EXPECT_THROW(sched.wait(ids[0]), std::invalid_argument);
+  EXPECT_TRUE(sched.status(ids[1]).has_value());
+  sched.wait(last);
+  EXPECT_EQ(sched.status_all().size(), kCap + 1);  // retained + last
 }
 
 // Extracts the integer following `"key": ` — enough JSON parsing for the
@@ -664,54 +593,6 @@ TEST(SchedulerShutdownRace, SubmitRacingShutdownAlwaysSettles) {
       } catch (const std::invalid_argument&) {
         // Reaped by a concurrent submit's retention sweep; fine.
       }
-    }
-  }
-}
-
-TEST(SchedulerRetention, ExportRacingReleaseIsAllOrNothing) {
-  // TSan regression for the export-vs-release TOCTOU: `released` used to
-  // be checked once at export entry, so a concurrent release() emptied
-  // the record buffers mid-export and the remaining cells were written
-  // as silently truncated files.  Export now rechecks per cell and
-  // throws — a racing export either delivers byte-complete files or
-  // fails loudly.
-  SchedulerConfig cfg;
-  cfg.workers = 2;
-  Scheduler sched(cfg, &shared_cache());
-  std::map<std::string, std::string> golden;
-  for (int round = 0; round < 4; ++round) {
-    const std::string tag = "expreal" + std::to_string(round);
-    const std::uint64_t id = sched.submit(tiny_spec(tag));
-    sched.wait(id);
-    if (golden.empty()) {
-      // Reference bytes from an uncontended export (records and headers
-      // are identical across rounds: same spec, same seed).
-      const std::string dir = temp_dir("exp_ref");
-      for (const std::string& path : sched.export_request(id, dir))
-        golden[std::filesystem::path(path).filename().string().substr(
-            tag.size())] = slurp(path);
-    }
-    const std::string out = temp_dir("exp_race" + std::to_string(round));
-    std::vector<std::string> paths;
-    bool export_threw = false;
-    std::thread exporter([&] {
-      try {
-        paths = sched.export_request(id, out);
-      } catch (const std::runtime_error&) {
-        export_threw = true;
-      }
-    });
-    std::thread releaser([&] { sched.release(id); });
-    exporter.join();
-    releaser.join();
-    if (export_threw) continue;  // release won; the throw is the contract
-    for (const std::string& path : paths) {
-      const std::string key =
-          std::filesystem::path(path).filename().string().substr(tag.size());
-      const auto it = golden.find(key);
-      ASSERT_NE(it, golden.end()) << "unexpected export " << path;
-      EXPECT_EQ(slurp(path), it->second)
-          << path << " truncated by a concurrent release";
     }
   }
 }

@@ -242,8 +242,6 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
   graph::Arena golden_arena;
   exec.run(plan, feeds, golden_arena);
   const std::vector<Tensor> golden = golden_arena.outputs();
-  const auto roots = const_fault_roots(g, fault);
-  ASSERT_EQ(roots.size(), 1u);
   graph::Arena pa;
   const Tensor partial = exec.run_from(plan, golden, {}, pa, overrides);
   for (std::size_t i = 0; i < partial.elements(); ++i)

@@ -191,8 +191,7 @@ void handle_connection(util::ipc::Conn conn, fi::Scheduler& sched,
         // ipc.hpp requires external serialisation, so every send on
         // this connection goes through one shared mutex.  A vanished
         // client (send failure) stops the stream but not the request:
-        // its checkpoints keep filling, and the daemon keeps its
-        // records until the retention reaper evicts them.
+        // its checkpoints keep filling.
         auto send_mu = std::make_shared<util::Mutex>();
         const auto send = [&conn, send_mu](std::uint8_t t,
                                            std::string_view p) {
@@ -228,20 +227,13 @@ void handle_connection(util::ipc::Conn conn, fi::Scheduler& sched,
                                "\nplanned=" + std::to_string(plan.total_trials) +
                                "\n";
         send(kPlan, plan_ack);
+        // The done frame is built from wait()'s own settled status: a
+        // later lookup could find the request already reaped.
         try {
-          sched.wait(id);
+          send(kDone, status_line(sched.wait(id)));
         } catch (const std::exception& e) {
           send(kError, e.what());
-          return;
         }
-        const auto st = sched.status(id);
-        send(kDone, st ? status_line(*st) : "settled");
-        // The stream was fully delivered — the client owns the records
-        // now, so drop the daemon-side copy.  A vanished client keeps
-        // its buffered records until retention reaps them (the on-disk
-        // checkpoints stay resumable either way).
-        if (!client_gone->load(std::memory_order_relaxed))
-          sched.release(id);
         return;
       }
       case kStatusReq: {
