@@ -124,89 +124,207 @@ AxisRange affected_axis(int s, int k, int stride, int pad, int out_dim) {
   return {lo, hi};
 }
 
+// A convolution's geometry, for recomputing single output pixels.
+struct ConvGeom {
+  ConvGeom(const ops::Conv2DOp& op, const Tensor& x, const Tensor& f,
+           const Tensor& golden)
+      : p(op.params()),
+        kh(f.shape().dim(0)),
+        kw(f.shape().dim(1)),
+        ic(f.shape().dim(2)),
+        oc(f.shape().dim(3)),
+        ih(x.shape().h()),
+        iw(x.shape().w()),
+        oh(golden.shape().h()),
+        ow(golden.shape().w()) {
+    if (p.padding == ops::Padding::kSame) {
+      pad_top = std::max(0, (oh - 1) * p.stride_h + kh - ih) / 2;
+      pad_left = std::max(0, (ow - 1) * p.stride_w + kw - iw) / 2;
+    }
+  }
+  const ops::Conv2DParams& p;
+  int kh, kw, ic, oc, ih, iw, oh, ow;
+  int pad_top = 0, pad_left = 0;
+};
+
+// Recomputes output channels `cols` (ascending) at output positions `pos`
+// (ascending) through conv_pixel and records the values that differ from
+// golden.  `filter` is [kh, kw, ic, cols.size()]: the node's filter when
+// `cols` lists every channel, else packed down to `cols`.  The in-bounds
+// taps go (ky, kx) ascending as Conv2DOp::compute visits them; a pixel
+// holding a change is gathered through `xr`.
+void conv_positions(const ConvGeom& cg, const WindowReader& xr,
+                    const float* filter, const std::vector<std::size_t>& cols,
+                    const std::vector<std::size_t>& pos,
+                    const tensor::QScheme& scheme, const Tensor& golden,
+                    ChangeSet& ch) {
+  const auto ic = static_cast<std::size_t>(cg.ic);
+  const auto oc = static_cast<std::size_t>(cg.oc);
+  const auto nc = cols.size();
+  const float* gv = golden.values().data();
+  std::vector<ops::blocked::ConvTap> taps;
+  std::vector<float> gathered(static_cast<std::size_t>(cg.kh) * cg.kw * ic);
+  std::vector<float> out(nc);
+  for (const std::size_t pcode : pos) {
+    const int ox = static_cast<int>(pcode % static_cast<std::size_t>(cg.ow));
+    const std::size_t ny = pcode / static_cast<std::size_t>(cg.ow);
+    const int oy = static_cast<int>(ny % static_cast<std::size_t>(cg.oh));
+    const std::size_t n = ny / static_cast<std::size_t>(cg.oh);
+    const int base_y = oy * cg.p.stride_h - cg.pad_top;
+    const int base_x = ox * cg.p.stride_w - cg.pad_left;
+    taps.clear();
+    for (int ky = std::max(0, -base_y); ky < std::min(cg.kh, cg.ih - base_y);
+         ++ky)
+      for (int kx = std::max(0, -base_x);
+           kx < std::min(cg.kw, cg.iw - base_x); ++kx) {
+        const auto t = static_cast<std::size_t>(ky * cg.kw + kx);
+        const std::size_t row =
+            (n * static_cast<std::size_t>(cg.ih) +
+             static_cast<std::size_t>(base_y + ky)) *
+                static_cast<std::size_t>(cg.iw) +
+            static_cast<std::size_t>(base_x + kx);
+        taps.push_back(
+            {xr.row(row, gathered.data() + t * ic), filter + t * ic * nc});
+      }
+    ops::blocked::conv_pixel(taps, ic, nc, out.data(), scheme);
+    for (std::size_t j = 0; j < nc; ++j)
+      record(gv, pcode * oc + cols[j], out[j], ch);
+  }
+}
+
+std::vector<std::size_t> range_of(std::size_t n) {
+  std::vector<std::size_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = i;
+  return v;
+}
+
 bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
                  const Tensor& x, const Tensor& f, const In& in,
                  const Tensor& golden, ChangeSet& ch) {
-  const tensor::Shape& os = golden.shape();
-  const tensor::Shape& xs = x.shape();
-  const tensor::Shape& fs = f.shape();
-  const int kh = fs.dim(0), kw = fs.dim(1);
-  const int ic = fs.dim(2), oc = fs.dim(3);
-  const int ih = xs.h(), iw = xs.w();
-  const int oh = os.h(), ow = os.w();
-  const ops::Conv2DParams& p = op.params();
+  const ConvGeom cg(op, x, f, golden);
 
-  int pad_top = 0, pad_left = 0;
-  if (p.padding == ops::Padding::kSame) {
-    const int pad_h = std::max(0, (oh - 1) * p.stride_h + kh - ih);
-    const int pad_w = std::max(0, (ow - 1) * p.stride_w + kw - iw);
-    pad_top = pad_h / 2;
-    pad_left = pad_w / 2;
-  }
-
-  // Changed input elements -> affected output positions (all output
+  // Changed input pixels -> affected output positions (all output
   // channels at each position: the filter couples every input channel to
-  // every output channel).
+  // every output channel).  The indices ascend, so a pixel's changed
+  // channels are adjacent and the walk jumps to the next pixel's.
+  const auto ic = static_cast<std::size_t>(cg.ic);
+  const std::vector<std::size_t>& idx = in.ch.idx;
   std::vector<std::size_t> pos;
-  for (const std::size_t idx : in.ch.idx) {
-    const std::size_t spatial = idx / static_cast<std::size_t>(ic);
-    const int sx = static_cast<int>(spatial % static_cast<std::size_t>(iw));
-    const int sy = static_cast<int>((spatial / static_cast<std::size_t>(iw)) %
-                                    static_cast<std::size_t>(ih));
-    const int n = static_cast<int>(spatial / static_cast<std::size_t>(iw) /
-                                   static_cast<std::size_t>(ih));
-    const AxisRange ry = affected_axis(sy, kh, p.stride_h, pad_top, oh);
-    const AxisRange rx = affected_axis(sx, kw, p.stride_w, pad_left, ow);
+  for (auto it = idx.begin(); it != idx.end();) {
+    const std::size_t spatial = *it / ic;
+    it = std::lower_bound(it, idx.end(), (spatial + 1) * ic);
+    const int sx = static_cast<int>(spatial % static_cast<std::size_t>(cg.iw));
+    const int sy = static_cast<int>(
+        (spatial / static_cast<std::size_t>(cg.iw)) %
+        static_cast<std::size_t>(cg.ih));
+    const int n = static_cast<int>(spatial / static_cast<std::size_t>(cg.iw) /
+                                   static_cast<std::size_t>(cg.ih));
+    const AxisRange ry =
+        affected_axis(sy, cg.kh, cg.p.stride_h, cg.pad_top, cg.oh);
+    const AxisRange rx =
+        affected_axis(sx, cg.kw, cg.p.stride_w, cg.pad_left, cg.ow);
     for (int oy = ry.lo; oy <= ry.hi; ++oy)
       for (int ox = rx.lo; ox <= rx.hi; ++ox)
-        pos.push_back((static_cast<std::size_t>(n) * oh + oy) * ow + ox);
+        pos.push_back((static_cast<std::size_t>(n) * cg.oh + oy) * cg.ow +
+                      ox);
   }
   std::sort(pos.begin(), pos.end());
   pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
 
-  const std::size_t total_pos = golden.elements() / static_cast<std::size_t>(oc);
-  if (2 * pos.size() >= total_pos) return false;  // dense is cheaper
+  const auto oc = static_cast<std::size_t>(cg.oc);
+  if (2 * pos.size() >= golden.elements() / oc) return false;  // dense
 
-  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(ic));
-  const float* fv = f.values().data();
+  const WindowReader xr(in, x.elements(), ic);
+  conv_positions(cg, xr, f.values().data(), range_of(oc), pos, scheme, golden,
+                 ch);
+  return true;
+}
+
+// The output channels a changed parameter feeds, ascending: element i of
+// a tensor whose innermost dimension has `channels` entries (a Conv2D
+// filter [kh, kw, ic, oc], a bias [c], MatMul weights [k, n]) feeds
+// channel (column) i % channels alone.
+std::vector<std::size_t> changed_channels(const ChangeSet& param,
+                                          std::size_t channels) {
+  std::vector<std::size_t> cols;
+  for (const std::size_t i : param.idx) cols.push_back(i % channels);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
+// Columns `cols` of the row-major [rows, n] matrix `m`, packed into a
+// [rows, cols.size()] one.
+std::vector<float> pack_columns(const float* m, std::size_t rows,
+                                std::size_t n,
+                                const std::vector<std::size_t>& cols) {
+  std::vector<float> packed(rows * cols.size());
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t j = 0; j < cols.size(); ++j)
+      packed[r * cols.size() + j] = m[r * n + cols[j]];
+  return packed;
+}
+
+// The parameter kernels below run when a node's parameter Const changed
+// (a weight fault) and its data input is golden.  They recompute the
+// changed channels at every output position, position ascending and
+// channel ascending, so the change set comes out in index order.
+
+// Conv2D with a changed filter, over the filter packed down to the
+// changed output channels.
+bool param_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
+                const Tensor& x, const Tensor& f, const In& in,
+                const ChangeSet& fch, const Tensor& golden, ChangeSet& ch) {
+  const ConvGeom cg(op, x, f, golden);
+  const auto oc = static_cast<std::size_t>(cg.oc);
+  const std::vector<std::size_t> cols = changed_channels(fch, oc);
+  if (2 * cols.size() >= oc) return false;
+  const std::vector<float> packed = pack_columns(
+      f.values().data(), static_cast<std::size_t>(cg.kh) * cg.kw * cg.ic, oc,
+      cols);
+  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(cg.ic));
+  conv_positions(cg, xr, packed.data(), cols, range_of(golden.elements() / oc),
+                 scheme, golden, ch);
+  return true;
+}
+
+// MatMul with changed weights: each row is a one-tap conv_pixel against
+// the weights packed down to the changed columns (k ascending, as
+// gemm_micro sums).
+bool param_matmul(const tensor::QScheme& scheme, const Tensor& x,
+                  const Tensor& w, const ChangeSet& wch, const Tensor& golden,
+                  ChangeSet& ch) {
+  const auto k = static_cast<std::size_t>(w.shape().dim(0));
+  const auto n = static_cast<std::size_t>(w.shape().dim(1));
+  const std::vector<std::size_t> cols = changed_channels(wch, n);
+  if (2 * cols.size() >= n) return false;
+  const std::vector<float> packed = pack_columns(w.values().data(), k, n, cols);
+  const float* xv = x.values().data();
   const float* gv = golden.values().data();
-  // Identical accumulation structure (and therefore rounding) to
-  // Conv2DOp::compute for each recomputed position.
-  std::vector<float> acc(static_cast<std::size_t>(oc));
-  std::vector<float> pixel(static_cast<std::size_t>(ic));
-  for (const std::size_t pcode : pos) {
-    const int ox = static_cast<int>(pcode % static_cast<std::size_t>(ow));
-    const int oy = static_cast<int>((pcode / static_cast<std::size_t>(ow)) %
-                                    static_cast<std::size_t>(oh));
-    const int n = static_cast<int>(pcode / static_cast<std::size_t>(ow) /
-                                   static_cast<std::size_t>(oh));
-    const int base_y = oy * p.stride_h - pad_top;
-    const int base_x = ox * p.stride_w - pad_left;
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    for (int ky = 0; ky < kh; ++ky) {
-      const int sy = base_y + ky;
-      if (sy < 0 || sy >= ih) continue;
-      for (int kx = 0; kx < kw; ++kx) {
-        const int sx = base_x + kx;
-        if (sx < 0 || sx >= iw) continue;
-        const float* xp =
-            xr.row((static_cast<std::size_t>(n) * ih + sy) * iw + sx,
-                   pixel.data());
-        const float* fp =
-            fv + ((static_cast<std::size_t>(ky) * kw + kx) * ic) *
-                     static_cast<std::size_t>(oc);
-        for (int ci = 0; ci < ic; ++ci) {
-          const float xval = xp[ci];
-          const float* frow = fp + static_cast<std::size_t>(ci) * oc;
-          for (int co = 0; co < oc; ++co) acc[co] += xval * frow[co];
-        }
-      }
-    }
-    const std::size_t base = pcode * static_cast<std::size_t>(oc);
-    for (int co = 0; co < oc; ++co)
-      record(gv, base + static_cast<std::size_t>(co),
-             tensor::q_quantize(scheme, acc[co]), ch);
+  std::vector<float> out(cols.size());
+  for (std::size_t r = 0; r < golden.elements() / n; ++r) {
+    const ops::blocked::ConvTap tap{xv + r * k, packed.data()};
+    ops::blocked::conv_pixel({&tap, 1}, k, cols.size(), out.data(), scheme);
+    for (std::size_t j = 0; j < cols.size(); ++j)
+      record(gv, r * n + cols[j], out[j], ch);
   }
+  return true;
+}
+
+// BiasAdd with a changed bias: x + b[c] for the changed channels.
+bool param_bias_add(const tensor::QScheme& scheme, const Tensor& x,
+                    const Tensor& bias, const ChangeSet& bch,
+                    const Tensor& golden, ChangeSet& ch) {
+  const std::size_t c = bias.elements();
+  const std::vector<std::size_t> cols = changed_channels(bch, c);
+  if (2 * cols.size() >= c) return false;
+  const float* xv = x.values().data();
+  const float* bv = bias.values().data();
+  const float* gv = golden.values().data();
+  for (std::size_t base = 0; base < golden.elements(); base += c)
+    for (const std::size_t j : cols)
+      record(gv, base + j, tensor::q_quantize(scheme, xv[base + j] + bv[j]),
+             ch);
   return true;
 }
 
@@ -506,13 +624,28 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
     if (c->dense) return false;
   const In x(inputs[0], *changes[0]);
 
-  switch (op.kind()) {
+  // A changed parameter (index-only: an overridden Const holds its full
+  // tensor) takes a parameter kernel while the data input is golden, and
+  // the dense path when both changed.
+  const ops::OpKind kind = op.kind();
+  const bool param_changed =
+      (kind == ops::OpKind::kConv2D || kind == ops::OpKind::kBiasAdd ||
+       kind == ops::OpKind::kMatMul) &&
+      !changes[1]->clean();
+  if (param_changed && !changes[0]->clean()) return false;
+
+  switch (kind) {
     case ops::OpKind::kConv2D:
-      if (!changes[1]->clean()) return false;  // filter changed: dense
+      if (param_changed)
+        return param_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
+                          inputs[0], inputs[1], x, *changes[1], golden,
+                          out_change);
       return sparse_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
                          inputs[0], inputs[1], x, golden, out_change);
     case ops::OpKind::kBiasAdd:
-      if (!changes[1]->clean()) return false;
+      if (param_changed)
+        return param_bias_add(scheme, inputs[0], inputs[1], *changes[1],
+                              golden, out_change);
       return sparse_bias_add(scheme, x, inputs[1], golden, out_change);
     case ops::OpKind::kBatchNorm:
       return sparse_batch_norm(static_cast<const ops::BatchNormOp&>(op),
@@ -520,7 +653,7 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
     case ops::OpKind::kMaxPool:
     case ops::OpKind::kAvgPool:
       return sparse_pool(static_cast<const ops::PoolOpBase&>(op),
-                         op.kind() == ops::OpKind::kMaxPool, scheme, inputs[0],
+                         kind == ops::OpKind::kMaxPool, scheme, inputs[0],
                          x, golden, out_change);
     case ops::OpKind::kReshape:
     case ops::OpKind::kFlatten:
@@ -532,7 +665,9 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
       return sparse_concat(scheme, inputs[0], inputs[1], x,
                            In(inputs[1], *changes[1]), golden, out_change);
     case ops::OpKind::kMatMul:
-      if (!changes[1]->clean()) return false;  // weights changed: dense
+      if (param_changed)
+        return param_matmul(scheme, inputs[0], inputs[1], *changes[1], golden,
+                            out_change);
       return sparse_matmul(scheme, x, inputs[1], golden, out_change);
     default:
       break;

@@ -197,6 +197,12 @@ CompiledKernel select_kernel(const Op& op, const tensor::QScheme& scheme,
                 true};
       }
       break;
+    case OpKind::kGlobalAvgPool:
+      return {[o, scheme](std::span<const tensor::Tensor> in) {
+                return blocked::global_avg_pool(
+                    *static_cast<const GlobalAvgPoolOp*>(o), scheme, in);
+              },
+              true};
     default:
       break;
   }
@@ -225,8 +231,8 @@ CompiledKernel select_kernel(const Op& op, const tensor::QScheme& scheme,
               return blocked::binary(*b, scheme, in);
             },
             true};
-  // Softmax, shape ops, GlobalAvgPool, Const, Input, unknown ops:
-  // scalar compute + executor-side quantisation.
+  // Softmax, shape ops, Const, Input, unknown ops: scalar compute +
+  // executor-side quantisation.
   return {};
 }
 

@@ -115,6 +115,37 @@ __attribute__((aligned(64))) void gemm_rows(const float* A, const float* B,
 
 namespace {
 
+// conv_pixel's output channels [co, co + NB): the NB accumulators stay in
+// registers across the whole (tap, ci) reduction, as in gemm_micro.
+template <int NB>
+void pixel_block(std::span<const ConvTap> taps, std::size_t ic,
+                 std::size_t oc, std::size_t co, float* out) {
+  float acc[NB] = {};
+  for (const ConvTap& t : taps) {
+    const float* fp = t.f + co;
+    for (std::size_t ci = 0; ci < ic; ++ci) {
+      const float xval = t.x[ci];
+      const float* frow = fp + ci * oc;
+      for (int j = 0; j < NB; ++j) acc[j] += xval * frow[j];
+    }
+  }
+  for (int j = 0; j < NB; ++j) out[co + j] = acc[j];
+}
+
+}  // namespace
+
+void conv_pixel(std::span<const ConvTap> taps, std::size_t ic,
+                std::size_t oc, float* out, tensor::QScheme scheme) {
+  std::size_t co = 0;
+  for (; oc - co >= 32; co += 32) pixel_block<32>(taps, ic, oc, co, out);
+  for (; oc - co >= 16; co += 16) pixel_block<16>(taps, ic, oc, co, out);
+  for (; oc - co >= 8; co += 8) pixel_block<8>(taps, ic, oc, co, out);
+  for (; co < oc; ++co) pixel_block<1>(taps, ic, oc, co, out);
+  tensor::q_quantize_span(scheme, {out, oc});
+}
+
+namespace {
+
 struct ConvGeometry {
   int pad_top = 0, pad_left = 0;
 };
@@ -167,37 +198,29 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
 
   const int batch = os.n();
 
-  // Per-element path for boundary pixels, with the scalar kernel's exact
-  // padding-skip semantics (its own ky/kx clipping per pixel).
+  // Boundary pixels: the in-bounds taps (ky, kx ascending — the scalar
+  // kernel's padding skip) through the register-tiled pixel kernel.
   const auto edge_column = [&](int n, int oy, int ox,
-                               std::vector<float>& acc) {
+                               std::vector<ConvTap>& taps) {
     const int base_y = oy * p.stride_h - g.pad_top;
     const int base_x = ox * p.stride_w - g.pad_left;
-    std::fill(acc.begin(), acc.begin() + oc, 0.0f);
-    for (int ky = std::max(0, -base_y);
-         ky < std::min(kh, ih - base_y); ++ky) {
-      const int sy = base_y + ky;
-      for (int kx = 0; kx < kw; ++kx) {
-        const int sx = base_x + kx;
-        if (sx < 0 || sx >= iw) continue;
-        const float* xp =
-            &xv[((static_cast<std::size_t>(n) * ih + sy) * iw + sx) *
-                static_cast<std::size_t>(ic)];
-        const float* fp =
-            &fv[((static_cast<std::size_t>(ky) * kw + kx) *
-                 static_cast<std::size_t>(ic)) *
-                static_cast<std::size_t>(oc)];
-        for (int ci = 0; ci < ic; ++ci) {
-          const float xval = xp[ci];
-          const float* frow = fp + static_cast<std::size_t>(ci) * oc;
-          for (int co = 0; co < oc; ++co) acc[co] += xval * frow[co];
-        }
-      }
-    }
-    float* out = &yv[(((static_cast<std::size_t>(n) * oh + oy) * ow) + ox) *
-                     static_cast<std::size_t>(oc)];
-    for (int co = 0; co < oc; ++co) out[co] = acc[co];
-    tensor::q_quantize_span(scheme, {out, static_cast<std::size_t>(oc)});
+    taps.clear();
+    for (int ky = std::max(0, -base_y); ky < std::min(kh, ih - base_y);
+         ++ky)
+      for (int kx = std::max(0, -base_x); kx < std::min(kw, iw - base_x);
+           ++kx)
+        taps.push_back(
+            {&xv[((static_cast<std::size_t>(n) * ih + base_y + ky) * iw +
+                  base_x + kx) *
+                 static_cast<std::size_t>(ic)],
+             &fv[((static_cast<std::size_t>(ky) * kw + kx) *
+                  static_cast<std::size_t>(ic)) *
+                 static_cast<std::size_t>(oc)]});
+    conv_pixel(taps, static_cast<std::size_t>(ic),
+               static_cast<std::size_t>(oc),
+               &yv[(((static_cast<std::size_t>(n) * oh + oy) * ow) + ox) *
+                   static_cast<std::size_t>(oc)],
+               scheme);
   };
 
   // Processes output rows [y0, y1) for every batch image.  When all rows
@@ -205,13 +228,11 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
   // of the whole segment — across rows AND batch images — is packed into
   // one im2col matrix and run through a single panel sweep, so a K x NR
   // filter panel is read once per segment rather than once per pixel (the
-  // scalar kernel) or once per row.  Boundary rows and columns take the
-  // per-element path.
+  // scalar kernel) or once per row.  Boundary columns take edge_column.
   const auto process_rows = [&](int y0, int y1, bool full_k) {
     static thread_local std::vector<float> patch;
     static thread_local std::vector<float*> crows;
-    static thread_local std::vector<float> acc;
-    acc.resize(static_cast<std::size_t>(oc));
+    static thread_local std::vector<ConvTap> taps;
     const int m_count = x_hi - x_lo;
 
     if (full_k && m_count > 0) {
@@ -249,14 +270,14 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
            static_cast<std::size_t>(oc), K, scheme);
       for (int n = 0; n < batch; ++n)
         for (int oy = y0; oy < y1; ++oy) {
-          for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox, acc);
-          for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox, acc);
+          for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox, taps);
+          for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox, taps);
         }
       return;
     }
 
     // Boundary rows (clipped ky) and fully-padded rows: per-row GEMM over
-    // the valid filter slice, edges per element.
+    // the valid filter slice, edges through edge_column.
     for (int oy = y0; oy < y1; ++oy) {
       const int base_y = oy * p.stride_h - g.pad_top;
       const int ky_lo = std::max(0, -base_y);
@@ -305,8 +326,8 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
              static_cast<std::size_t>(oc), K, scheme);
       }
       for (int n = 0; n < batch; ++n) {
-        for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox, acc);
-        for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox, acc);
+        for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox, taps);
+        for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox, taps);
       }
     }
   };
@@ -468,6 +489,28 @@ tensor::Tensor pool(const PoolOpBase& op, bool is_max,
   run_rows(static_cast<std::size_t>(os.n()) * oh,
            static_cast<std::size_t>(ow) * c * p.window_h * p.window_w,
            compute_row);
+  return y;
+}
+
+tensor::Tensor global_avg_pool(const GlobalAvgPoolOp& op,
+                               tensor::QScheme scheme,
+                               std::span<const tensor::Tensor> in) {
+  const tensor::Shape os = op.infer_shape(std::array{in[0].shape()});
+  const tensor::Shape& xs = in[0].shape();
+  const auto c = static_cast<std::size_t>(xs.c());
+  const auto pixels = static_cast<std::size_t>(xs.h()) * xs.w();
+  const float inv = 1.0f / static_cast<float>(xs.h() * xs.w());
+  Tensor y(os);  // zero-filled: the sums start from 0
+  const std::span<float> yv = y.mutable_values();
+  const std::span<const float> xv = in[0].values();
+  run_rows(static_cast<std::size_t>(xs.n()), pixels * c, [&](std::size_t n) {
+    float* sum = &yv[n * c];
+    const float* x = &xv[n * pixels * c];
+    for (std::size_t px = 0; px < pixels; ++px)
+      for (std::size_t cc = 0; cc < c; ++cc) sum[cc] += x[px * c + cc];
+    for (std::size_t cc = 0; cc < c; ++cc) sum[cc] *= inv;
+    tensor::q_quantize_span(scheme, {sum, c});
+  });
   return y;
 }
 

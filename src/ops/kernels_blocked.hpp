@@ -57,13 +57,32 @@ void gemm_rows(const float* a, const float* b, float* const* crows,
                std::size_t m, std::size_t n, std::size_t k,
                tensor::QScheme scheme);
 
+// One in-bounds filter tap of an output pixel: `x` points at the input
+// pixel's ic channels, `f` at the tap's [ic, oc] filter slice.
+struct ConvTap {
+  const float* x;
+  const float* f;
+};
+
+// One output pixel of a convolution: out[co] for co in [0, oc) sums
+// x[ci] * f[ci * oc + co] over the taps in the order given and ci
+// ascending, from 0, then quantises under `scheme`.  With the in-bounds
+// (ky, kx) taps listed ascending that is Conv2DOp::compute's per-element
+// order.  Output channels go in blocks of 32, 16, 8 and 1 whose
+// accumulators stay in registers across the whole (tap, ci) reduction.
+// The blocked conv's boundary pixels and the element-sparse conv and
+// parameter kernels (graph/incremental.cpp) all run through it; a MatMul
+// row is the one-tap case.
+void conv_pixel(std::span<const ConvTap> taps, std::size_t ic,
+                std::size_t oc, float* out, tensor::QScheme scheme);
+
 // All functions return the node's output already quantised under `scheme`
 // (a plain DType converts implicitly to its canonical scheme).
 
 // im2col + blocked-GEMM convolution: interior output spans are packed into
 // contiguous patch rows and run through a register-tiled GEMM against the
-// (already GEMM-shaped [kh*kw*ic, oc]) filter; boundary columns take a
-// per-element path with the padding-skip semantics of the scalar kernel.
+// (already GEMM-shaped [kh*kw*ic, oc]) filter; boundary pixels, whose
+// windows the padding clips, run their in-bounds taps through conv_pixel.
 tensor::Tensor conv2d(const Conv2DOp& op, tensor::QScheme scheme,
                       std::span<const tensor::Tensor> in);
 
@@ -86,6 +105,13 @@ tensor::Tensor matmul_with(tensor::QScheme scheme,
 tensor::Tensor pool(const PoolOpBase& op, bool is_max,
                     tensor::QScheme scheme,
                     std::span<const tensor::Tensor> in);
+
+// Per-image channel means over contiguous channel rows:
+// GlobalAvgPoolOp::compute's per-element arithmetic (a sum from 0 over the
+// pixels in storage order, times 1/(h*w)), quantised per image.
+tensor::Tensor global_avg_pool(const GlobalAvgPoolOp& op,
+                               tensor::QScheme scheme,
+                               std::span<const tensor::Tensor> in);
 
 tensor::Tensor bias_add(tensor::QScheme scheme,
                         std::span<const tensor::Tensor> in);

@@ -12,6 +12,11 @@ constexpr FixedPointFormat kFixed32{32, 10};
 constexpr FixedPointFormat kFixed16{16, 2};
 constexpr FixedPointFormat kInt8{8, 3};
 
+// llround of a value at or beyond 2^63 in magnitude is unspecified (glibc
+// returns LLONG_MIN for either sign), so the encoders saturate a scaled
+// value past this limit by sign before rounding — +/-inf included.
+constexpr double kLlroundLimit = 0x1p63;
+
 // Encodes into two's-complement fixed point with saturation.  With
 // zero_point = 0 the `shifted` value equals the llround result exactly,
 // so every branch below matches the original symmetric encoder bit for
@@ -19,22 +24,19 @@ constexpr FixedPointFormat kInt8{8, 3};
 std::uint64_t fixed_encode(const FixedPointFormat& f, float value) {
   const std::int64_t max_raw = (1LL << (f.total_bits - 1)) - 1;
   const std::int64_t min_raw = -(1LL << (f.total_bits - 1));
+  const double scaled =
+      static_cast<double>(value) * static_cast<double>(1LL << f.frac_bits);
   std::int64_t raw;
   if (std::isnan(value)) {
     // NaN decodes to 0.0: store the zero point, clamped into range.
     raw = f.zero_point > max_raw   ? max_raw
           : f.zero_point < min_raw ? min_raw
                                    : f.zero_point;
-  } else if (std::isinf(value)) {
-    // llround(inf) is unspecified (glibc: LLONG_MIN for either sign) —
-    // saturate by sign, like any out-of-range finite value.
-    raw = value > 0.0f ? max_raw : min_raw;
+  } else if (std::fabs(scaled) >= kLlroundLimit) {
+    raw = scaled > 0.0 ? max_raw : min_raw;
   } else {
-    const double shifted =
-        static_cast<double>(std::llround(
-            static_cast<double>(value) *
-            static_cast<double>(1LL << f.frac_bits))) +
-        static_cast<double>(f.zero_point);
+    const double shifted = static_cast<double>(std::llround(scaled)) +
+                           static_cast<double>(f.zero_point);
     if (shifted >= static_cast<double>(max_raw)) {
       raw = max_raw;
     } else if (shifted <= static_cast<double>(min_raw)) {
@@ -172,19 +174,19 @@ void fixed_quantize_span(std::span<float> v) {
   constexpr std::int64_t kMinRaw = -(1LL << (kTotal - 1));
   for (float& x : v) {
     std::int64_t raw;
+    const double scaled = static_cast<double>(x) * kScale;
     if (std::isnan(x)) {
       raw = 0;
-    } else if (std::isinf(x)) {
-      raw = x > 0.0f ? kMaxRaw : kMinRaw;
+    } else if (std::fabs(scaled) >= kLlroundLimit) {
+      raw = scaled > 0.0 ? kMaxRaw : kMinRaw;
     } else {
-      const double scaled =
-          std::llround(static_cast<double>(x) * kScale);
-      if (scaled >= static_cast<double>(kMaxRaw)) {
+      const double rounded = std::llround(scaled);
+      if (rounded >= static_cast<double>(kMaxRaw)) {
         raw = kMaxRaw;
-      } else if (scaled <= static_cast<double>(kMinRaw)) {
+      } else if (rounded <= static_cast<double>(kMinRaw)) {
         raw = kMinRaw;
       } else {
-        raw = static_cast<std::int64_t>(scaled);
+        raw = static_cast<std::int64_t>(rounded);
       }
     }
     x = static_cast<float>(static_cast<double>(raw) * kInvScale);
@@ -206,14 +208,14 @@ void fixed_quantize_span_rt(const FixedPointFormat& f, std::span<float> v) {
                                               : zp;
   for (float& x : v) {
     std::int64_t raw;
+    const double scaled = static_cast<double>(x) * scale;
     if (std::isnan(x)) {
       raw = nan_raw;
-    } else if (std::isinf(x)) {
-      raw = x > 0.0f ? max_raw : min_raw;
+    } else if (std::fabs(scaled) >= kLlroundLimit) {
+      raw = scaled > 0.0 ? max_raw : min_raw;
     } else {
-      const double shifted =
-          static_cast<double>(std::llround(static_cast<double>(x) * scale)) +
-          static_cast<double>(zp);
+      const double shifted = static_cast<double>(std::llround(scaled)) +
+                             static_cast<double>(zp);
       if (shifted >= static_cast<double>(max_raw)) {
         raw = max_raw;
       } else if (shifted <= static_cast<double>(min_raw)) {

@@ -115,6 +115,11 @@ TEST(BackendTest, ConvEquivalenceAcrossShapesStridesPaddings) {
       {9, 9, 16, 3, 3, 33, 1, 1, ops::Padding::kSame},
       {28, 28, 1, 5, 5, 6, 1, 1, ops::Padding::kSame},
       {7, 7, 2, 7, 7, 5, 1, 1, ops::Padding::kSame},
+      // 56 = 32 + 16 + 8: every register block of the pixel kernel.
+      {10, 10, 5, 3, 3, 56, 1, 1, ops::Padding::kSame},
+      // ResNet-18's stage-4 shape: 12 of the 16 output pixels are on the
+      // edge.
+      {4, 4, 64, 3, 3, 64, 1, 1, ops::Padding::kSame},
   };
   for (const Case& c : cases) {
     for (const tensor::DType dtype :
@@ -135,6 +140,26 @@ TEST(BackendTest, ConvEquivalenceAcrossShapesStridesPaddings) {
               " s" + std::to_string(c.sh) + std::to_string(c.sw));
     }
   }
+}
+
+TEST(BackendTest, GlobalAvgPoolHeadEquivalence) {
+  util::Rng rng(19);
+  graph::GraphBuilder b;
+  b.input("input", tensor::Shape{1, 9, 7, 3});
+  b.conv2d("conv", random_tensor({3, 3, 3, 24}, rng, 0.5f),
+           random_tensor({24}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.global_avg_pool("gap");
+  b.flatten("flatten");
+  b.dense("fc", random_tensor({24, 10}, rng, 0.3f),
+          random_tensor({10}, rng, 0.05f));
+  const graph::Graph g = b.finish();
+  const fi::Feeds feeds{{"input", random_tensor({1, 9, 7, 3}, rng, 2.0f)}};
+  for (const tensor::DType dtype :
+       {tensor::DType::kFixed32, tensor::DType::kFixed16,
+        tensor::DType::kFloat32})
+    check_backend_equivalence(g, feeds, dtype,
+                              std::string("gap head ") +
+                                  std::string(tensor::dtype_name(dtype)));
 }
 
 TEST(BackendTest, MixedOpGraphEquivalence) {
@@ -248,29 +273,19 @@ TEST(BatchedPlanTest, BatchedRunMatchesPerImageRunsBitIdentically) {
   }
 }
 
-TEST(BatchedPlanTest, BatchedLrnMatchesScalarPerImageRuns) {
-  // Large enough (4 x 32 x 32 rows of 16 channels) that the blocked LRN
-  // spreads its rows over workers.
-  util::Rng rng(53);
-  graph::GraphBuilder b;
-  b.input("input", tensor::Shape{1, 32, 32, 3});
-  b.conv2d("conv", random_tensor({3, 3, 3, 16}, rng, 0.5f),
-           random_tensor({16}, rng, 0.1f), {1, 1, ops::Padding::kSame});
-  b.activation("relu", ops::OpKind::kRelu);
-  b.lrn("lrn", {2, 1.0f, 0.05f, 0.75f});
-  b.max_pool("pool", {2, 2, 2, 2, ops::Padding::kValid});
-  b.flatten("flatten");
-  b.dense("fc", random_tensor({16 * 16 * 16, 4}, rng, 0.05f),
-          random_tensor({4}, rng, 0.05f));
-  const graph::Graph g = b.finish();
-  ASSERT_TRUE(graph::plan_supports_batch(g));
+// A batch-4 blocked run of `g` against scalar per-image runs, every node
+// of every row bit for bit, under fixed32 (what campaigns run) and float32
+// (which keeps every rounding visible).
+void expect_batched_blocked_matches_scalar(const graph::Graph& g,
+                                           tensor::Shape image,
+                                           util::Rng& rng,
+                                           const std::string& what) {
+  ASSERT_TRUE(graph::plan_supports_batch(g)) << what;
   constexpr std::size_t batch = 4;
   std::vector<tensor::Tensor> images;
   for (std::size_t i = 0; i < batch; ++i)
-    images.push_back(random_tensor({1, 32, 32, 3}, rng));
-  const auto lrn_id = static_cast<std::size_t>(g.find("lrn"));
+    images.push_back(random_tensor(image, rng));
   const graph::Executor exec;
-  // fixed32 is what campaigns run; float32 keeps every rounding visible.
   for (const tensor::DType dtype :
        {tensor::DType::kFixed32, tensor::DType::kFloat32}) {
     const graph::ExecutionPlan batched =
@@ -288,12 +303,47 @@ TEST(BatchedPlanTest, BatchedLrnMatchesScalarPerImageRuns) {
         expect_bit_identical(
             graph::slice_batch(ab.outputs()[n], i, batch, want.shape()),
             want,
-            std::string(tensor::dtype_name(dtype)) + " row " +
-                std::to_string(i) + " node " + std::to_string(n) +
-                (n == lrn_id ? " (lrn)" : ""));
+            what + " " + std::string(tensor::dtype_name(dtype)) + " row " +
+                std::to_string(i) + " node " +
+                g.node(static_cast<graph::NodeId>(n)).name);
       }
     }
   }
+}
+
+TEST(BatchedPlanTest, BatchedLrnMatchesScalarPerImageRuns) {
+  // Large enough (4 x 32 x 32 rows of 16 channels) that the blocked LRN
+  // spreads its rows over workers.
+  util::Rng rng(53);
+  graph::GraphBuilder b;
+  b.input("input", tensor::Shape{1, 32, 32, 3});
+  b.conv2d("conv", random_tensor({3, 3, 3, 16}, rng, 0.5f),
+           random_tensor({16}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.activation("relu", ops::OpKind::kRelu);
+  b.lrn("lrn", {2, 1.0f, 0.05f, 0.75f});
+  b.max_pool("pool", {2, 2, 2, 2, ops::Padding::kValid});
+  b.flatten("flatten");
+  b.dense("fc", random_tensor({16 * 16 * 16, 4}, rng, 0.05f),
+          random_tensor({4}, rng, 0.05f));
+  expect_batched_blocked_matches_scalar(b.finish(), {1, 32, 32, 3}, rng,
+                                        "lrn");
+}
+
+TEST(BatchedPlanTest, BatchedGlobalAvgPoolMatchesScalarPerImageRuns) {
+  // Large enough (4 images of 32 x 32 x 64) that the blocked
+  // GlobalAvgPool spreads its images over workers.
+  util::Rng rng(59);
+  graph::GraphBuilder b;
+  b.input("input", tensor::Shape{1, 32, 32, 3});
+  b.conv2d("conv", random_tensor({3, 3, 3, 64}, rng, 0.5f),
+           random_tensor({64}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.activation("relu", ops::OpKind::kRelu);
+  b.global_avg_pool("gap");
+  b.flatten("flatten");
+  b.dense("fc", random_tensor({64, 4}, rng, 0.2f),
+          random_tensor({4}, rng, 0.05f));
+  expect_batched_blocked_matches_scalar(b.finish(), {1, 32, 32, 3}, rng,
+                                        "gap");
 }
 
 TEST(BatchedPlanTest, ReshapeGraphsRefuseBatch) {
@@ -440,6 +490,11 @@ TEST(SimdBackendTest, ConvToleranceAcrossShapesStridesPaddings) {
       {9, 9, 16, 3, 3, 33, 1, 1, ops::Padding::kSame},
       {28, 28, 1, 5, 5, 6, 1, 1, ops::Padding::kSame},
       {7, 7, 2, 7, 7, 5, 1, 1, ops::Padding::kSame},
+      // 56 = 32 + 16 + 8: every register block of the pixel kernel.
+      {10, 10, 5, 3, 3, 56, 1, 1, ops::Padding::kSame},
+      // ResNet-18's stage-4 shape: 12 of the 16 output pixels are on the
+      // edge.
+      {4, 4, 64, 3, 3, 64, 1, 1, ops::Padding::kSame},
   };
   for (const Case& c : cases) {
     for (const tensor::DType dtype :

@@ -5,7 +5,8 @@
 // run whose hook injects the same faults.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
 // concat, residual add, row-sparse matmul) as well as the dense fallbacks
-// (single-row matmul, softmax).
+// (single-row matmul, softmax); Const overrides exercise the parameter
+// kernels (conv filter, bias, matmul weights).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "graph/passes.hpp"
 #include "graph/plan.hpp"
 #include "fi/fault_model.hpp"
+#include "fi/weight_fault.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -404,6 +406,97 @@ TEST(ExecutionPlan, SparseConeMaterializesOnlyTheOutput) {
         << be << ": the flip must reach the output";
     expect_bitwise_equal(out, full_arena.outputs()[out_id], be + " output");
     expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, be);
+  }
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
+}
+
+// A corrupted parameter element feeds one output channel (column) of its
+// consumer: a conv filter element channel i % oc, a bias element its own
+// channel, a MatMul weight column i % n.  With a golden data input the
+// consumer recomputes that channel on the element-sparse tier — no dense
+// kernel anywhere in these cones, whose other ops all have sparse
+// kernels — its changes lie in the one channel, and every node equals the
+// full run under the same override.
+TEST(ExecutionPlan, ParameterFaultRecomputesOneChannel) {
+  util::Rng rng(29);
+  GraphBuilder tb;
+  tb.input("input", Shape{1, 8, 8, 3});
+  tb.conv2d("conv1", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f),
+            random_tensor(Shape{6}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  tb.activation("act1", ops::OpKind::kTanh);
+  const Graph tower = tb.finish();
+  GraphBuilder hb;
+  hb.input("input", Shape{1, 4, 4, 2});
+  hb.flatten("flatten");
+  hb.dense("fc", random_tensor(Shape{32, 8}, rng, 0.3f),
+           random_tensor(Shape{8}, rng, 0.1f));
+  hb.activation("act", ops::OpKind::kTanh);
+  const Graph head = hb.finish();
+  struct Case {
+    const Graph* g;
+    std::string param;    // the corrupted Const
+    std::string node;     // its consumer
+    std::size_t element;  // of the Const
+    std::size_t channel;  // the one output channel it feeds
+  };
+  const Case cases[] = {
+      {&tower, "conv1/filter", "conv1", ((1 * 3 + 2) * 3 + 1) * 6 + 4, 4},
+      {&tower, "conv1/bias", "conv1/bias_add", 2, 2},
+      {&head, "fc/weights", "fc", 17 * 8 + 5, 5},
+      {&head, "fc/bias", "fc/bias_add", 3, 3},
+  };
+  util::metrics::set_enabled(true);
+  for (const ops::KernelBackend backend :
+       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
+    for (const DType dtype : {DType::kFixed32, DType::kFloat32}) {
+      for (const Case& c : cases) {
+        const Graph& g = *c.g;
+        const std::string what = std::string(ops::backend_name(backend)) +
+                                 " " +
+                                 std::string(tensor::dtype_name(dtype)) +
+                                 " " + c.param;
+        const ExecutionPlan plan = compile(
+            g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
+        const std::unordered_map<std::string, Tensor> feeds{
+            {"input",
+             random_tensor(g.node(0).op->infer_shape({}), rng)}};
+        const Executor exec;
+        Arena golden_arena, full_arena, arena;
+        exec.run(plan, feeds, golden_arena);
+        const std::vector<Tensor> golden = golden_arena.outputs();
+        // Bit 9 is worth 0.5 under fixed32; under float32 it moves the
+        // mantissa, which still changes every product it enters.
+        const std::vector<ConstOverride> overrides = fi::make_const_overrides(
+            plan, fi::FaultSet{{c.param, c.element, 9}});
+        ASSERT_EQ(overrides.size(), 1u) << what;
+        exec.run(plan, feeds, full_arena, overrides);
+        util::metrics::reset();
+        exec.run_from(plan, golden, {}, arena, overrides);
+        const std::string kernels =
+            "kernel." + std::string(ops::backend_name(backend));
+        EXPECT_EQ(util::metrics::counter_value(kernels), 0u) << what;
+        EXPECT_EQ(util::metrics::counter_value("exec.sparse_nodes"),
+                  plan.downstream_count(g.find(c.param)) - 1)
+            << what;
+        expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g,
+                               what);
+        const auto id = static_cast<std::size_t>(g.find(c.node));
+        const auto out = arena.outputs()[id].values();
+        const auto gold = golden[id].values();
+        const std::size_t channels =
+            static_cast<std::size_t>(plan.shapes()[id].dim(
+                plan.shapes()[id].rank() - 1));
+        std::size_t changed = 0;
+        for (std::size_t i = 0; i < out.size(); ++i)
+          if (std::bit_cast<std::uint32_t>(out[i]) !=
+              std::bit_cast<std::uint32_t>(gold[i])) {
+            EXPECT_EQ(i % channels, c.channel) << what << " element " << i;
+            ++changed;
+          }
+        EXPECT_GT(changed, 0u) << what;
+      }
+    }
   }
   util::metrics::set_enabled(false);
   util::metrics::reset();

@@ -10,7 +10,15 @@
 // on one element (3-bit bursts), several roots per trial (3 independent
 // bits), the fixed16 codec, and ResNet-18 — residual Adds whose two
 // inputs both changed, BatchNorm, and a GlobalAvgPool that recomputes
-// densely from a sparse input.
+// densely (through its blocked kernel) from a sparse input.
+//
+// The weight cells corrupt parameters instead: a faulted Conv2D filter,
+// BiasAdd bias or MatMul weight matrix recomputes only the channels the
+// corrupted elements feed (ResNet-18's convs, AlexNet's fc1/fc2 weights
+// and biases).  Float32 is what makes a cell sensitive to accumulation
+// order — the fixed-point codecs round most reorderings away — so the
+// float32 cells pin the parameter kernels and, on activation faults, the
+// element-sparse conv's pixel kernel to the dense kernels' order.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,6 +31,7 @@
 #include "core/ranger_transform.hpp"
 #include "fi/report.hpp"
 #include "fi/runner.hpp"
+#include "fi/weight_fault.hpp"
 #include "models/zoo.hpp"
 #include "util/rng.hpp"
 
@@ -53,6 +62,8 @@ struct IdentityCell {
   tensor::DType dtype = tensor::DType::kFixed32;
   int n_bits = 1;
   bool consecutive = false;
+  fi::FaultClass fault_class = fi::FaultClass::kActivation;
+  fi::WeightFaultKind weight_kind = fi::WeightFaultKind::kSingleBit;
 };
 
 void PrintTo(const IdentityCell& cell, std::ostream* os) { *os << cell.name; }
@@ -80,6 +91,8 @@ std::string records_of(const graph::Graph& g,
   rc.campaign.dtype = cell.dtype;
   rc.campaign.n_bits = cell.n_bits;
   rc.campaign.consecutive_bits = cell.consecutive;
+  rc.campaign.fault_class = cell.fault_class;
+  rc.campaign.weight_fault = {cell.weight_kind, cell.n_bits};
   rc.campaign.trials_per_input = 64;
   rc.campaign.seed = 2021;
   rc.campaign.threads = 2;
@@ -139,7 +152,18 @@ INSTANTIATE_TEST_SUITE_P(
                      tensor::DType::kFixed32, 3},
         IdentityCell{"lenet_fixed16", ModelId::kLeNet,
                      tensor::DType::kFixed16},
-        IdentityCell{"resnet18", ModelId::kResNet18}),
+        IdentityCell{"resnet18", ModelId::kResNet18},
+        IdentityCell{"alexnet_f32", ModelId::kAlexNet,
+                     tensor::DType::kFloat32},
+        IdentityCell{"resnet18_weight", ModelId::kResNet18,
+                     tensor::DType::kFixed16, 1, false,
+                     fi::FaultClass::kWeight},
+        IdentityCell{"resnet18_weight_f32", ModelId::kResNet18,
+                     tensor::DType::kFloat32, 1, false,
+                     fi::FaultClass::kWeight},
+        IdentityCell{"alexnet_weight_f32", ModelId::kAlexNet,
+                     tensor::DType::kFloat32, 1, false,
+                     fi::FaultClass::kWeight}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "tensor/dtype.hpp"
 #include "tensor/shape.hpp"
@@ -101,6 +103,25 @@ TEST(DType, FixedPointSaturates) {
               fixed32_format().min_value(), 1.0);
   const double max16 = fixed16_format().max_value();
   EXPECT_NEAR(dtype_quantize(DType::kFixed16, 1e6f), max16, 1.0);
+}
+
+// Values far past the range saturate by sign, per element and per span —
+// also where the scaled value overflows llround's int64 range (1e20 is
+// past 2^63 once scaled by any of these formats' 2^frac_bits).
+TEST(DType, HugeValuesSaturateBySign) {
+  const QScheme schemes[] = {
+      DType::kFixed32, DType::kFixed16, DType::kInt8,
+      QScheme{DType::kInt8, FixedPointFormat{8, 24, 5}}};
+  for (const QScheme& s : schemes) {
+    const float hi = static_cast<float>(s.fmt.max_value());
+    const float lo = static_cast<float>(s.fmt.min_value());
+    const std::string what(dtype_name(s.dtype));
+    EXPECT_EQ(q_quantize(s, 1e20f), hi) << what;
+    EXPECT_EQ(q_quantize(s, -1e20f), lo) << what;
+    std::vector<float> span = {1e20f, -1e20f, 1e16f, -1e16f};
+    q_quantize_span(s, span);
+    EXPECT_EQ(span, (std::vector<float>{hi, lo, hi, lo})) << what;
+  }
 }
 
 TEST(DType, NanEncodesToZeroInFixedPoint) {

@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <list>
 #include <map>
 #include <string>
 #include <thread>
@@ -311,17 +312,30 @@ int run_serve(const ServeOptions& opt) {
   std::fflush(stdout);
 
   std::atomic<bool> stopping{false};
-  std::vector<std::thread> handlers;
+  // One entry per connection handler.  The accept loop joins the handlers
+  // that have finished, so a long-lived daemon keeps only its live
+  // handlers' stacks mapped; shutdown joins the rest.
+  struct Handler {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Handler> handlers;
   while (true) {
     util::ipc::Conn conn = listener.accept();
     if (!conn.valid()) break;  // listener closed (shutdown command)
-    handlers.emplace_back(
-        [c = std::move(conn), &sched, &listener, &stopping]() mutable {
-          handle_connection(std::move(c), sched, listener, stopping);
-        });
+    std::erase_if(handlers, [](Handler& h) {
+      if (!h.done.load(std::memory_order_acquire)) return false;
+      h.thread.join();
+      return true;
+    });
+    Handler& h = handlers.emplace_back();
+    h.thread = std::thread([c = std::move(conn), &sched, &listener,
+                            &stopping, &done = h.done]() mutable {
+      handle_connection(std::move(c), sched, listener, stopping);
+      done.store(true, std::memory_order_release);
+    });
   }
-  for (std::thread& t : handlers)
-    if (t.joinable()) t.join();
+  for (Handler& h : handlers) h.thread.join();
   sched.shutdown();
   util::trace::stop_and_flush();
   std::printf("scheduler_cli: stopped\n");
