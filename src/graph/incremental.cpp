@@ -124,207 +124,106 @@ AxisRange affected_axis(int s, int k, int stride, int pad, int out_dim) {
   return {lo, hi};
 }
 
-// A convolution's geometry, for recomputing single output pixels.
-struct ConvGeom {
-  ConvGeom(const ops::Conv2DOp& op, const Tensor& x, const Tensor& f,
-           const Tensor& golden)
-      : p(op.params()),
-        kh(f.shape().dim(0)),
-        kw(f.shape().dim(1)),
-        ic(f.shape().dim(2)),
-        oc(f.shape().dim(3)),
-        ih(x.shape().h()),
-        iw(x.shape().w()),
-        oh(golden.shape().h()),
-        ow(golden.shape().w()) {
-    if (p.padding == ops::Padding::kSame) {
-      pad_top = std::max(0, (oh - 1) * p.stride_h + kh - ih) / 2;
-      pad_left = std::max(0, (ow - 1) * p.stride_w + kw - iw) / 2;
-    }
-  }
-  const ops::Conv2DParams& p;
-  int kh, kw, ic, oc, ih, iw, oh, ow;
-  int pad_top = 0, pad_left = 0;
-};
-
-// Recomputes output channels `cols` (ascending) at output positions `pos`
-// (ascending) through conv_pixel and records the values that differ from
-// golden.  `filter` is [kh, kw, ic, cols.size()]: the node's filter when
-// `cols` lists every channel, else packed down to `cols`.  The in-bounds
-// taps go (ky, kx) ascending as Conv2DOp::compute visits them; a pixel
+// Recomputes output channels at output positions of a convolution through
+// conv_pixel and records the values that differ from golden.  The
+// positions (NHW indices) are `pos`, ascending, or every position when
+// `pos` is null; the channels are `cols`, ascending, or every channel when
+// `cols` is null.  `filter` is [kh, kw, ic, channels recomputed]: the
+// node's own filter, or one packed down to `cols`.  An input pixel
 // holding a change is gathered through `xr`.
-void conv_positions(const ConvGeom& cg, const WindowReader& xr,
-                    const float* filter, const std::vector<std::size_t>& cols,
-                    const std::vector<std::size_t>& pos,
+void conv_positions(const ops::blocked::ConvGeometry& g, const WindowReader& xr,
+                    const float* filter, const std::vector<std::size_t>* cols,
+                    const std::vector<std::size_t>* pos,
                     const tensor::QScheme& scheme, const Tensor& golden,
                     ChangeSet& ch) {
-  const auto ic = static_cast<std::size_t>(cg.ic);
-  const auto oc = static_cast<std::size_t>(cg.oc);
-  const auto nc = cols.size();
+  const auto ic = static_cast<std::size_t>(g.ic);
+  const auto oc = static_cast<std::size_t>(g.oc);
+  const std::size_t nc = cols ? cols->size() : oc;
+  const std::size_t npos = pos ? pos->size() : golden.elements() / oc;
   const float* gv = golden.values().data();
-  std::vector<ops::blocked::ConvTap> taps;
-  std::vector<float> gathered(static_cast<std::size_t>(cg.kh) * cg.kw * ic);
+  std::vector<float> gathered(static_cast<std::size_t>(g.kh) * g.kw * ic);
+  const auto row = [&](std::size_t pixel, std::size_t t) {
+    return xr.row(pixel, gathered.data() + t * ic);
+  };
   std::vector<float> out(nc);
-  for (const std::size_t pcode : pos) {
-    const int ox = static_cast<int>(pcode % static_cast<std::size_t>(cg.ow));
-    const std::size_t ny = pcode / static_cast<std::size_t>(cg.ow);
-    const int oy = static_cast<int>(ny % static_cast<std::size_t>(cg.oh));
-    const std::size_t n = ny / static_cast<std::size_t>(cg.oh);
-    const int base_y = oy * cg.p.stride_h - cg.pad_top;
-    const int base_x = ox * cg.p.stride_w - cg.pad_left;
-    taps.clear();
-    for (int ky = std::max(0, -base_y); ky < std::min(cg.kh, cg.ih - base_y);
-         ++ky)
-      for (int kx = std::max(0, -base_x);
-           kx < std::min(cg.kw, cg.iw - base_x); ++kx) {
-        const auto t = static_cast<std::size_t>(ky * cg.kw + kx);
-        const std::size_t row =
-            (n * static_cast<std::size_t>(cg.ih) +
-             static_cast<std::size_t>(base_y + ky)) *
-                static_cast<std::size_t>(cg.iw) +
-            static_cast<std::size_t>(base_x + kx);
-        taps.push_back(
-            {xr.row(row, gathered.data() + t * ic), filter + t * ic * nc});
-      }
-    ops::blocked::conv_pixel(taps, ic, nc, out.data(), scheme);
+  for (std::size_t k = 0; k < npos; ++k) {
+    const std::size_t pcode = pos ? (*pos)[k] : k;
+    const int ox = static_cast<int>(pcode % static_cast<std::size_t>(g.ow));
+    const std::size_t ny = pcode / static_cast<std::size_t>(g.ow);
+    const int oy = static_cast<int>(ny % static_cast<std::size_t>(g.oh));
+    const int n = static_cast<int>(ny / static_cast<std::size_t>(g.oh));
+    ops::blocked::conv_pixel(g, n, oy, ox, row, filter, nc, out.data(),
+                             scheme);
     for (std::size_t j = 0; j < nc; ++j)
-      record(gv, pcode * oc + cols[j], out[j], ch);
+      record(gv, pcode * oc + (cols ? (*cols)[j] : j), out[j], ch);
   }
-}
-
-std::vector<std::size_t> range_of(std::size_t n) {
-  std::vector<std::size_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = i;
-  return v;
 }
 
 bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
                  const Tensor& x, const Tensor& f, const In& in,
                  const Tensor& golden, ChangeSet& ch) {
-  const ConvGeom cg(op, x, f, golden);
+  const ops::blocked::ConvGeometry g(op.params(), x.shape(), f.shape(),
+                                     golden.shape());
 
   // Changed input pixels -> affected output positions (all output
   // channels at each position: the filter couples every input channel to
   // every output channel).  The indices ascend, so a pixel's changed
   // channels are adjacent and the walk jumps to the next pixel's.
-  const auto ic = static_cast<std::size_t>(cg.ic);
+  const auto ic = static_cast<std::size_t>(g.ic);
   const std::vector<std::size_t>& idx = in.ch.idx;
   std::vector<std::size_t> pos;
   for (auto it = idx.begin(); it != idx.end();) {
     const std::size_t spatial = *it / ic;
     it = std::lower_bound(it, idx.end(), (spatial + 1) * ic);
-    const int sx = static_cast<int>(spatial % static_cast<std::size_t>(cg.iw));
+    const int sx = static_cast<int>(spatial % static_cast<std::size_t>(g.iw));
     const int sy = static_cast<int>(
-        (spatial / static_cast<std::size_t>(cg.iw)) %
-        static_cast<std::size_t>(cg.ih));
-    const int n = static_cast<int>(spatial / static_cast<std::size_t>(cg.iw) /
-                                   static_cast<std::size_t>(cg.ih));
-    const AxisRange ry =
-        affected_axis(sy, cg.kh, cg.p.stride_h, cg.pad_top, cg.oh);
+        (spatial / static_cast<std::size_t>(g.iw)) %
+        static_cast<std::size_t>(g.ih));
+    const int n = static_cast<int>(spatial / static_cast<std::size_t>(g.iw) /
+                                   static_cast<std::size_t>(g.ih));
+    const AxisRange ry = affected_axis(sy, g.kh, g.stride_h, g.pad_top, g.oh);
     const AxisRange rx =
-        affected_axis(sx, cg.kw, cg.p.stride_w, cg.pad_left, cg.ow);
+        affected_axis(sx, g.kw, g.stride_w, g.pad_left, g.ow);
     for (int oy = ry.lo; oy <= ry.hi; ++oy)
       for (int ox = rx.lo; ox <= rx.hi; ++ox)
-        pos.push_back((static_cast<std::size_t>(n) * cg.oh + oy) * cg.ow +
-                      ox);
+        pos.push_back((static_cast<std::size_t>(n) * g.oh + oy) * g.ow + ox);
   }
   std::sort(pos.begin(), pos.end());
   pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
 
-  const auto oc = static_cast<std::size_t>(cg.oc);
+  const auto oc = static_cast<std::size_t>(g.oc);
   if (2 * pos.size() >= golden.elements() / oc) return false;  // dense
 
   const WindowReader xr(in, x.elements(), ic);
-  conv_positions(cg, xr, f.values().data(), range_of(oc), pos, scheme, golden,
-                 ch);
+  conv_positions(g, xr, f.values().data(), nullptr, &pos, scheme, golden, ch);
   return true;
 }
 
-// The output channels a changed parameter feeds, ascending: element i of
-// a tensor whose innermost dimension has `channels` entries (a Conv2D
-// filter [kh, kw, ic, oc], a bias [c], MatMul weights [k, n]) feeds
-// channel (column) i % channels alone.
-std::vector<std::size_t> changed_channels(const ChangeSet& param,
-                                          std::size_t channels) {
-  std::vector<std::size_t> cols;
-  for (const std::size_t i : param.idx) cols.push_back(i % channels);
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  return cols;
-}
-
-// Columns `cols` of the row-major [rows, n] matrix `m`, packed into a
-// [rows, cols.size()] one.
-std::vector<float> pack_columns(const float* m, std::size_t rows,
-                                std::size_t n,
-                                const std::vector<std::size_t>& cols) {
-  std::vector<float> packed(rows * cols.size());
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t j = 0; j < cols.size(); ++j)
-      packed[r * cols.size() + j] = m[r * n + cols[j]];
-  return packed;
-}
-
-// The parameter kernels below run when a node's parameter Const changed
-// (a weight fault) and its data input is golden.  They recompute the
-// changed channels at every output position, position ascending and
-// channel ascending, so the change set comes out in index order.
-
-// Conv2D with a changed filter, over the filter packed down to the
-// changed output channels.
+// Conv2D with a changed filter (a weight fault) and a golden data input.
+// Filter element i of [kh, kw, ic, oc] feeds output channel i % oc alone,
+// so only the changed channels are recomputed, at every output position,
+// position ascending and channel ascending (the change set comes out in
+// index order), against the filter packed down to those channels.
 bool param_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
                 const Tensor& x, const Tensor& f, const In& in,
                 const ChangeSet& fch, const Tensor& golden, ChangeSet& ch) {
-  const ConvGeom cg(op, x, f, golden);
-  const auto oc = static_cast<std::size_t>(cg.oc);
-  const std::vector<std::size_t> cols = changed_channels(fch, oc);
-  if (2 * cols.size() >= oc) return false;
-  const std::vector<float> packed = pack_columns(
-      f.values().data(), static_cast<std::size_t>(cg.kh) * cg.kw * cg.ic, oc,
-      cols);
-  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(cg.ic));
-  conv_positions(cg, xr, packed.data(), cols, range_of(golden.elements() / oc),
-                 scheme, golden, ch);
-  return true;
-}
+  const ops::blocked::ConvGeometry g(op.params(), x.shape(), f.shape(),
+                                     golden.shape());
+  const auto oc = static_cast<std::size_t>(g.oc);
+  std::vector<std::size_t> cols;
+  for (const std::size_t i : fch.idx) cols.push_back(i % oc);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  if (2 * cols.size() >= oc) return false;  // dense
 
-// MatMul with changed weights: each row is a one-tap conv_pixel against
-// the weights packed down to the changed columns (k ascending, as
-// gemm_micro sums).
-bool param_matmul(const tensor::QScheme& scheme, const Tensor& x,
-                  const Tensor& w, const ChangeSet& wch, const Tensor& golden,
-                  ChangeSet& ch) {
-  const auto k = static_cast<std::size_t>(w.shape().dim(0));
-  const auto n = static_cast<std::size_t>(w.shape().dim(1));
-  const std::vector<std::size_t> cols = changed_channels(wch, n);
-  if (2 * cols.size() >= n) return false;
-  const std::vector<float> packed = pack_columns(w.values().data(), k, n, cols);
-  const float* xv = x.values().data();
-  const float* gv = golden.values().data();
-  std::vector<float> out(cols.size());
-  for (std::size_t r = 0; r < golden.elements() / n; ++r) {
-    const ops::blocked::ConvTap tap{xv + r * k, packed.data()};
-    ops::blocked::conv_pixel({&tap, 1}, k, cols.size(), out.data(), scheme);
+  const std::size_t rows = f.elements() / oc;  // kh * kw * ic
+  const float* fv = f.values().data();
+  std::vector<float> packed(rows * cols.size());
+  for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t j = 0; j < cols.size(); ++j)
-      record(gv, r * n + cols[j], out[j], ch);
-  }
-  return true;
-}
-
-// BiasAdd with a changed bias: x + b[c] for the changed channels.
-bool param_bias_add(const tensor::QScheme& scheme, const Tensor& x,
-                    const Tensor& bias, const ChangeSet& bch,
-                    const Tensor& golden, ChangeSet& ch) {
-  const std::size_t c = bias.elements();
-  const std::vector<std::size_t> cols = changed_channels(bch, c);
-  if (2 * cols.size() >= c) return false;
-  const float* xv = x.values().data();
-  const float* bv = bias.values().data();
-  const float* gv = golden.values().data();
-  for (std::size_t base = 0; base < golden.elements(); base += c)
-    for (const std::size_t j : cols)
-      record(gv, base + j, tensor::q_quantize(scheme, xv[base + j] + bv[j]),
-             ch);
+      packed[r * cols.size() + j] = fv[r * oc + cols[j]];
+  const WindowReader xr(in, x.elements(), static_cast<std::size_t>(g.ic));
+  conv_positions(g, xr, packed.data(), &cols, nullptr, scheme, golden, ch);
   return true;
 }
 
@@ -624,28 +523,21 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
     if (c->dense) return false;
   const In x(inputs[0], *changes[0]);
 
-  // A changed parameter (index-only: an overridden Const holds its full
-  // tensor) takes a parameter kernel while the data input is golden, and
-  // the dense path when both changed.
-  const ops::OpKind kind = op.kind();
-  const bool param_changed =
-      (kind == ops::OpKind::kConv2D || kind == ops::OpKind::kBiasAdd ||
-       kind == ops::OpKind::kMatMul) &&
-      !changes[1]->clean();
-  if (param_changed && !changes[0]->clean()) return false;
-
-  switch (kind) {
+  switch (op.kind()) {
     case ops::OpKind::kConv2D:
-      if (param_changed)
+      if (!changes[1]->clean()) {
+        // A changed filter takes the parameter kernel when it is
+        // index-only (an overridden Const holds its full tensor, which
+        // param_conv reads) and the data input is golden; else dense.
+        if (changes[1]->valued() || !changes[0]->clean()) return false;
         return param_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
                           inputs[0], inputs[1], x, *changes[1], golden,
                           out_change);
+      }
       return sparse_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
                          inputs[0], inputs[1], x, golden, out_change);
     case ops::OpKind::kBiasAdd:
-      if (param_changed)
-        return param_bias_add(scheme, inputs[0], inputs[1], *changes[1],
-                              golden, out_change);
+      if (!changes[1]->clean()) return false;
       return sparse_bias_add(scheme, x, inputs[1], golden, out_change);
     case ops::OpKind::kBatchNorm:
       return sparse_batch_norm(static_cast<const ops::BatchNormOp&>(op),
@@ -653,7 +545,7 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
     case ops::OpKind::kMaxPool:
     case ops::OpKind::kAvgPool:
       return sparse_pool(static_cast<const ops::PoolOpBase&>(op),
-                         kind == ops::OpKind::kMaxPool, scheme, inputs[0],
+                         op.kind() == ops::OpKind::kMaxPool, scheme, inputs[0],
                          x, golden, out_change);
     case ops::OpKind::kReshape:
     case ops::OpKind::kFlatten:
@@ -665,9 +557,7 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
       return sparse_concat(scheme, inputs[0], inputs[1], x,
                            In(inputs[1], *changes[1]), golden, out_change);
     case ops::OpKind::kMatMul:
-      if (param_changed)
-        return param_matmul(scheme, inputs[0], inputs[1], *changes[1], golden,
-                            out_change);
+      if (!changes[1]->clean()) return false;  // weights changed: dense
       return sparse_matmul(scheme, x, inputs[1], golden, out_change);
     default:
       break;

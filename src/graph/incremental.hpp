@@ -18,10 +18,10 @@
 // the gather/compute/scatter trick sound).  MatMul is row-sparse: on a
 // batched plan it recomputes only the batch rows whose input changed, and
 // with every row changed (always so at batch 1) it reports "no sparse
-// kernel".  Conv2D, BiasAdd and MatMul also take a changed parameter
-// input (see "Const (weight) faults" below).  Everything else — Softmax,
-// GlobalAvgPool and unknown ops — reports "no sparse kernel" too, and the
-// executor falls back to a dense recompute, which is always correct.
+// kernel".  Conv2D also takes a changed filter (see "Const (weight)
+// faults" below).  Everything else — Softmax, GlobalAvgPool and unknown
+// ops — reports "no sparse kernel" too, and the executor falls back to a
+// dense recompute, which is always correct.
 //
 // Representation and the O(changed) contract: a node the sparse tier
 // handled keeps its shared golden tensor as its output, and its ChangeSet
@@ -47,34 +47,34 @@
 // Determinism contract: each sparse kernel recomputes an affected element
 // with exactly the dense kernels' per-element operation order (which both
 // backends of ops/backend.hpp share; row-sparse MatMul runs the blocked
-// GEMM core and the conv and parameter kernels run ops::blocked::
-// conv_pixel, byte-equal to the scalar kernels), so a partial re-execution
-// is bit-identical to a full one — under the scalar or the blocked
-// backend, and on batched plans, where element indices simply address the
-// batched tensor (every supported op treats batch rows independently, so
-// a change set never leaks across rows).
+// GEMM core and both conv kernels run ops::blocked::conv_pixel, byte-equal
+// to the scalar kernels), so a partial re-execution is bit-identical to a
+// full one — under the scalar or the blocked backend, and on batched
+// plans, where element indices simply address the batched tensor (every
+// supported op treats batch rows independently, so a change set never
+// leaks across rows).
 //
 // Const (weight) faults: a ConstOverride run seeds the overridden
 // Const's ChangeSet with the corrupted elements (index-only: the override
 // holds its full tensor), so the invalidation is exactly the
 // downstream-reachability cone of the const — i.e. of its first
-// consumer(s).  A corrupted parameter element feeds one output channel of
-// its consumer: element i of a Conv2D filter [kh, kw, ic, oc] channel
-// i % oc, of a BiasAdd bias channel i % c, of MatMul weights [k, n]
-// column i % n.  So while the consumer's data input is golden, its
-// parameter kernel recomputes just the changed channels at every output
-// position (MatMul: row), position ascending then channel ascending, in
-// the dense kernels' per-element order, and the node stays on this tier
-// with a valued change set.  It falls back to dense when the data input
-// changed too (a multi-bit fault reaching two layers in series) or when
-// half the channels or more changed.  Downstream, the element-sparse
-// tracking goes on as usual: the next conv usually recomputes dense (one
-// changed channel at every position reaches every output pixel), and a
-// fault masked at the consumer (ReLU/pool/clamp) still collapses the rest
-// of the cone back to golden.  A BinaryElementwiseOp needs no parameter
-// kernel: sparse_binary merges both inputs' change sets element by
-// element, so a changed second input stays sparse until the merged set
-// reaches the dense threshold.
+// consumer(s).  Element i of a Conv2D filter [kh, kw, ic, oc] feeds
+// output channel i % oc alone.  So while the conv's data input is golden,
+// its parameter kernel recomputes just the changed channels at every
+// output position, position ascending then channel ascending, in the
+// dense kernels' per-element order, and the node stays on this tier with
+// a valued change set.  It falls back to dense when the data input
+// changed too (a multi-bit fault reaching two layers in series), when
+// half the channels or more changed, or when the filter input carries
+// values (a computed tensor, not an overridden Const).  A changed BiasAdd
+// bias or MatMul weight matrix recomputes dense.  Downstream, the
+// element-sparse tracking goes on as usual: the next conv usually
+// recomputes dense (one changed channel at every position reaches every
+// output pixel), and a fault masked at the consumer (ReLU/pool/clamp)
+// still collapses the rest of the cone back to golden.  A
+// BinaryElementwiseOp needs no parameter kernel: sparse_binary merges
+// both inputs' change sets element by element, so a changed second input
+// stays sparse until the merged set reaches the dense threshold.
 //
 // Thread-safety: incremental_recompute is a function of its arguments
 // plus the calling thread's scatter; concurrent calls are safe as long as

@@ -144,25 +144,23 @@ void conv_pixel(std::span<const ConvTap> taps, std::size_t ic,
   tensor::q_quantize_span(scheme, {out, oc});
 }
 
-namespace {
-
-struct ConvGeometry {
-  int pad_top = 0, pad_left = 0;
-};
-
-ConvGeometry conv_padding(const Conv2DParams& p, const tensor::Shape& os,
-                          int kh, int kw, int ih, int iw) {
-  ConvGeometry g;
+ConvGeometry::ConvGeometry(const Conv2DParams& p, const tensor::Shape& x,
+                           const tensor::Shape& f, const tensor::Shape& y)
+    : kh(f.dim(0)),
+      kw(f.dim(1)),
+      ic(f.dim(2)),
+      oc(f.dim(3)),
+      ih(x.h()),
+      iw(x.w()),
+      oh(y.h()),
+      ow(y.w()),
+      stride_h(p.stride_h),
+      stride_w(p.stride_w) {
   if (p.padding == Padding::kSame) {
-    const int pad_h = std::max(0, (os.h() - 1) * p.stride_h + kh - ih);
-    const int pad_w = std::max(0, (os.w() - 1) * p.stride_w + kw - iw);
-    g.pad_top = pad_h / 2;
-    g.pad_left = pad_w / 2;
+    pad_top = std::max(0, (oh - 1) * stride_h + kh - ih) / 2;
+    pad_left = std::max(0, (ow - 1) * stride_w + kw - iw) / 2;
   }
-  return g;
 }
-
-}  // namespace
 
 tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
                            std::span<const tensor::Tensor> in,
@@ -172,11 +170,9 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
   const Tensor& x = in[0];
   const Tensor& f = in[1];
   const Conv2DParams& p = op.params();
-  const int kh = f.shape().dim(0), kw = f.shape().dim(1);
-  const int ic = f.shape().dim(2), oc = f.shape().dim(3);
-  const int ih = x.shape().h(), iw = x.shape().w();
-  const int oh = os.h(), ow = os.w();
-  const ConvGeometry g = conv_padding(p, os, kh, kw, ih, iw);
+  const ConvGeometry g(p, x.shape(), f.shape(), os);
+  const int kh = g.kh, kw = g.kw, ic = g.ic, oc = g.oc;
+  const int ih = g.ih, iw = g.iw, oh = g.oh, ow = g.ow;
 
   Tensor y(os);
   const std::span<float> yv = y.mutable_values();
@@ -198,29 +194,17 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
 
   const int batch = os.n();
 
-  // Boundary pixels: the in-bounds taps (ky, kx ascending — the scalar
-  // kernel's padding skip) through the register-tiled pixel kernel.
-  const auto edge_column = [&](int n, int oy, int ox,
-                               std::vector<ConvTap>& taps) {
-    const int base_y = oy * p.stride_h - g.pad_top;
-    const int base_x = ox * p.stride_w - g.pad_left;
-    taps.clear();
-    for (int ky = std::max(0, -base_y); ky < std::min(kh, ih - base_y);
-         ++ky)
-      for (int kx = std::max(0, -base_x); kx < std::min(kw, iw - base_x);
-           ++kx)
-        taps.push_back(
-            {&xv[((static_cast<std::size_t>(n) * ih + base_y + ky) * iw +
-                  base_x + kx) *
-                 static_cast<std::size_t>(ic)],
-             &fv[((static_cast<std::size_t>(ky) * kw + kx) *
-                  static_cast<std::size_t>(ic)) *
-                 static_cast<std::size_t>(oc)]});
-    conv_pixel(taps, static_cast<std::size_t>(ic),
-               static_cast<std::size_t>(oc),
-               &yv[(((static_cast<std::size_t>(n) * oh + oy) * ow) + ox) *
-                   static_cast<std::size_t>(oc)],
-               scheme);
+  // Boundary pixels, whose windows the padding clips.
+  const auto edge_column = [&](int n, int oy, int ox) {
+    conv_pixel(
+        g, n, oy, ox,
+        [&](std::size_t pixel, std::size_t) {
+          return &xv[pixel * static_cast<std::size_t>(ic)];
+        },
+        fv.data(), static_cast<std::size_t>(oc),
+        &yv[(((static_cast<std::size_t>(n) * oh + oy) * ow) + ox) *
+            static_cast<std::size_t>(oc)],
+        scheme);
   };
 
   // Processes output rows [y0, y1) for every batch image.  When all rows
@@ -232,7 +216,6 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
   const auto process_rows = [&](int y0, int y1, bool full_k) {
     static thread_local std::vector<float> patch;
     static thread_local std::vector<float*> crows;
-    static thread_local std::vector<ConvTap> taps;
     const int m_count = x_hi - x_lo;
 
     if (full_k && m_count > 0) {
@@ -270,8 +253,8 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
            static_cast<std::size_t>(oc), K, scheme);
       for (int n = 0; n < batch; ++n)
         for (int oy = y0; oy < y1; ++oy) {
-          for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox, taps);
-          for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox, taps);
+          for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox);
+          for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox);
         }
       return;
     }
@@ -326,8 +309,8 @@ tensor::Tensor conv2d_with(const Conv2DOp& op, tensor::QScheme scheme,
              static_cast<std::size_t>(oc), K, scheme);
       }
       for (int n = 0; n < batch; ++n) {
-        for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox, taps);
-        for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox, taps);
+        for (int ox = 0; ox < x_lo; ++ox) edge_column(n, oy, ox);
+        for (int ox = x_hi; ox < ow; ++ox) edge_column(n, oy, ox);
       }
     }
   };

@@ -11,7 +11,9 @@
 // workers (inline when already inside a pool worker).
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <vector>
 
 #include "ops/activation_ops.hpp"
 #include "ops/elementwise_ops.hpp"
@@ -66,15 +68,54 @@ struct ConvTap {
 
 // One output pixel of a convolution: out[co] for co in [0, oc) sums
 // x[ci] * f[ci * oc + co] over the taps in the order given and ci
-// ascending, from 0, then quantises under `scheme`.  With the in-bounds
-// (ky, kx) taps listed ascending that is Conv2DOp::compute's per-element
-// order.  Output channels go in blocks of 32, 16, 8 and 1 whose
-// accumulators stay in registers across the whole (tap, ci) reduction.
-// The blocked conv's boundary pixels and the element-sparse conv and
-// parameter kernels (graph/incremental.cpp) all run through it; a MatMul
-// row is the one-tap case.
+// ascending, from 0, then quantises under `scheme`.  Output channels go in
+// blocks of 32, 16, 8 and 1 whose accumulators stay in registers across
+// the whole (tap, ci) reduction.
 void conv_pixel(std::span<const ConvTap> taps, std::size_t ic,
                 std::size_t oc, float* out, tensor::QScheme scheme);
+
+// A convolution's extents (filter [kh, kw, ic, oc], NHWC input and
+// output) and its leading SAME padding: the smaller half of the total, as
+// Conv2DOp::compute splits it.
+struct ConvGeometry {
+  ConvGeometry(const Conv2DParams& p, const tensor::Shape& x,
+               const tensor::Shape& f, const tensor::Shape& y);
+  int kh, kw, ic, oc;
+  int ih, iw, oh, ow;
+  int stride_h, stride_w;
+  int pad_top = 0, pad_left = 0;
+};
+
+// Output pixel (n, oy, ox) of the convolution `g` through conv_pixel, its
+// in-bounds taps listed (ky, kx) ascending: Conv2DOp::compute's
+// per-element order, padding skipped.  The blocked conv's boundary pixels
+// and the element-sparse and parameter conv kernels
+// (graph/incremental.cpp) all take this one tap walk.  `row(pixel, t)`
+// returns the ic channels of input pixel `pixel` (its NHW index) for tap
+// t = ky * kw + kx; `filter` is [kh, kw, ic, nc] and `out` takes nc values.
+template <class Row>
+void conv_pixel(const ConvGeometry& g, int n, int oy, int ox, const Row& row,
+                const float* filter, std::size_t nc, float* out,
+                tensor::QScheme scheme) {
+  thread_local std::vector<ConvTap> taps;
+  taps.clear();
+  const auto ic = static_cast<std::size_t>(g.ic);
+  const int base_y = oy * g.stride_h - g.pad_top;
+  const int base_x = ox * g.stride_w - g.pad_left;
+  for (int ky = std::max(0, -base_y); ky < std::min(g.kh, g.ih - base_y);
+       ++ky)
+    for (int kx = std::max(0, -base_x); kx < std::min(g.kw, g.iw - base_x);
+         ++kx) {
+      const auto t = static_cast<std::size_t>(ky * g.kw + kx);
+      const std::size_t pixel =
+          (static_cast<std::size_t>(n) * static_cast<std::size_t>(g.ih) +
+           static_cast<std::size_t>(base_y + ky)) *
+              static_cast<std::size_t>(g.iw) +
+          static_cast<std::size_t>(base_x + kx);
+      taps.push_back({row(pixel, t), filter + t * ic * nc});
+    }
+  conv_pixel(taps, ic, nc, out, scheme);
+}
 
 // All functions return the node's output already quantised under `scheme`
 // (a plain DType converts implicitly to its canonical scheme).

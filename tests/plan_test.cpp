@@ -5,8 +5,8 @@
 // run whose hook injects the same faults.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
 // concat, residual add, row-sparse matmul) as well as the dense fallbacks
-// (single-row matmul, softmax); Const overrides exercise the parameter
-// kernels (conv filter, bias, matmul weights).
+// (single-row matmul, softmax); a Const override exercises the conv
+// filter's parameter kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -411,91 +411,108 @@ TEST(ExecutionPlan, SparseConeMaterializesOnlyTheOutput) {
   util::metrics::reset();
 }
 
-// A corrupted parameter element feeds one output channel (column) of its
-// consumer: a conv filter element channel i % oc, a bias element its own
-// channel, a MatMul weight column i % n.  With a golden data input the
-// consumer recomputes that channel on the element-sparse tier — no dense
-// kernel anywhere in these cones, whose other ops all have sparse
-// kernels — its changes lie in the one channel, and every node equals the
-// full run under the same override.
+// A corrupted filter element i of a conv with oc output channels feeds
+// output channel i % oc alone.  With a golden data input the conv
+// recomputes that channel on the element-sparse tier — no dense kernel
+// anywhere in the cone, whose other ops all have sparse kernels — its
+// changes lie in the one channel, and every node equals the full run under
+// the same override.
 TEST(ExecutionPlan, ParameterFaultRecomputesOneChannel) {
   util::Rng rng(29);
-  GraphBuilder tb;
-  tb.input("input", Shape{1, 8, 8, 3});
-  tb.conv2d("conv1", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f),
-            random_tensor(Shape{6}, rng, 0.1f), {1, 1, ops::Padding::kSame});
-  tb.activation("act1", ops::OpKind::kTanh);
-  const Graph tower = tb.finish();
-  GraphBuilder hb;
-  hb.input("input", Shape{1, 4, 4, 2});
-  hb.flatten("flatten");
-  hb.dense("fc", random_tensor(Shape{32, 8}, rng, 0.3f),
-           random_tensor(Shape{8}, rng, 0.1f));
-  hb.activation("act", ops::OpKind::kTanh);
-  const Graph head = hb.finish();
-  struct Case {
-    const Graph* g;
-    std::string param;    // the corrupted Const
-    std::string node;     // its consumer
-    std::size_t element;  // of the Const
-    std::size_t channel;  // the one output channel it feeds
-  };
-  const Case cases[] = {
-      {&tower, "conv1/filter", "conv1", ((1 * 3 + 2) * 3 + 1) * 6 + 4, 4},
-      {&tower, "conv1/bias", "conv1/bias_add", 2, 2},
-      {&head, "fc/weights", "fc", 17 * 8 + 5, 5},
-      {&head, "fc/bias", "fc/bias_add", 3, 3},
-  };
+  GraphBuilder b;
+  b.input("input", Shape{1, 8, 8, 3});
+  b.conv2d("conv1", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f),
+           random_tensor(Shape{6}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  b.activation("act1", ops::OpKind::kTanh);
+  const Graph g = b.finish();
+  const std::size_t element = ((1 * 3 + 2) * 3 + 1) * 6 + 4;  // channel 4
   util::metrics::set_enabled(true);
   for (const ops::KernelBackend backend :
        {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
     for (const DType dtype : {DType::kFixed32, DType::kFloat32}) {
-      for (const Case& c : cases) {
-        const Graph& g = *c.g;
-        const std::string what = std::string(ops::backend_name(backend)) +
-                                 " " +
-                                 std::string(tensor::dtype_name(dtype)) +
-                                 " " + c.param;
-        const ExecutionPlan plan = compile(
-            g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
-        const std::unordered_map<std::string, Tensor> feeds{
-            {"input",
-             random_tensor(g.node(0).op->infer_shape({}), rng)}};
-        const Executor exec;
-        Arena golden_arena, full_arena, arena;
-        exec.run(plan, feeds, golden_arena);
-        const std::vector<Tensor> golden = golden_arena.outputs();
-        // Bit 9 is worth 0.5 under fixed32; under float32 it moves the
-        // mantissa, which still changes every product it enters.
-        const std::vector<ConstOverride> overrides = fi::make_const_overrides(
-            plan, fi::FaultSet{{c.param, c.element, 9}});
-        ASSERT_EQ(overrides.size(), 1u) << what;
-        exec.run(plan, feeds, full_arena, overrides);
-        util::metrics::reset();
-        exec.run_from(plan, golden, {}, arena, overrides);
-        const std::string kernels =
-            "kernel." + std::string(ops::backend_name(backend));
-        EXPECT_EQ(util::metrics::counter_value(kernels), 0u) << what;
-        EXPECT_EQ(util::metrics::counter_value("exec.sparse_nodes"),
-                  plan.downstream_count(g.find(c.param)) - 1)
-            << what;
-        expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g,
-                               what);
-        const auto id = static_cast<std::size_t>(g.find(c.node));
-        const auto out = arena.outputs()[id].values();
-        const auto gold = golden[id].values();
-        const std::size_t channels =
-            static_cast<std::size_t>(plan.shapes()[id].dim(
-                plan.shapes()[id].rank() - 1));
-        std::size_t changed = 0;
-        for (std::size_t i = 0; i < out.size(); ++i)
-          if (std::bit_cast<std::uint32_t>(out[i]) !=
-              std::bit_cast<std::uint32_t>(gold[i])) {
-            EXPECT_EQ(i % channels, c.channel) << what << " element " << i;
-            ++changed;
-          }
-        EXPECT_GT(changed, 0u) << what;
-      }
+      const std::string what = std::string(ops::backend_name(backend)) +
+                               " " + std::string(tensor::dtype_name(dtype));
+      const ExecutionPlan plan = compile(
+          g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
+      const std::unordered_map<std::string, Tensor> feeds{
+          {"input", random_tensor(Shape{1, 8, 8, 3}, rng)}};
+      const Executor exec;
+      Arena golden_arena, full_arena, arena;
+      exec.run(plan, feeds, golden_arena);
+      const std::vector<Tensor> golden = golden_arena.outputs();
+      // Bit 9 is worth 0.5 under fixed32; under float32 it moves the
+      // mantissa, which still changes every product it enters.
+      const std::vector<ConstOverride> overrides = fi::make_const_overrides(
+          plan, fi::FaultSet{{"conv1/filter", element, 9}});
+      ASSERT_EQ(overrides.size(), 1u) << what;
+      exec.run(plan, feeds, full_arena, overrides);
+      util::metrics::reset();
+      exec.run_from(plan, golden, {}, arena, overrides);
+      const std::string kernels =
+          "kernel." + std::string(ops::backend_name(backend));
+      EXPECT_EQ(util::metrics::counter_value(kernels), 0u) << what;
+      EXPECT_EQ(util::metrics::counter_value("exec.sparse_nodes"),
+                plan.downstream_count(g.find("conv1/filter")) - 1)
+          << what;
+      expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
+      const auto id = static_cast<std::size_t>(g.find("conv1"));
+      const auto out = arena.outputs()[id].values();
+      const auto gold = golden[id].values();
+      std::size_t changed = 0;
+      for (std::size_t i = 0; i < out.size(); ++i)
+        if (std::bit_cast<std::uint32_t>(out[i]) !=
+            std::bit_cast<std::uint32_t>(gold[i])) {
+          EXPECT_EQ(i % 6, 4u) << what << " element " << i;
+          ++changed;
+        }
+      EXPECT_GT(changed, 0u) << what;
+    }
+  }
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
+}
+
+// A conv whose filter is a computed tensor, not a Const: a fault
+// upstream of the filter slot reaches the conv as a valued change set.
+// The filter-fault kernel reads its filter from the input tensor (golden
+// there), so the conv must recompute dense, and every node still equals
+// the full run with the same injection.
+TEST(ExecutionPlan, ComputedFilterFaultRecomputesDense) {
+  util::Rng rng(31);
+  GraphBuilder b;
+  const NodeId x = b.input("input", Shape{1, 8, 8, 3});
+  b.input("filter_in", Shape{3, 3, 3, 6});
+  const NodeId f = b.activation("filter_act", ops::OpKind::kTanh);
+  b.append("conv",
+           std::make_shared<ops::Conv2DOp>(
+               ops::Conv2DParams{1, 1, ops::Padding::kSame}),
+           {x, f});
+  const Graph g = b.finish();
+  const std::unordered_map<std::string, Tensor> feeds{
+      {"input", random_tensor(Shape{1, 8, 8, 3}, rng)},
+      {"filter_in", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f)}};
+  const fi::FaultSet faults{{"filter_act", ((1 * 3 + 2) * 3 + 1) * 6 + 4, 9}};
+  util::metrics::set_enabled(true);
+  for (const ops::KernelBackend backend :
+       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
+    for (const DType dtype : {DType::kFixed32, DType::kFloat32}) {
+      const std::string what = std::string(ops::backend_name(backend)) +
+                               " " + std::string(tensor::dtype_name(dtype));
+      const ExecutionPlan plan = compile(
+          g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
+      const Executor exec;
+      Arena golden_arena, full_arena, arena;
+      exec.run(plan, feeds, golden_arena);
+      exec.run(plan, feeds, full_arena,
+               fi::make_injection_hook(g, dtype, faults));
+      util::metrics::reset();
+      exec.run_from(plan, golden_arena.outputs(),
+                    fi::make_injections(plan, faults), arena);
+      EXPECT_EQ(util::metrics::counter_value(
+                    "kernel." + std::string(ops::backend_name(backend))),
+                1u)
+          << what;
+      expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
     }
   }
   util::metrics::set_enabled(false);

@@ -12,12 +12,12 @@
 // inputs both changed, BatchNorm, and a GlobalAvgPool that recomputes
 // densely (through its blocked kernel) from a sparse input.
 //
-// The weight cells corrupt parameters instead: a faulted Conv2D filter,
-// BiasAdd bias or MatMul weight matrix recomputes only the channels the
-// corrupted elements feed (ResNet-18's convs, AlexNet's fc1/fc2 weights
-// and biases).  Float32 is what makes a cell sensitive to accumulation
-// order — the fixed-point codecs round most reorderings away — so the
-// float32 cells pin the parameter kernels and, on activation faults, the
+// The weight cells corrupt parameters instead: a faulted Conv2D filter
+// recomputes only the output channels the corrupted elements feed, and a
+// faulted bias or MatMul weight matrix (AlexNet's fc1/fc2) recomputes
+// densely.  Float32 is what makes a cell sensitive to accumulation order —
+// the fixed-point codecs round most reorderings away — so the float32
+// cells pin the conv parameter kernel and, on activation faults, the
 // element-sparse conv's pixel kernel to the dense kernels' order.
 #include <gtest/gtest.h>
 
