@@ -9,10 +9,11 @@
 //     does range restriction also contain parameter corruption?
 //
 // A second section benchmarks the persistent-fault input sweep: one
-// patched plan per fault reused across every input (the campaign path)
-// versus naive per-trial plan recompilation.  Both modes execute the
-// identical fault stream and MUST produce bit-identical SDC counts (the
-// bench exits 1 otherwise); the sweep is expected to be >= 3x faster.
+// compiled plan reused across every fault and input, each fault injected
+// into its Consts for one run (the campaign path), versus naive per-trial
+// plan recompilation.  Both modes execute the identical fault stream and
+// MUST produce bit-identical SDC counts (the bench exits 1 otherwise);
+// the sweep is expected to be >= 3x faster.
 // Emits BENCH_weight_fault_sdc.json for cross-PR tracking.
 #include <cstdlib>
 
@@ -54,8 +55,8 @@ struct SweepMeasurement {
   std::size_t sdcs = 0;
 };
 
-// The campaign path: consts patched once per fault, partial re-execution
-// from the per-input goldens.
+// The campaign path: each trial's fault injected into the plan's Consts
+// for that run, partial re-execution from the per-input goldens.
 SweepMeasurement run_sweep(const models::Workload& w,
                            const fi::TrialPlanner& planner,
                            const fi::CampaignConfig& cc,
@@ -66,10 +67,8 @@ SweepMeasurement run_sweep(const models::Workload& w,
   util::Timer timer;
   for (std::size_t f = 0; f < n_faults; ++f) {
     const fi::TrialSpec first = planner.plan(f * w.eval_feeds.size());
-    const fi::TrialExecutor::PatchedConsts patch =
-        executor.patch_consts(first.applied);
     for (std::size_t i = 0; i < w.eval_feeds.size(); ++i) {
-      const tensor::Tensor out = executor.run_weight_trial(0, i, patch);
+      const tensor::Tensor out = executor.run_trial(0, i, first.applied);
       ++m.trials;
       for (const auto& judge : judges)
         if (judge->is_sdc(executor.golden_output(i), out)) ++m.sdcs;
@@ -91,7 +90,7 @@ SweepMeasurement run_naive(const models::Workload& w,
                                  .observe = graph::Observe::kAll};
   const auto judges = models::default_judges(w.id);
   // Goldens once (both modes amortise goldens; the comparison isolates
-  // per-trial recompilation against patched-plan reuse).
+  // per-trial recompilation against plan reuse).
   std::vector<tensor::Tensor> golden;
   {
     const graph::ExecutionPlan plan = graph::compile(w.graph, co);
@@ -106,9 +105,9 @@ SweepMeasurement run_naive(const models::Workload& w,
     const fi::TrialSpec first = planner.plan(f * w.eval_feeds.size());
     for (std::size_t i = 0; i < w.eval_feeds.size(); ++i) {
       const graph::ExecutionPlan plan = graph::compile(w.graph, co);
-      const auto overrides = fi::make_const_overrides(plan, first.applied);
       const tensor::Tensor out =
-          exec.run(plan, w.eval_feeds[i], arena, overrides);
+          exec.run(plan, w.eval_feeds[i], arena,
+                   fi::make_injections(plan, first.applied));
       ++m.trials;
       for (const auto& judge : judges)
         if (judge->is_sdc(golden[i], out)) ++m.sdcs;
@@ -189,7 +188,7 @@ int main() {
   if (sweep.trials != naive.trials || sweep.sdcs != naive.sdcs) {
     std::fprintf(stderr,
                  "FAIL: sweep and naive modes diverge (sweep %zu/%zu, "
-                 "naive %zu/%zu) — patched-plan reuse must be "
+                 "naive %zu/%zu) — plan reuse must be "
                  "bit-identical to recompilation\n",
                  sweep.sdcs, sweep.trials, naive.sdcs, naive.trials);
     return 1;

@@ -152,9 +152,9 @@ TrialSpec TrialPlanner::plan(std::size_t t) const {
     // Input sweep: consecutive trials iterate every input under one
     // persistent fault.  The fault stream is keyed on the fault index
     // alone (not the trial index), so all n_inputs trials of fault f
-    // corrupt memory identically and the executor patches the consts
-    // once per fault.  The ECC coverage draws ride the same stream,
-    // making the applied set a pure function of (seed, fault index).
+    // corrupt memory identically.  The ECC coverage draws ride the same
+    // stream, making the applied set a pure function of (seed, fault
+    // index).
     spec.input = t % n_inputs_;
     const std::size_t fault_idx = t / n_inputs_;
     util::Rng rng(util::derive_seed(
@@ -266,12 +266,7 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
 tensor::Tensor TrialExecutor::run_trial(unsigned worker,
                                         std::size_t input_idx,
                                         const FaultSet& faults) const {
-  graph::Arena& arena = arenas_[worker];
-  return config_.partial_reexecution
-             ? exec_.run_from(plan_, golden_[input_idx].activations,
-                              make_injections(plan_, faults), arena)
-             : exec_.run(plan_, (*inputs_)[input_idx], arena,
-                         make_injection_hook(plan_, faults));
+  return run_weight_trial(worker, input_idx, patch_consts(faults));
 }
 
 std::vector<tensor::Tensor> TrialExecutor::run_trial_batch(
@@ -289,7 +284,7 @@ std::vector<tensor::Tensor> TrialExecutor::run_trial_batch(
           ? exec_.run_from(*batch_plan_, batch_golden_[input_idx],
                            make_injections(*batch_plan_, row_faults), arena)
           : exec_.run(*batch_plan_, batch_feeds_[input_idx], arena,
-                      make_batched_injection_hook(*batch_plan_, row_faults));
+                      make_injections(*batch_plan_, row_faults));
   std::vector<tensor::Tensor> rows;
   rows.reserve(row_faults.size());
   const tensor::Shape& single = golden_[input_idx].output.shape();
@@ -298,22 +293,21 @@ std::vector<tensor::Tensor> TrialExecutor::run_trial_batch(
   return rows;
 }
 
-TrialExecutor::PatchedConsts TrialExecutor::patch_consts(
+std::vector<graph::Injection> TrialExecutor::patch_consts(
     const FaultSet& applied) const {
-  return {make_const_overrides(plan_, applied)};
+  return make_injections(plan_, applied);
 }
 
 tensor::Tensor TrialExecutor::run_weight_trial(
     unsigned worker, std::size_t input_idx,
-    const PatchedConsts& patch) const {
-  if (patch.overrides.empty())
+    std::span<const graph::Injection> injections) const {
+  if (injections.empty())
     return golden_[input_idx].output;  // ECC corrected the sample
   graph::Arena& arena = arenas_[worker];
   return config_.partial_reexecution
-             ? exec_.run_from(plan_, golden_[input_idx].activations, {},
-                              arena, patch.overrides)
-             : exec_.run(plan_, (*inputs_)[input_idx], arena,
-                         patch.overrides);
+             ? exec_.run_from(plan_, golden_[input_idx].activations,
+                              injections, arena)
+             : exec_.run(plan_, (*inputs_)[input_idx], arena, injections);
 }
 
 }  // namespace rangerpp::fi

@@ -57,14 +57,16 @@ struct CampaignConfig {
   // Persistent parameter corruption instead of transient activation
   // flips.  The trial stream is an *input sweep*: trial t applies fault
   // t / n_inputs to input t % n_inputs, so the n_inputs consecutive
-  // trials of one fault share a single set of patched const tensors
-  // (TrialExecutor::patch_consts) — one corruption amortised over every
-  // input, no per-trial plan recompilation.  trials_per_input therefore
-  // counts the *faults* each input sees; the campaign size
-  // trials_per_input × n_inputs is unchanged.  Batched plan riding is
-  // disabled under kWeight (batch rows share the const tensors, so two
-  // faults cannot ride one run); `weight_fault`/`ecc` are fingerprinted
-  // (report.hpp) while `batch`/`backend` stay performance-only.
+  // trials of one fault corrupt the same const elements.  Each trial
+  // runs its fault as injections on Const nodes (TrialExecutor::
+  // run_trial), the path activation faults take — no per-trial plan
+  // recompilation, and no const copy on a partial run.
+  // trials_per_input therefore counts the *faults* each input sees; the
+  // campaign size trials_per_input × n_inputs is unchanged.  Batched
+  // plan riding is disabled under kWeight (batch rows share the const
+  // tensors, so two faults cannot ride one run); `weight_fault`/`ecc`
+  // are fingerprinted (report.hpp) while `batch`/`backend` stay
+  // performance-only.
   FaultClass fault_class = FaultClass::kActivation;
   WeightFaultModel weight_fault;  // used when fault_class == kWeight
   EccModel ecc;                   // filters sampled weight faults
@@ -203,9 +205,11 @@ class TrialExecutor {
   TrialExecutor(const graph::Graph& g, const CampaignConfig& config,
                 const std::vector<Feeds>& inputs, unsigned workers);
 
-  // Applies `faults` to input `input_idx` and returns the faulty output,
-  // resuming from the cached golden activations (or a full plan run when
-  // partial re-execution is disabled) — bit-identical either way.
+  // Applies `faults` (make_injections: activation faults on op outputs,
+  // weight faults on Consts — for a weight trial, its post-ECC applied
+  // set) to input `input_idx` and returns the faulty output, resuming
+  // from the cached golden activations (or a full plan run when partial
+  // re-execution is disabled) — bit-identical either way.
   tensor::Tensor run_trial(unsigned worker, std::size_t input_idx,
                            const FaultSet& faults) const;
 
@@ -224,26 +228,24 @@ class TrialExecutor {
       unsigned worker, std::size_t input_idx,
       std::span<const FaultSet> row_faults) const;
 
-  // --- Weight-fault trials (fault_class == kWeight) ---------------------
+  // --- run_trial's two halves ---------------------------------------------
+  // run_trial(w, i, f) is run_weight_trial(w, i, patch_consts(f)); the
+  // perfbench weight replay times the two apart.
 
-  // One fault's patched parameter state: the corrupted const tensors,
-  // built once per fault and reused across the whole input sweep.
-  struct PatchedConsts {
-    std::vector<graph::ConstOverride> overrides;
-  };
+  // make_injections(plan(), applied): resolves a fault set (for a weight
+  // trial, the post-ECC one) against this executor's plan by node name;
+  // unknown names and elements past a node are ignored (cross-graph
+  // replay).  An ECC-corrected (empty) set yields no injections.
+  std::vector<graph::Injection> patch_consts(const FaultSet& applied) const;
 
-  // Resolves `applied` (the post-ECC fault set) against this executor's
-  // plan by node name; unknown names are ignored (cross-graph replay).
-  // An ECC-corrected (empty) set yields an empty patch.
-  PatchedConsts patch_consts(const FaultSet& applied) const;
-
-  // Runs input `input_idx` under one fault's patched consts, resuming
-  // from the cached goldens (only the consts' downstream cones recompute)
-  // or re-running the full plan when partial re-execution is disabled —
-  // bit-identical either way.  An empty patch returns the golden output
+  // Runs input `input_idx` under `injections`, resuming from the cached
+  // goldens (only the injected nodes' downstream cones recompute) or
+  // re-running the full plan when partial re-execution is disabled —
+  // bit-identical either way.  No injections return the golden output
   // outright (ECC corrected the fault before it touched memory).
-  tensor::Tensor run_weight_trial(unsigned worker, std::size_t input_idx,
-                                  const PatchedConsts& patch) const;
+  tensor::Tensor run_weight_trial(
+      unsigned worker, std::size_t input_idx,
+      std::span<const graph::Injection> injections) const;
 
   const tensor::Tensor& golden_output(std::size_t input_idx) const {
     return golden_[input_idx].output;

@@ -5,11 +5,6 @@
 
 namespace rangerpp::fi {
 
-float apply_fault_value(const tensor::QScheme& scheme, float value,
-                        const FaultPoint& f) {
-  return tensor::q_apply_bit(scheme, value, f.bit, f.action);
-}
-
 SiteSpace::SiteSpace(const graph::Graph& g, tensor::DType dtype)
     : dtype_bits_(tensor::dtype_bits(dtype)) {
   const std::vector<tensor::Shape> shapes = g.infer_shapes();
@@ -81,7 +76,7 @@ std::vector<graph::Injection> make_injections(
       const graph::NodeId id = g.find(f.node_name);
       if (id == graph::kInvalidNode) continue;
       const std::size_t per = plan.per_image_elements(id);
-      if (f.element >= per) continue;  // defensive; cannot happen
+      if (f.element >= per) continue;  // cross-graph tolerance
       out.push_back({id, b * per + f.element, f.bit, f.action});
     }
   }
@@ -93,21 +88,6 @@ std::vector<graph::Injection> make_injections(
   return make_injections(plan, std::span<const FaultSet>(&faults, 1));
 }
 
-namespace {
-
-graph::PostOpHook hook_of(std::vector<graph::Injection> injections,
-                          const graph::ExecutionPlan* plan,
-                          tensor::DType dtype) {
-  return [injections = std::move(injections), plan, dtype](
-             const graph::Node& node, tensor::Tensor& out) {
-    graph::inject(injections, node.id,
-                  plan ? plan->qscheme(node.id) : tensor::QScheme(dtype),
-                  out);
-  };
-}
-
-}  // namespace
-
 graph::PostOpHook make_injection_hook(const graph::Graph& g,
                                       tensor::DType dtype,
                                       const FaultSet& faults) {
@@ -117,17 +97,10 @@ graph::PostOpHook make_injection_hook(const graph::Graph& g,
     if (id != graph::kInvalidNode)
       injections.push_back({id, f.element, f.bit, f.action});
   }
-  return hook_of(std::move(injections), nullptr, dtype);
-}
-
-graph::PostOpHook make_injection_hook(const graph::ExecutionPlan& plan,
-                                      const FaultSet& faults) {
-  return hook_of(make_injections(plan, faults), &plan, plan.dtype());
-}
-
-graph::PostOpHook make_batched_injection_hook(
-    const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults) {
-  return hook_of(make_injections(plan, row_faults), &plan, plan.dtype());
+  return [injections = std::move(injections), scheme = tensor::QScheme(dtype)](
+             const graph::Node& node, tensor::Tensor& out) {
+    graph::inject(injections, node.id, scheme, out);
+  };
 }
 
 }  // namespace rangerpp::fi

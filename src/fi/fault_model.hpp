@@ -39,14 +39,6 @@ struct FaultPoint {
   FaultAction action = FaultAction::kFlip;
 };
 
-// Applies one fault point's bit action to a value through the node's
-// quantisation scheme (the value is encoded, the bit flipped/forced, and
-// the result decoded — so the output is always representable).  A bare
-// DType converts to its canonical scheme; under int8 the bit space is the
-// node's calibrated per-tensor format.
-float apply_fault_value(const tensor::QScheme& scheme, float value,
-                        const FaultPoint& f);
-
 // The set of flips applied during one inference (size 1 under the default
 // single-bit model, 2-5 under the multi-bit model).
 using FaultSet = std::vector<FaultPoint>;
@@ -95,40 +87,31 @@ class SiteSpace {
   int dtype_bits_ = 32;
 };
 
-// The injections one run of `plan` applies (Executor::run_from takes
-// them): `row_faults[b]` is the fault set of the trial riding in batch row
-// b (row_faults.size() <= plan.batch(); one row at batch 1).  Each fault's
-// single-image element index is offset into its row of the batched output
-// (per-image element counts come from `plan`), so row b reproduces trial
-// b's single-image injection bit-identically and rows stay independent.
-// Fault points naming nodes absent from the plan's graph, or elements past
-// a row, are skipped (they cannot occur when the SiteSpace came from the
-// same graph; during cross-graph replay every original node name still
-// exists by construction).
+// The injections one run of `plan` applies (Executor::run and run_from
+// take them), for either fault class: a fault point naming an op node
+// corrupts its output, one naming a Const (a weight fault) corrupts the
+// Const's value for that run.  `row_faults[b]` is the fault set of the
+// trial riding in batch row b (row_faults.size() <= plan.batch(); one row
+// at batch 1).  Each fault's single-image element index is offset into
+// its row of the batched output (per-image element counts come from
+// `plan`), so row b reproduces trial b's single-image injection
+// bit-identically and rows stay independent.  Fault points naming nodes
+// absent from the plan's graph, or elements past a row, are skipped (they
+// cannot occur when the site space came from the same graph; during
+// cross-graph replay every original node name still exists by
+// construction).
 std::vector<graph::Injection> make_injections(
     const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults);
 std::vector<graph::Injection> make_injections(
     const graph::ExecutionPlan& plan, const FaultSet& faults);
 
 // Builds a full-run hook that applies `faults` (resolved against `g` by
-// node name) by flipping bits of the datatype representation — the
-// reference path of the injections above.  Unknown names are ignored, as
+// node name) to op outputs by flipping bits of `dtype`'s canonical
+// representation, for callers that run their own hook around the fault
+// (the detection baselines, the examples).  Unknown names are ignored, as
 // make_injections skips them.
 graph::PostOpHook make_injection_hook(const graph::Graph& g,
                                       tensor::DType dtype,
                                       const FaultSet& faults);
-
-// Plan-aware variant: applies make_injections(plan, faults), corrupting
-// each node through plan.qscheme(id), which is what an int8 plan's
-// per-tensor calibration requires (identical to the graph overload for
-// canonical dtypes).  The plan must outlive the returned hook.
-graph::PostOpHook make_injection_hook(const graph::ExecutionPlan& plan,
-                                      const FaultSet& faults);
-
-// Batched-trial variant: applies make_injections(plan, row_faults) on a
-// plan compiled with batch == row_faults.size().  The plan must outlive
-// the returned hook.
-graph::PostOpHook make_batched_injection_hook(
-    const graph::ExecutionPlan& plan, std::span<const FaultSet> row_faults);
 
 }  // namespace rangerpp::fi

@@ -202,16 +202,15 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
       // Consecutive pending trials of the same input ride one batched
       // plan run (pending is ascending, so same-input runs are already
       // contiguous); grouping never changes the records — batched rows
-      // are bit-identical to per-trial execution.  Weight campaigns group
-      // by *fault* instead: the n_inputs consecutive trials of one
-      // persistent fault share a single const patch (the input sweep).
-      const bool weight =
-          config_.campaign.fault_class == FaultClass::kWeight;
-      const std::size_t bsz = std::max<std::size_t>(1, executor.batch());
-      const std::size_t group_cap = weight ? inputs.size() : bsz;
+      // are bit-identical to per-trial execution.  Weight trials run one
+      // per group: a batched plan's rows share its Consts, and a shared
+      // executor may hold a batch plan whatever the campaign's class.
+      const std::size_t group_cap =
+          config_.campaign.fault_class == FaultClass::kWeight
+              ? 1
+              : std::max<std::size_t>(1, executor.batch());
       const auto group_key = [&](std::size_t t) {
-        return weight ? t / inputs.size()
-                      : t / config_.campaign.trials_per_input;
+        return t / config_.campaign.trials_per_input;
       };
       struct Group {
         std::size_t offset, count;
@@ -248,31 +247,15 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
             // workers start at the caller's base (RunContext).
             const unsigned worker = ctx.worker_base + local_worker;
             const Group group = groups[gi];
-            if (weight) {
-              // One persistent fault, patched once, swept over the
-              // group's inputs.  Every trial of the group shares the
-              // fault stream (plan() keys it on t / n_inputs), so the
-              // first spec's applied set is the group's.
-              const TrialSpec first =
-                  planner.plan(pending[offset + group.offset]);
-              const TrialExecutor::PatchedConsts patch =
-                  executor.patch_consts(first.applied);
-              for (std::size_t i = group.offset;
-                   i < group.offset + group.count; ++i) {
-                const TrialSpec spec = planner.plan(pending[offset + i]);
-                record_trial(i, spec,
-                             executor.run_weight_trial(worker, spec.input,
-                                                       patch));
-              }
-              return;
-            }
+            // `applied` is the post-ECC fault set (equal to `faults` for
+            // activation trials); the records keep the sampled one.
             if (group.count == 1 || executor.batch() == 1) {
               for (std::size_t i = group.offset;
                    i < group.offset + group.count; ++i) {
                 const TrialSpec spec = planner.plan(pending[offset + i]);
                 record_trial(i, spec,
                              executor.run_trial(worker, spec.input,
-                                                spec.faults));
+                                                spec.applied));
               }
               return;
             }
@@ -289,7 +272,7 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
                 throw std::logic_error(
                     "CampaignRunner: trial group spans inputs — "
                     "planner/grouping mismatch");
-              faults.push_back(specs.back().faults);
+              faults.push_back(specs.back().applied);
             }
             const std::vector<tensor::Tensor> outs = executor.run_trial_batch(
                 worker, specs[0].input, faults);

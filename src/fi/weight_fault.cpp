@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/parse.hpp"
 
@@ -215,36 +214,6 @@ std::size_t WeightSiteSpace::site_index(const std::string& node_name) const {
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     if (nodes_[i].name == node_name) return i;
   return SIZE_MAX;
-}
-
-std::vector<graph::ConstOverride> make_const_overrides(
-    const graph::ExecutionPlan& plan, const FaultSet& faults) {
-  const graph::Graph& g = plan.graph();
-  std::unordered_map<graph::NodeId, std::vector<const FaultPoint*>> by_node;
-  for (const FaultPoint& f : faults) {
-    const graph::NodeId id = g.find(f.node_name);
-    if (id == graph::kInvalidNode || !plan.is_const(id)) continue;
-    by_node[id].push_back(&f);
-  }
-  std::vector<graph::ConstOverride> out;
-  out.reserve(by_node.size());
-  // lint:unordered-ok overrides are sorted by node id below
-  for (const auto& [id, points] : by_node) {
-    tensor::Tensor t = plan.const_output(id).clone();
-    for (const FaultPoint* f : points) {
-      if (f->element >= t.elements()) continue;  // cross-graph tolerance
-      t.set(f->element, apply_fault_value(plan.qscheme(id), t.at(f->element),
-                                          *f));
-    }
-    out.push_back(graph::ConstOverride{id, std::move(t)});
-  }
-  // by_node iteration order is unspecified; canonicalise so override
-  // construction is deterministic across standard libraries.
-  std::sort(out.begin(), out.end(),
-            [](const graph::ConstOverride& a, const graph::ConstOverride& b) {
-              return a.node < b.node;
-            });
-  return out;
 }
 
 }  // namespace rangerpp::fi

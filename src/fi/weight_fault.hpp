@@ -20,15 +20,16 @@
 //    corrects any word (= stored value) with exactly one faulty bit and
 //    detects-but-passes multi-bit words; a coverage fraction p protects
 //    each word with SEC-DED independently with probability p.
-//  * make_const_overrides turns the surviving fault set into
-//    graph::ConstOverrides against a compiled plan: the pre-quantized
-//    const bytes are corrupted once per fault and the same patched
-//    tensors are reused across a whole input sweep — no per-trial plan
-//    recompilation.  Resolution is by node *name* (via the plan's
-//    graph), so a fault stream planned on the unprotected graph replays
-//    on its Ranger-protected twin; names absent from the executing
-//    graph are ignored, the same cross-graph tolerance contract as
-//    make_injection_hook.
+//  * The surviving fault set runs as an activation fault set does:
+//    fi::make_injections turns it into graph::Injections on Const nodes,
+//    which the executor applies to the pre-quantized const values for
+//    one run (the plan stays golden and shared) — no per-trial plan
+//    recompilation, and no tensor copy on a partial run (a full run
+//    corrupts its own copy).  Resolution is by node *name*
+//    (via the plan's graph), so a fault stream planned on the
+//    unprotected graph replays on its Ranger-protected twin; names
+//    absent from the executing graph are ignored, the same cross-graph
+//    tolerance contract as for activation faults.
 #pragma once
 
 #include <optional>
@@ -38,7 +39,6 @@
 
 #include "fi/fault_model.hpp"
 #include "graph/graph.hpp"
-#include "graph/plan.hpp"
 #include "tensor/dtype.hpp"
 #include "util/rng.hpp"
 
@@ -145,14 +145,5 @@ class WeightSiteSpace {
   std::size_t total_ = 0;
   int dtype_bits_ = 32;
 };
-
-// Patched parameter tensors for one fault: each targeted Const's
-// pre-quantized output is cloned once and the fault points applied
-// through the datatype codec.  Fault points naming nodes absent from the
-// plan's graph, naming non-Const nodes, or addressing elements past the
-// tensor's end are ignored (the cross-graph replay contract).  Build
-// this once per fault and reuse it across the whole input sweep.
-std::vector<graph::ConstOverride> make_const_overrides(
-    const graph::ExecutionPlan& plan, const FaultSet& faults);
 
 }  // namespace rangerpp::fi

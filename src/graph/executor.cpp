@@ -115,22 +115,7 @@ tensor::Tensor Executor::execute(
     const std::unordered_map<std::string, tensor::Tensor>& feeds,
     Arena& arena, const PostOpHook& hook,
     const std::vector<tensor::Tensor>* golden,
-    std::span<const Injection> injections,
-    std::span<const ConstOverride> overrides) const {
-  for (const ConstOverride& ov : overrides) {
-    if (!plan.is_const(ov.node))
-      throw std::invalid_argument(
-          "Executor: ConstOverride targets a non-Const node");
-    if (ov.value.elements() != plan.const_output(ov.node).elements())
-      throw std::invalid_argument(
-          "Executor: ConstOverride element count mismatch for '" +
-          plan.graph().node(ov.node).name + "'");
-  }
-  const auto find_override = [&overrides](NodeId id) -> const ConstOverride* {
-    for (const ConstOverride& ov : overrides)
-      if (ov.node == id) return &ov;
-    return nullptr;
-  };
+    std::span<const Injection> injections) const {
   arena.bind(plan);
   const Graph& g = plan.graph();
   std::vector<tensor::Tensor>& out = arena.outputs_;
@@ -147,11 +132,10 @@ tensor::Tensor Executor::execute(
     if (golden->size() != plan.size())
       throw std::invalid_argument(
           "Executor::run_from: golden activations do not match plan");
-    // The injected nodes and the overridden Consts are the roots.
+    // The injected nodes, op and Const alike, are the roots.
     std::vector<NodeId>& roots = arena.root_ids_;
     roots.clear();
     for (const Injection& x : injections) roots.push_back(x.node);
-    for (const ConstOverride& ov : overrides) roots.push_back(ov.node);
     plan.mark_dirty(roots, arena.dirty_);  // throws on an invalid id
     for (const Injection& x : injections)
       if (x.element >=
@@ -196,22 +180,8 @@ tensor::Tensor Executor::execute(
       //     recomputes only the affected output patch (incremental.hpp),
       //     bit-identically mirroring the dense kernels, and keeps golden
       //     plus a valued change set.  Injection roots take this tier
-      //     too: their injections act on the change set.
-      if (plan.is_const(n.id)) {
-        // An overridden Const is a root: its change set (override vs the
-        // pre-quantized golden tensor) seeds downstream recomputation.
-        // Every other Const — and an override that turned out to be a
-        // bitwise no-op — collapses back to golden.
-        if (const ConstOverride* ov = find_override(n.id)) {
-          ChangeSet& ch = arena.change_[i];
-          diff_against_golden(ov->value, (*golden)[i], ch);
-          out[i] = ch.clean() ? (*golden)[i] : ov->value;
-        } else {
-          out[i] = (*golden)[i];
-          ++t_pruned;
-        }
-        continue;
-      }
+      //     too: their injections act on the change set.  An injected
+      //     Const has no inputs, so it always does.
       const bool is_root = arena.roots_[i];
       bool inputs_changed = false;
       if (arena.dirty_[i])
@@ -223,8 +193,7 @@ tensor::Tensor Executor::execute(
       if (!arena.dirty_[i] || (!is_root && !inputs_changed) ||
           plan.is_input(n.id)) {
         // Feeds are fixed for the lifetime of a golden snapshot, so even
-        // a root naming an Input node reproduces the golden value (Const
-        // nodes were handled above: only an override perturbs them).
+        // a root naming an Input node reproduces the golden value.
         out[i] = (*golden)[i];
         ++t_pruned;
         continue;
@@ -310,9 +279,8 @@ tensor::Tensor Executor::execute(
       }
       out[i] = slot.quantized;
     } else if (plan.is_const(n.id)) {
-      const ConstOverride* ov = find_override(n.id);
-      out[i] = ov ? ov->value
-                  : plan.const_output(n.id);  // pre-quantized at compile time
+      out[i] = plan.const_output(n.id);  // pre-quantized at compile time
+      inject(injections, n.id, plan.qscheme(n.id), out[i]);
     } else {
       auto& scratch = arena.input_scratch_;
       scratch.clear();
@@ -322,6 +290,7 @@ tensor::Tensor Executor::execute(
       tensor::Tensor value = compute_node(plan, n, scratch);
       ++t_kernels;
       if (hook) hook(n, value);
+      inject(injections, n.id, plan.qscheme(n.id), value);
       out[i] = std::move(value);
     }
     // Arena-planned full runs drop each activation right after its last
@@ -365,24 +334,21 @@ tensor::Tensor Executor::run(
     const ExecutionPlan& plan,
     const std::unordered_map<std::string, tensor::Tensor>& feeds,
     Arena& arena, const PostOpHook& hook) const {
-  return execute(plan, feeds, arena, hook, nullptr, {}, {});
+  return execute(plan, feeds, arena, hook, nullptr, {});
 }
 
 tensor::Tensor Executor::run(
     const ExecutionPlan& plan,
     const std::unordered_map<std::string, tensor::Tensor>& feeds,
-    Arena& arena, std::span<const ConstOverride> overrides,
-    const PostOpHook& hook) const {
-  return execute(plan, feeds, arena, hook, nullptr, {}, overrides);
+    Arena& arena, std::span<const Injection> injections) const {
+  return execute(plan, feeds, arena, nullptr, nullptr, injections);
 }
 
 tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
                                   const std::vector<tensor::Tensor>& golden,
                                   std::span<const Injection> injections,
-                                  Arena& arena,
-                                  std::span<const ConstOverride> overrides)
-    const {
-  return execute(plan, {}, arena, nullptr, &golden, injections, overrides);
+                                  Arena& arena) const {
+  return execute(plan, {}, arena, nullptr, &golden, injections);
 }
 
 int argmax(const tensor::Tensor& t) {

@@ -5,18 +5,21 @@
 //  * every operator output is quantised through the active inference
 //    datatype codec (float32 / fixed32 / fixed16), so stored values are
 //    exactly representable and bit flips act on the true representation;
-//  * on a full run, a post-op hook observes (and may corrupt) each node's
-//    output tensor — the reference fault injector, the range profiler and
-//    the detection baselines all attach here.
+//  * a run applies a trial's faults itself, as graph::Injections (plan.hpp):
+//    transient activation faults on op outputs and persistent weight
+//    faults on Const values alike, on a full run and on a partial one.
+//    A full run may instead take a post-op hook that observes (and may
+//    corrupt) each op node's output; the range profiler and the detection
+//    baselines attach there.
 //
 // Execution is plan-based: a graph is compiled once into an ExecutionPlan
 // (see plan.hpp) and then run any number of times through a reusable Arena.
 // `run_from` resumes from cached golden activations, applies the trial's
-// injections itself and recomputes only the downstream cone of the
-// injected node(s) — the partial re-execution that makes fault-injection
-// campaigns cheap.  A one-shot caller compiles its graph with
-// Observe::kAll (graph/passes.hpp), so every node's output stays in
-// arena.outputs() and every hook fires as on the source graph.
+// injections and recomputes only the downstream cone of the injected
+// node(s) — the partial re-execution that makes fault-injection campaigns
+// cheap.  A one-shot caller compiles its graph with Observe::kAll
+// (graph/passes.hpp), so every node's output stays in arena.outputs() and
+// every hook fires as on the source graph.
 #pragma once
 
 #include <functional>
@@ -30,20 +33,19 @@
 
 namespace rangerpp::graph {
 
-// Called by a full run after each op node's output is computed and
-// quantised (partial runs take injections instead).  May mutate the
-// tensor in place (mutations are re-quantised by the caller via the hook
+// Called by the hook `run` after each op node's output is computed and
+// quantised.  May mutate the tensor in place (mutations are re-quantised by the caller via the hook
 // contract: hooks that write values are expected to write representable
-// values — the fault injector flips bits of the encoded representation, so
-// this holds by construction).
+// values — fi::make_injection_hook flips bits of the encoded
+// representation, so this holds by construction).
 using PostOpHook =
     std::function<void(const Node& node, tensor::Tensor& output)>;
 
 // Applies the injections aimed at `node`, in list order, to its full
-// output tensor under `scheme` (tensor::q_apply_bit); elements past the
-// tensor are skipped.  The injection hooks of the reference path
-// (fi::make_injection_hook) and run_from's dense tier both inject through
-// this.
+// value tensor under `scheme` (tensor::q_apply_bit); elements past the
+// tensor are skipped.  Tensor::set unshares, so a golden or plan-owned
+// tensor that `value` aliases stays untouched.  Both runs' dense paths
+// and fi::make_injection_hook inject through this.
 void inject(std::span<const Injection> injections, NodeId node,
             const tensor::QScheme& scheme, tensor::Tensor& value);
 
@@ -61,46 +63,41 @@ class Executor {
                          feeds,
                      Arena& arena, const PostOpHook& hook = nullptr) const;
 
-  // As the plan-based `run`, with `overrides` replacing the named Const
-  // nodes' pre-quantized outputs for this run only (the plan is not
-  // touched).  Override values must match the const's element count and
-  // be quantized under the plan's dtype (see ConstOverride).
+  // The full-run twin of run_from, and its reference: `injections` (a
+  // trial's faults: node, element, bit, action) apply to each op node's
+  // output after it computes and to each Const's pre-quantized value,
+  // for this run only (the plan's tensors stay golden).  An injection on
+  // an Input node does nothing.
   tensor::Tensor run(const ExecutionPlan& plan,
                      const std::unordered_map<std::string, tensor::Tensor>&
                          feeds,
-                     Arena& arena, std::span<const ConstOverride> overrides,
-                     const PostOpHook& hook = nullptr) const;
+                     Arena& arena,
+                     std::span<const Injection> injections) const;
 
   // Partial re-execution from cached golden activations: applies
-  // `injections` (a trial's transient faults: node, element, bit, action)
-  // after their nodes compute, and recomputes only the nodes reachable
-  // from the injected nodes and from the overridden Consts — copying the
-  // golden prefix for everything else.  Within the reachable cone two
-  // further prunings apply: a node whose inputs came out bit-identical to
-  // the golden run collapses back to golden (the fault was masked by a
-  // ReLU, pool or clamp), and a node whose inputs changed in only a few
-  // elements recomputes just the affected patch via the element-sparse
-  // kernels of incremental.hpp.  There the injections act on the node's
-  // change set, so no tensor is copied or diffed to apply them; the run
-  // costs time in proportion to the elements that changed, and builds a
-  // full tensor only where one is needed (a dense recompute, the returned
-  // output, Arena::outputs()).
-  //
-  // Each overridden Const (a persistent parameter fault) is a root too:
-  // its element-level change set (override vs golden) seeds the same
-  // pruning, and a no-op override collapses back to golden outright.
+  // `injections` as the full run does, and recomputes only the nodes
+  // reachable from the injected nodes — copying the golden prefix for
+  // everything else.  An injected Const (a persistent weight fault) is a
+  // root like an injected op node.  Within the reachable cone two further prunings apply: a node whose
+  // inputs came out bit-identical to the golden run collapses back to
+  // golden (the fault was masked by a ReLU, pool or clamp), and a node
+  // whose inputs changed in only a few elements recomputes just the
+  // affected patch via the element-sparse kernels of incremental.hpp.
+  // There the injections act on the node's change set, so no tensor is
+  // copied or diffed to apply them; the run costs time in proportion to
+  // the elements that changed, and builds a full tensor only where one is
+  // needed (a dense recompute, the returned output, Arena::outputs()).
   //
   // `golden` must be the arena.outputs() snapshot of a fault-free run of
   // the same plan with the same feeds.  Since the executor applies the
   // injections and nothing else can perturb a node, the result is
-  // bit-identical to a full `run` with fi::make_injection_hook's hook for
-  // the same faults and the same overrides.  Injections on Input and Const
-  // nodes do nothing (a full run's hook never fires there); an injection
-  // element past its node's output throws std::out_of_range.
+  // bit-identical to the injection `run` with the same injections.
+  // Injections on Input nodes do nothing; an injection element past its
+  // node's output throws std::out_of_range.
   tensor::Tensor run_from(const ExecutionPlan& plan,
                           const std::vector<tensor::Tensor>& golden,
-                          std::span<const Injection> injections, Arena& arena,
-                          std::span<const ConstOverride> overrides = {}) const;
+                          std::span<const Injection> injections,
+                          Arena& arena) const;
 
  private:
   tensor::Tensor execute(const ExecutionPlan& plan,
@@ -108,8 +105,7 @@ class Executor {
                                                   tensor::Tensor>& feeds,
                          Arena& arena, const PostOpHook& hook,
                          const std::vector<tensor::Tensor>* golden,
-                         std::span<const Injection> injections,
-                         std::span<const ConstOverride> overrides) const;
+                         std::span<const Injection> injections) const;
 };
 
 // Argmax over the output tensor — predicted class id for classifiers.

@@ -203,25 +203,33 @@ bool sparse_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
 // Filter element i of [kh, kw, ic, oc] feeds output channel i % oc alone,
 // so only the changed channels are recomputed, at every output position,
 // position ascending and channel ascending (the change set comes out in
-// index order), against the filter packed down to those channels.
+// index order), against the filter packed down to those channels: the
+// filter tensor's values there, then each changed element's value over
+// its slot (a valued filter's tensor is still golden).
 bool param_conv(const ops::Conv2DOp& op, const tensor::QScheme& scheme,
                 const Tensor& x, const Tensor& f, const In& in,
-                const ChangeSet& fch, const Tensor& golden, ChangeSet& ch) {
+                const In& fin, const Tensor& golden, ChangeSet& ch) {
   const ops::blocked::ConvGeometry g(op.params(), x.shape(), f.shape(),
                                      golden.shape());
   const auto oc = static_cast<std::size_t>(g.oc);
   std::vector<std::size_t> cols;
-  for (const std::size_t i : fch.idx) cols.push_back(i % oc);
+  for (const std::size_t i : fin.ch.idx) cols.push_back(i % oc);
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   if (2 * cols.size() >= oc) return false;  // dense
 
+  const std::size_t nc = cols.size();
   const std::size_t rows = f.elements() / oc;  // kh * kw * ic
-  const float* fv = f.values().data();
-  std::vector<float> packed(rows * cols.size());
+  std::vector<float> packed(rows * nc);
   for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t j = 0; j < cols.size(); ++j)
-      packed[r * cols.size() + j] = fv[r * oc + cols[j]];
+    for (std::size_t j = 0; j < nc; ++j)
+      packed[r * nc + j] = fin.base[r * oc + cols[j]];
+  for (std::size_t k = 0; k < fin.ch.idx.size(); ++k) {
+    const std::size_t i = fin.ch.idx[k];
+    const auto j = static_cast<std::size_t>(
+        std::lower_bound(cols.begin(), cols.end(), i % oc) - cols.begin());
+    packed[i / oc * nc + j] = fin.changed(k);
+  }
   const WindowReader xr(in, x.elements(), static_cast<std::size_t>(g.ic));
   conv_positions(g, xr, packed.data(), &cols, nullptr, scheme, golden, ch);
   return true;
@@ -526,13 +534,12 @@ bool incremental_recompute(const ops::Op& op, const tensor::QScheme& scheme,
   switch (op.kind()) {
     case ops::OpKind::kConv2D:
       if (!changes[1]->clean()) {
-        // A changed filter takes the parameter kernel when it is
-        // index-only (an overridden Const holds its full tensor, which
-        // param_conv reads) and the data input is golden; else dense.
-        if (changes[1]->valued() || !changes[0]->clean()) return false;
+        // A changed filter takes the parameter kernel while the data
+        // input is golden; with both changed, dense.
+        if (!changes[0]->clean()) return false;
         return param_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
-                          inputs[0], inputs[1], x, *changes[1], golden,
-                          out_change);
+                          inputs[0], inputs[1], x, In(inputs[1], *changes[1]),
+                          golden, out_change);
       }
       return sparse_conv(static_cast<const ops::Conv2DOp&>(op), scheme,
                          inputs[0], inputs[1], x, golden, out_change);

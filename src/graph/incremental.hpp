@@ -31,9 +31,9 @@
 // differ from golden, and costs time proportional to the elements it
 // recomputes.  Only a consumer that needs the whole tensor builds golden
 // + changes (materialize below): a dense recompute, the run's returned
-// output, and Arena::outputs().  A node that was recomputed densely (or
-// an overridden Const) already holds its full tensor, so its change set
-// stays index-only and kernels read its values from the tensor.
+// output, and Arena::outputs().  A node that was recomputed densely
+// already holds its full tensor, so its change set stays index-only and
+// kernels read its values from the tensor.
 //
 // Window reads stay O(1): conv, pool and LRN read an input with a valued
 // change set through a per-thread scatter of that set — a slot per
@@ -54,27 +54,28 @@
 // supported op treats batch rows independently, so a change set never
 // leaks across rows).
 //
-// Const (weight) faults: a ConstOverride run seeds the overridden
-// Const's ChangeSet with the corrupted elements (index-only: the override
-// holds its full tensor), so the invalidation is exactly the
-// downstream-reachability cone of the const — i.e. of its first
-// consumer(s).  Element i of a Conv2D filter [kh, kw, ic, oc] feeds
-// output channel i % oc alone.  So while the conv's data input is golden,
-// its parameter kernel recomputes just the changed channels at every
-// output position, position ascending then channel ascending, in the
-// dense kernels' per-element order, and the node stays on this tier with
-// a valued change set.  It falls back to dense when the data input
-// changed too (a multi-bit fault reaching two layers in series), when
-// half the channels or more changed, or when the filter input carries
-// values (a computed tensor, not an overridden Const).  A changed BiasAdd
-// bias or MatMul weight matrix recomputes dense.  Downstream, the
-// element-sparse tracking goes on as usual: the next conv usually
-// recomputes dense (one changed channel at every position reaches every
-// output pixel), and a fault masked at the consumer (ReLU/pool/clamp)
-// still collapses the rest of the cone back to golden.  A
-// BinaryElementwiseOp needs no parameter kernel: sparse_binary merges
-// both inputs' change sets element by element, so a changed second input
-// stays sparse until the merged set reaches the dense threshold.
+// Const (weight) faults: an injected Const is a root whose injections
+// make a valued change set over its golden tensor (executor.hpp), so the
+// invalidation is exactly the downstream-reachability cone of the const —
+// i.e. of its first consumer(s).  Element i of a Conv2D filter
+// [kh, kw, ic, oc] feeds output channel i % oc alone.  So while the
+// conv's data input is golden, its parameter kernel recomputes just the
+// changed channels at every output position, position ascending then
+// channel ascending, in the dense kernels' per-element order, against the
+// filter packed down to those channels with the changed values written
+// in, and the node stays on this tier with a valued change set.  A
+// computed filter (an op output inside a fault's cone) takes the same
+// kernel, valued or index-only.  It falls back to dense when the data
+// input changed too (a multi-bit fault reaching two layers in series) or
+// when half the channels or more changed.  A changed BiasAdd bias or
+// MatMul weight matrix recomputes dense.  Downstream, the element-sparse
+// tracking goes on as usual: the next conv usually recomputes dense (one
+// changed channel at every position reaches every output pixel), and a
+// fault masked at the consumer (ReLU/pool/clamp) still collapses the rest
+// of the cone back to golden.  A BinaryElementwiseOp needs no parameter
+// kernel: sparse_binary merges both inputs' change sets element by
+// element, so a changed second input stays sparse until the merged set
+// reaches the dense threshold.
 //
 // Thread-safety: incremental_recompute is a function of its arguments
 // plus the calling thread's scatter; concurrent calls are safe as long as

@@ -97,8 +97,8 @@ class ExecutionPlan {
   // The quantisation scheme of a node's output: the canonical scheme of
   // the plan dtype for every dtype except int8, where it is the node's
   // calibrated per-tensor format.  Everything that quantises or corrupts
-  // a node's value (executor sweeps, injection hooks, weight-fault const
-  // patching) must use this, not the bare dtype.
+  // a node's value (executor sweeps, injections on op outputs and on
+  // Consts) must use this, not the bare dtype.
   const tensor::QScheme& qscheme(NodeId id) const;
 
   ops::KernelBackend backend() const { return backend_; }
@@ -206,26 +206,15 @@ class ExecutionPlan {
   std::shared_ptr<const CompileReport> report_;
 };
 
-// --- Const overrides ---------------------------------------------------------
-
-// A per-run replacement for one Const node's pre-quantized output — the
-// mechanism persistent weight/parameter faults ride on (fi/weight_fault):
-// the plan itself stays immutable and shared, while one trial's corrupted
-// parameter tensors are supplied alongside the run.  `value` must have
-// the const's element count and already be quantized under the plan's
-// dtype (fi::make_const_overrides corrupts the pre-quantized bytes
-// through the codec, so this holds by construction).
-struct ConstOverride {
-  NodeId node = kInvalidNode;
-  tensor::Tensor value;
-};
-
 // --- Injections --------------------------------------------------------------
 
 // One bit fault on one element of one node's output, applied by the
-// executor after the node is computed (Executor::run_from) — the transient
-// activation faults of a trial.  On a batched plan `element` addresses
-// the batched tensor (fi::make_injections offsets each row).
+// executor for one run (Executor::run and run_from): on an op node after
+// it computes (a transient activation fault), on a Const node to its
+// pre-quantized value (a persistent weight fault; the plan's own copy
+// stays golden).  Injections on Input nodes do nothing.  On a batched
+// plan `element` addresses the batched tensor (fi::make_injections
+// offsets each row).
 struct Injection {
   NodeId node = kInvalidNode;
   std::size_t element = 0;

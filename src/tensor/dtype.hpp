@@ -140,8 +140,9 @@ enum class BitAction : std::uint8_t { kFlip, kStuck0, kStuck1 };
 
 // Applies `action` to bit `bit` of `value`'s encoding under `s` and
 // decodes the result (always representable).  The one place a bit fault
-// is applied: the executor's injections and fi::apply_fault_value both
-// call it, so the partial and the reference path cannot drift.
+// is applied: every injection, on an op output or a Const, on a partial
+// or a full run, calls it, so the partial and the reference path cannot
+// drift.
 float q_apply_bit(const QScheme& s, float value, int bit, BitAction action);
 
 // Picks the int8 format for values bounded by [lo, hi]: the finest

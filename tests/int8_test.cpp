@@ -102,9 +102,10 @@ TEST(Int8CodecTest, SignBitFlipIsTheCriticalFault) {
   // Stuck-at writes: forcing a bit to its stored value is the identity.
   EXPECT_EQ(tensor::q_write_bit_value(s, 1.0f, 3, true), 1.0f);
   EXPECT_EQ(tensor::q_write_bit_value(s, 1.0f, 4, false), 1.0f);
-  // apply_fault_value routes through the same codec.
-  const fi::FaultPoint flip{"n", 0, 7, fi::FaultAction::kFlip};
-  EXPECT_EQ(fi::apply_fault_value(s, 1.0f, flip), -15.0f);
+  // q_apply_bit, which every injection calls, routes through the same
+  // codec.
+  EXPECT_EQ(tensor::q_apply_bit(s, 1.0f, 7, tensor::BitAction::kFlip),
+            -15.0f);
 }
 
 TEST(Int8CalibrationTest, FormatCoversTheBoundAtFinestResolution) {

@@ -5,8 +5,8 @@
 // run whose hook injects the same faults.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
 // concat, residual add, row-sparse matmul) as well as the dense fallbacks
-// (single-row matmul, softmax); a Const override exercises the conv
-// filter's parameter kernel.
+// (single-row matmul, softmax); an injected Const filter and a computed
+// one exercise the conv filter's parameter kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "graph/passes.hpp"
 #include "graph/plan.hpp"
 #include "fi/fault_model.hpp"
-#include "fi/weight_fault.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -168,8 +167,8 @@ Graph sparse_tower(bool dense_head) {
 }
 
 // One partial run of a batched plan against a full run with the same
-// hook, every node compared; returns the partial run's activations and
-// how many nodes it recomputed on each tier.
+// injections, every node compared; returns the partial run's activations
+// and how many nodes it recomputed on each tier.
 struct PartialRun {
   std::vector<Tensor> outputs;
   std::uint64_t dense = 0;   // kernel.<backend>
@@ -183,8 +182,7 @@ PartialRun run_batched_trial(const Executor& exec, const ExecutionPlan& plan,
                              const std::string& what) {
   const Graph& g = plan.graph();
   Arena full_arena, arena;
-  exec.run(plan, feeds, full_arena,
-           fi::make_batched_injection_hook(plan, row_faults));
+  exec.run(plan, feeds, full_arena, fi::make_injections(plan, row_faults));
   util::metrics::reset();
   exec.run_from(plan, golden, fi::make_injections(plan, row_faults), arena);
   expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
@@ -390,7 +388,7 @@ TEST(ExecutionPlan, SparseConeMaterializesOnlyTheOutput) {
     Arena golden_arena, full_arena, arena;
     exec.run(plan, feeds, golden_arena);
     const std::vector<Tensor> golden = golden_arena.outputs();
-    exec.run(plan, feeds, full_arena, fi::make_injection_hook(plan, faults));
+    exec.run(plan, feeds, full_arena, fi::make_injections(plan, faults));
     util::metrics::reset();
     const Tensor out = exec.run_from(
         plan, golden, fi::make_injections(plan, faults), arena);
@@ -415,104 +413,81 @@ TEST(ExecutionPlan, SparseConeMaterializesOnlyTheOutput) {
 // output channel i % oc alone.  With a golden data input the conv
 // recomputes that channel on the element-sparse tier — no dense kernel
 // anywhere in the cone, whose other ops all have sparse kernels — its
-// changes lie in the one channel, and every node equals the full run under
-// the same override.
+// changes lie in the one channel, the run builds no full tensor but the
+// returned output (so no filter copy), and every node equals the full run
+// with the same injections.  The filter is a Const faulted by injection
+// (a weight fault), or a computed one (Tanh of a second input) faulted
+// upstream of the filter slot; both reach the conv as valued change sets.
 TEST(ExecutionPlan, ParameterFaultRecomputesOneChannel) {
   util::Rng rng(29);
-  GraphBuilder b;
-  b.input("input", Shape{1, 8, 8, 3});
-  b.conv2d("conv1", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f),
-           random_tensor(Shape{6}, rng, 0.1f), {1, 1, ops::Padding::kSame});
-  b.activation("act1", ops::OpKind::kTanh);
-  const Graph g = b.finish();
+  GraphBuilder cb;
+  cb.input("input", Shape{1, 8, 8, 3});
+  cb.conv2d("conv", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f),
+            random_tensor(Shape{6}, rng, 0.1f), {1, 1, ops::Padding::kSame});
+  cb.activation("act", ops::OpKind::kTanh);
+  GraphBuilder tb;
+  const NodeId x = tb.input("input", Shape{1, 8, 8, 3});
+  tb.input("filter_in", Shape{3, 3, 3, 6});
+  const NodeId f = tb.activation("filter_act", ops::OpKind::kTanh);
+  tb.append("conv",
+            std::make_shared<ops::Conv2DOp>(
+                ops::Conv2DParams{1, 1, ops::Padding::kSame}),
+            {x, f});
+  struct Source {
+    std::string name;
+    Graph g;
+    std::string root;  // the faulted node: the filter, or its producer
+  };
+  const Source sources[] = {{"const filter", cb.finish(), "conv/filter"},
+                            {"computed filter", tb.finish(), "filter_act"}};
   const std::size_t element = ((1 * 3 + 2) * 3 + 1) * 6 + 4;  // channel 4
   util::metrics::set_enabled(true);
-  for (const ops::KernelBackend backend :
-       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
-    for (const DType dtype : {DType::kFixed32, DType::kFloat32}) {
-      const std::string what = std::string(ops::backend_name(backend)) +
-                               " " + std::string(tensor::dtype_name(dtype));
-      const ExecutionPlan plan = compile(
-          g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
-      const std::unordered_map<std::string, Tensor> feeds{
-          {"input", random_tensor(Shape{1, 8, 8, 3}, rng)}};
-      const Executor exec;
-      Arena golden_arena, full_arena, arena;
-      exec.run(plan, feeds, golden_arena);
-      const std::vector<Tensor> golden = golden_arena.outputs();
-      // Bit 9 is worth 0.5 under fixed32; under float32 it moves the
-      // mantissa, which still changes every product it enters.
-      const std::vector<ConstOverride> overrides = fi::make_const_overrides(
-          plan, fi::FaultSet{{"conv1/filter", element, 9}});
-      ASSERT_EQ(overrides.size(), 1u) << what;
-      exec.run(plan, feeds, full_arena, overrides);
-      util::metrics::reset();
-      exec.run_from(plan, golden, {}, arena, overrides);
-      const std::string kernels =
-          "kernel." + std::string(ops::backend_name(backend));
-      EXPECT_EQ(util::metrics::counter_value(kernels), 0u) << what;
-      EXPECT_EQ(util::metrics::counter_value("exec.sparse_nodes"),
-                plan.downstream_count(g.find("conv1/filter")) - 1)
-          << what;
-      expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
-      const auto id = static_cast<std::size_t>(g.find("conv1"));
-      const auto out = arena.outputs()[id].values();
-      const auto gold = golden[id].values();
-      std::size_t changed = 0;
-      for (std::size_t i = 0; i < out.size(); ++i)
-        if (std::bit_cast<std::uint32_t>(out[i]) !=
-            std::bit_cast<std::uint32_t>(gold[i])) {
-          EXPECT_EQ(i % 6, 4u) << what << " element " << i;
-          ++changed;
-        }
-      EXPECT_GT(changed, 0u) << what;
-    }
-  }
-  util::metrics::set_enabled(false);
-  util::metrics::reset();
-}
-
-// A conv whose filter is a computed tensor, not a Const: a fault
-// upstream of the filter slot reaches the conv as a valued change set.
-// The filter-fault kernel reads its filter from the input tensor (golden
-// there), so the conv must recompute dense, and every node still equals
-// the full run with the same injection.
-TEST(ExecutionPlan, ComputedFilterFaultRecomputesDense) {
-  util::Rng rng(31);
-  GraphBuilder b;
-  const NodeId x = b.input("input", Shape{1, 8, 8, 3});
-  b.input("filter_in", Shape{3, 3, 3, 6});
-  const NodeId f = b.activation("filter_act", ops::OpKind::kTanh);
-  b.append("conv",
-           std::make_shared<ops::Conv2DOp>(
-               ops::Conv2DParams{1, 1, ops::Padding::kSame}),
-           {x, f});
-  const Graph g = b.finish();
-  const std::unordered_map<std::string, Tensor> feeds{
-      {"input", random_tensor(Shape{1, 8, 8, 3}, rng)},
-      {"filter_in", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f)}};
-  const fi::FaultSet faults{{"filter_act", ((1 * 3 + 2) * 3 + 1) * 6 + 4, 9}};
-  util::metrics::set_enabled(true);
-  for (const ops::KernelBackend backend :
-       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
-    for (const DType dtype : {DType::kFixed32, DType::kFloat32}) {
-      const std::string what = std::string(ops::backend_name(backend)) +
-                               " " + std::string(tensor::dtype_name(dtype));
-      const ExecutionPlan plan = compile(
-          g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
-      const Executor exec;
-      Arena golden_arena, full_arena, arena;
-      exec.run(plan, feeds, golden_arena);
-      exec.run(plan, feeds, full_arena,
-               fi::make_injection_hook(g, dtype, faults));
-      util::metrics::reset();
-      exec.run_from(plan, golden_arena.outputs(),
-                    fi::make_injections(plan, faults), arena);
-      EXPECT_EQ(util::metrics::counter_value(
-                    "kernel." + std::string(ops::backend_name(backend))),
-                1u)
-          << what;
-      expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g, what);
+  for (const Source& src : sources) {
+    const Graph& g = src.g;
+    const std::unordered_map<std::string, Tensor> feeds{
+        {"input", random_tensor(Shape{1, 8, 8, 3}, rng)},
+        {"filter_in", random_tensor(Shape{3, 3, 3, 6}, rng, 0.4f)}};
+    for (const ops::KernelBackend backend :
+         {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
+      for (const DType dtype : {DType::kFixed32, DType::kFloat32}) {
+        const std::string be(ops::backend_name(backend));
+        const std::string what =
+            src.name + " " + be + " " + std::string(tensor::dtype_name(dtype));
+        const ExecutionPlan plan = compile(
+            g, {.dtype = dtype, .backend = backend, .observe = Observe::kAll});
+        const Executor exec;
+        Arena golden_arena, full_arena, arena;
+        exec.run(plan, feeds, golden_arena);
+        const std::vector<Tensor> golden = golden_arena.outputs();
+        // Bit 9 is worth 0.5 under fixed32; under float32 it moves the
+        // mantissa, which still changes every product it enters.
+        const std::vector<Injection> injections =
+            fi::make_injections(plan, fi::FaultSet{{src.root, element, 9}});
+        ASSERT_EQ(injections.size(), 1u) << what;
+        exec.run(plan, feeds, full_arena, injections);
+        util::metrics::reset();
+        exec.run_from(plan, golden, injections, arena);
+        EXPECT_EQ(util::metrics::counter_value("kernel." + be), 0u) << what;
+        EXPECT_EQ(util::metrics::counter_value("exec.sparse_nodes"),
+                  plan.downstream_count(g.find(src.root)) - 1)
+            << what;
+        EXPECT_EQ(util::metrics::counter_value("exec.materialized_elements"),
+                  golden[static_cast<std::size_t>(g.output())].elements())
+            << what;
+        expect_all_nodes_equal(arena.outputs(), full_arena.outputs(), g,
+                               what);
+        const auto id = static_cast<std::size_t>(g.find("conv"));
+        const auto out = arena.outputs()[id].values();
+        const auto gold = golden[id].values();
+        std::size_t changed = 0;
+        for (std::size_t i = 0; i < out.size(); ++i)
+          if (std::bit_cast<std::uint32_t>(out[i]) !=
+              std::bit_cast<std::uint32_t>(gold[i])) {
+            EXPECT_EQ(i % 6, 4u) << what << " element " << i;
+            ++changed;
+          }
+        EXPECT_GT(changed, 0u) << what;
+      }
     }
   }
   util::metrics::set_enabled(false);

@@ -1,24 +1,31 @@
 // Record identity on real zoo graphs: the default campaign path (blocked
 // kernels, 8 trials per batched plan run, partial re-execution) must write
 // byte-for-byte the records of the reference path (scalar kernels, one
-// trial per run, full re-execution with the injection hook).  The models
+// trial per run, full re-execution with the same injections).  The models
 // carry untrained He-initialised weights, so no weight files are needed;
 // batched partial runs there routinely put one row's injection root
 // downstream of another row's fault, the case the element-sparse tier
 // handles at roots.  The cells beyond the single-bit fixed32 ones cover
 // what the partial path's injections must get right: several injections
-// on one element (3-bit bursts), several roots per trial (3 independent
-// bits), the fixed16 codec, and ResNet-18 — residual Adds whose two
-// inputs both changed, BatchNorm, and a GlobalAvgPool that recomputes
-// densely (through its blocked kernel) from a sparse input.
+// on one element (alexnet_burst3), several roots per trial
+// (alexnet_multi3), the fixed16 codec (lenet_fixed16), and ResNet-18 —
+// residual Adds whose two inputs both changed, BatchNorm, and a
+// GlobalAvgPool that recomputes densely (through its blocked kernel) from
+// a sparse input.
 //
-// The weight cells corrupt parameters instead: a faulted Conv2D filter
+// The weight cells inject into Consts instead: a faulted Conv2D filter
 // recomputes only the output channels the corrupted elements feed, and a
 // faulted bias or MatMul weight matrix (AlexNet's fc1/fc2) recomputes
-// densely.  Float32 is what makes a cell sensitive to accumulation order —
-// the fixed-point codecs round most reorderings away — so the float32
-// cells pin the conv parameter kernel and, on activation faults, the
-// element-sparse conv's pixel kernel to the dense kernels' order.
+// densely.  The single-bit cells change one element of one Const per
+// trial.  resnet18_weight_multi3 puts up to three Const roots in a trial,
+// and resnet18_weight_row4_f32 changes four adjacent filter elements,
+// which feed four adjacent output channels: both pin where each changed
+// filter value lands in the packed filter.  lenet_weight_stuck1 has
+// stuck-at faults, where a bit that already holds its value leaves the
+// Const golden.  Float32 is what makes a cell sensitive to accumulation
+// order — the fixed-point codecs round most reorderings away — so the
+// float32 cells pin the conv parameter kernel and, on activation faults,
+// the element-sparse conv's pixel kernel to the dense kernels' order.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -163,7 +170,17 @@ INSTANTIATE_TEST_SUITE_P(
                      fi::FaultClass::kWeight},
         IdentityCell{"alexnet_weight_f32", ModelId::kAlexNet,
                      tensor::DType::kFloat32, 1, false,
-                     fi::FaultClass::kWeight}),
+                     fi::FaultClass::kWeight},
+        IdentityCell{"resnet18_weight_multi3", ModelId::kResNet18,
+                     tensor::DType::kFixed16, 3, false,
+                     fi::FaultClass::kWeight, fi::WeightFaultKind::kMultiBit},
+        IdentityCell{"resnet18_weight_row4_f32", ModelId::kResNet18,
+                     tensor::DType::kFloat32, 4, false,
+                     fi::FaultClass::kWeight, fi::WeightFaultKind::kRowBurst},
+        IdentityCell{"lenet_weight_stuck1", ModelId::kLeNet,
+                     tensor::DType::kFixed16, 1, false,
+                     fi::FaultClass::kWeight,
+                     fi::WeightFaultKind::kStuckAt1}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Weight-memory fault subsystem: site enumeration, fault-kind sampling,
-// ECC filtering, ConstOverride execution equivalence, the persistent-
+// ECC filtering, Const-injection execution equivalence, the persistent-
 // fault input sweep, and the determinism contracts (shard/resume and
 // scalar/blocked backends bit-identical).  Everything runs on tiny
 // builder graphs — the properties under test are the subsystem's, not
 // the models'.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 
@@ -196,25 +198,31 @@ TEST(EccModel, TokensRoundTrip) {
   EXPECT_FALSE(ecc_from_token("parity").has_value());
 }
 
-// ---- ConstOverride execution ------------------------------------------------
+// ---- Const injections ------------------------------------------------------
 
-// A weight fault applied through ConstOverrides must be bit-identical to
-// rebuilding the graph with the corrupted weight value — in a full run
-// and in a golden-prefix partial run.
-TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
+// A weight fault applied as an injection on a Const must be bit-identical
+// to rebuilding the graph with the corrupted weight value — in a full run
+// and in a golden-prefix partial run — and leave the plan's own Const
+// golden.
+TEST(ConstInjection, MatchesRebuiltGraphBitExactly) {
   const graph::Graph g = weight_net();
   const graph::ExecutionPlan plan = fixed32_plan(g);
   const graph::Executor exec;
   const Feeds feeds = two_inputs()[0];
 
-  const FaultSet fault{{"conv/filter", 7, 28}};
-  const auto overrides = make_const_overrides(plan, fault);
-  ASSERT_EQ(overrides.size(), 1u);
+  const std::vector<graph::Injection> injections =
+      make_injections(plan, FaultSet{{"conv/filter", 7, 28}});
+  ASSERT_EQ(injections.size(), 1u);
+  const graph::NodeId filter_id = g.find("conv/filter");
+  const Tensor golden_filter = plan.const_output(filter_id).clone();
 
   // Reference: the same corrupted value baked into a rebuilt graph.  The
-  // override flipped the pre-quantized value, so the decoded float is
+  // bit flips in the pre-quantized value, so the decoded float is
   // representable and survives the rebuild's quantisation unchanged.
-  const float corrupted = overrides[0].value.at(7);
+  const float corrupted =
+      tensor::q_apply_bit(plan.qscheme(filter_id), golden_filter.at(7), 28,
+                          FaultAction::kFlip);
+  ASSERT_NE(corrupted, golden_filter.at(7));
   Tensor filter = Tensor::full(Shape{3, 3, 1, 2}, 0.2f);
   filter.set(7, corrupted);
   GraphBuilder b;
@@ -233,7 +241,7 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
   const Tensor expected = exec.run(fixed32_plan(rebuilt), feeds, ra);
 
   graph::Arena arena;
-  const Tensor full = exec.run(plan, feeds, arena, overrides);
+  const Tensor full = exec.run(plan, feeds, arena, injections);
   ASSERT_EQ(full.elements(), expected.elements());
   for (std::size_t i = 0; i < full.elements(); ++i)
     EXPECT_EQ(full.at(i), expected.at(i)) << "element " << i;
@@ -243,37 +251,40 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
   exec.run(plan, feeds, golden_arena);
   const std::vector<Tensor> golden = golden_arena.outputs();
   graph::Arena pa;
-  const Tensor partial = exec.run_from(plan, golden, {}, pa, overrides);
+  const Tensor partial = exec.run_from(plan, golden, injections, pa);
   for (std::size_t i = 0; i < partial.elements(); ++i)
     EXPECT_EQ(partial.at(i), expected.at(i)) << "element " << i;
+
+  // Both runs corrupted their own copy of the filter, not the plan's.
+  const Tensor& after = plan.const_output(filter_id);
+  for (std::size_t i = 0; i < after.elements(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(after.at(i)),
+              std::bit_cast<std::uint32_t>(golden_filter.at(i)))
+        << "plan filter element " << i;
 }
 
-TEST(ConstOverride, CrossGraphReplayIgnoresAbsentAndForeignNames) {
+// A fault stream replayed against another graph: a name absent from the
+// executing graph and an element past its tensor's end give no
+// injections (the make_injections contract, shared with activation
+// faults), and no injections give the golden output, on the partial and
+// on the full path.
+TEST(ConstInjection, CrossGraphReplayIgnoresAbsentNames) {
   const graph::Graph g = weight_net();
-  const graph::ExecutionPlan plan = fixed32_plan(g);
-
-  // Names absent from the graph — and names that resolve to non-Const
-  // nodes — produce no overrides (the make_injection_hook contract,
-  // extended to the weight-fault path).
-  EXPECT_TRUE(
-      make_const_overrides(plan, {{"not_a_node", 0, 0}}).empty());
-  EXPECT_TRUE(make_const_overrides(plan, {{"relu", 0, 0}}).empty());
-  // An element past the tensor's end is skipped, not applied.
-  const auto oob = make_const_overrides(plan, {{"conv/bias", 999, 3}});
-  ASSERT_EQ(oob.size(), 1u);
-  const Tensor& golden_bias = plan.const_output(oob[0].node);
-  for (std::size_t i = 0; i < golden_bias.elements(); ++i)
-    EXPECT_EQ(oob[0].value.at(i), golden_bias.at(i));
-
-  // And the executor treats an empty patch as the golden run.
-  const graph::Executor exec;
-  const Feeds feeds = two_inputs()[0];
-  graph::Arena a1, a2;
-  const Tensor golden = exec.run(plan, feeds, a1);
-  const Tensor out = exec.run(
-      plan, feeds, a2, make_const_overrides(plan, {{"not_a_node", 0, 0}}));
-  for (std::size_t i = 0; i < out.elements(); ++i)
-    EXPECT_EQ(out.at(i), golden.at(i));
+  const std::vector<Feeds> inputs = two_inputs();
+  for (const bool partial : {true, false}) {
+    CampaignConfig cc;
+    cc.fault_class = FaultClass::kWeight;
+    cc.partial_reexecution = partial;
+    const TrialExecutor ex(g, cc, inputs, 1);
+    EXPECT_TRUE(ex.patch_consts({{"not_a_node", 0, 0}}).empty());
+    EXPECT_TRUE(ex.patch_consts({{"conv/bias", 999, 3}}).empty());
+    const Tensor out = ex.run_weight_trial(
+        0, 1, ex.patch_consts({{"not_a_node", 0, 0}, {"conv/bias", 999, 3}}));
+    const Tensor& golden = ex.golden_output(1);
+    ASSERT_EQ(out.elements(), golden.elements());
+    for (std::size_t i = 0; i < out.elements(); ++i)
+      EXPECT_EQ(out.at(i), golden.at(i)) << "partial " << partial;
+  }
 }
 
 // The activation-side contract the docs promise, pinned in its replay
