@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace rangerpp::fi {
 
@@ -77,6 +78,13 @@ std::vector<graph::Injection> make_injections(
       if (id == graph::kInvalidNode) continue;
       const std::size_t per = plan.per_image_elements(id);
       if (f.element >= per) continue;  // cross-graph tolerance
+      // Rows share the plan's Consts, so row b >= 1 has no copy of its
+      // own to corrupt.
+      if (b > 0 && plan.is_const(id))
+        throw std::invalid_argument(
+            "make_injections: weight fault on Const '" + f.node_name +
+            "' in batch row " + std::to_string(b) +
+            "; batch rows share the plan's Consts");
       out.push_back({id, b * per + f.element, f.bit, f.action});
     }
   }

@@ -95,9 +95,11 @@ class SiteSpace {
 // at batch 1).  Each fault's single-image element index is offset into
 // its row of the batched output (per-image element counts come from
 // `plan`), so row b reproduces trial b's single-image injection
-// bit-identically and rows stay independent.  Fault points naming nodes
-// absent from the plan's graph, or elements past a row, are skipped (they
-// cannot occur when the site space came from the same graph; during
+// bit-identically and rows stay independent.  Batch rows share the
+// plan's Consts, so a weight fault rides row 0 only: one in a later row
+// throws std::invalid_argument naming the node.  Fault points naming
+// nodes absent from the plan's graph, or elements past a row, are skipped
+// (they cannot occur when the site space came from the same graph; during
 // cross-graph replay every original node name still exists by
 // construction).
 std::vector<graph::Injection> make_injections(

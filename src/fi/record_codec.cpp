@@ -321,6 +321,13 @@ void write_checkpoint(const std::string& path, const CheckpointHeader& h,
   }
 }
 
+void create_checkpoint(const std::string& path, const CheckpointHeader& h) {
+  std::string bytes;
+  encode_stream_header(bytes, h);
+  if (!write_file(path, "wb", bytes))
+    throw std::runtime_error("checkpoint: cannot write " + path);
+}
+
 void append_records(const std::string& path,
                     const std::vector<TrialRecord>& records) {
   if (!write_file(path, "ab", encode_records(records)))

@@ -75,10 +75,18 @@ Checkpoint load_checkpoint(const std::string& path);
 void write_checkpoint(const std::string& path, const CheckpointHeader& h,
                       const std::vector<TrialRecord>& records);
 
+// Writes a checkpoint holding `h` and no records to `path` in place, for
+// a run that finds no records there: no temp file and rename, which
+// protect only records.  A writer killed mid-write leaves a strict prefix
+// of the header, which load_checkpoint refuses and CampaignRunner starts
+// afresh.  Throws std::runtime_error naming the path when the open, the
+// write or the close fails.
+void create_checkpoint(const std::string& path, const CheckpointHeader& h);
+
 // Appends record frames to the checkpoint at `path` (written first by
-// write_checkpoint).  Throws std::runtime_error naming the path on any
-// failed write, flush or close — a full disk or a file-size limit stops
-// the run instead of leaving a silently short file.
+// create_checkpoint or write_checkpoint).  Throws std::runtime_error
+// naming the path on any failed write, flush or close — a full disk or a
+// file-size limit stops the run instead of leaving a silently short file.
 void append_records(const std::string& path,
                     const std::vector<TrialRecord>& records);
 

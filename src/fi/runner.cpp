@@ -14,6 +14,23 @@
 
 namespace rangerpp::fi {
 
+namespace {
+
+// True when no file exists at `path`, or the file is a strict prefix of
+// `header` (an empty file included): what a writer killed inside
+// create_checkpoint leaves.  Neither holds a record, so a run starts the
+// checkpoint afresh.
+bool holds_no_records(const std::string& path, std::string_view header) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return true;
+  std::string head(header.size(), '\0');
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  const auto got = static_cast<std::size_t>(in.gcount());
+  return got < header.size() && header.substr(0, got) == head.substr(0, got);
+}
+
+}  // namespace
+
 CampaignRunner::CampaignRunner(RunnerConfig config)
     : config_(std::move(config)) {
   if (config_.shard_count == 0)
@@ -100,8 +117,11 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
   std::vector<TrialRecord> records;
   std::unordered_set<std::uint64_t> done;
   const std::string& path = config_.checkpoint_path;
-  bool rewrite = true;  // a fresh checkpoint starts with the header
-  if (!path.empty() && std::ifstream(path).good()) {
+  std::string header_bytes;
+  encode_stream_header(header_bytes, header);
+  const bool fresh = path.empty() || holds_no_records(path, header_bytes);
+  bool rewrite = false;
+  if (!fresh) {
     Checkpoint cp = load_checkpoint(path);
     if (cp.header.fingerprint() != header.fingerprint() ||
         cp.header.shard_index != header.shard_index ||
@@ -124,13 +144,10 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
                                  " outside this shard");
       if (done.insert(r.trial).second) records.push_back(std::move(r));
     }
-    const auto header_bytes = [](const CheckpointHeader& h) {
-      std::string bytes;
-      encode_stream_header(bytes, h);
-      return bytes;
-    };
+    std::string loaded_header;
+    encode_stream_header(loaded_header, cp.header);
     rewrite = cp.torn_tail || records.size() != cp.records.size() ||
-              header_bytes(cp.header) != header_bytes(header);
+              loaded_header != header_bytes;
   }
 
   std::vector<std::size_t> pending;
@@ -150,15 +167,19 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
     util::metrics::counter_add("campaign.trials_resumed", done.size());
 
   // Each batch is appended to the checkpoint.  A fresh run first writes
-  // the header; a resume appends to the file as loaded, unless the load
-  // saw a torn tail (appending after that fragment would corrupt the
-  // file), dropped duplicate records, or read a header whose bytes
-  // differ from this run's (another label, say).  Then the loaded
-  // records are rewritten whole before any trial runs; the temp + rename
-  // inside write_checkpoint keeps the old file intact if this process
-  // dies mid-rewrite.  A failed write throws, so a torn tail is the only
-  // tear a run can leave.
-  if (!path.empty() && rewrite) write_checkpoint(path, header, records);
+  // the header in place: with no records on disk there is nothing for a
+  // temp file and rename to protect, and a writer killed mid-header
+  // leaves a prefix of it, which the next run starts afresh.  A resume
+  // appends to the file as loaded, unless the load saw a torn tail
+  // (appending after that fragment would corrupt the file), dropped
+  // duplicate records, or read a header whose bytes differ from this
+  // run's (another label, say).  Then the loaded records are rewritten
+  // whole before any trial runs; the temp + rename inside
+  // write_checkpoint keeps the old file intact if this process dies
+  // mid-rewrite.  A failed write throws, so a torn tail is the only tear
+  // a run can leave.
+  if (!path.empty() && fresh) create_checkpoint(path, header);
+  if (rewrite) write_checkpoint(path, header, records);
 
   // Aggregate Wilson half-width of judge 0, in percent, over everything
   // recorded so far — the early-stop criterion.

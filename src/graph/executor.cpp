@@ -128,6 +128,15 @@ tensor::Tensor Executor::execute(
         "with MemoryMode::kRetainAll");
   // outputs() materialises whatever change sets a run leaves valued.
   for (ChangeSet& c : arena.change_) c.reset();
+  // Either run refuses an injection it could not apply (a bad node id
+  // throws from at()), so a fault never goes missing silently.
+  for (const Injection& x : injections)
+    if (x.element >= plan.shapes().at(static_cast<std::size_t>(x.node))
+                         .elements())
+      throw std::out_of_range(
+          std::string(partial ? "Executor::run_from" : "Executor::run") +
+          ": injection element past the output of '" + g.node(x.node).name +
+          "'");
   if (partial) {
     if (golden->size() != plan.size())
       throw std::invalid_argument(
@@ -136,13 +145,7 @@ tensor::Tensor Executor::execute(
     std::vector<NodeId>& roots = arena.root_ids_;
     roots.clear();
     for (const Injection& x : injections) roots.push_back(x.node);
-    plan.mark_dirty(roots, arena.dirty_);  // throws on an invalid id
-    for (const Injection& x : injections)
-      if (x.element >=
-          plan.shapes()[static_cast<std::size_t>(x.node)].elements())
-        throw std::out_of_range(
-            "Executor::run_from: injection element past the output of '" +
-            g.node(x.node).name + "'");
+    plan.mark_dirty(roots, arena.dirty_);
     std::fill(arena.roots_.begin(), arena.roots_.end(), false);
     for (const NodeId r : roots)
       arena.roots_[static_cast<std::size_t>(r)] = true;

@@ -67,7 +67,8 @@ class Executor {
   // trial's faults: node, element, bit, action) apply to each op node's
   // output after it computes and to each Const's pre-quantized value,
   // for this run only (the plan's tensors stay golden).  An injection on
-  // an Input node does nothing.
+  // an Input node does nothing; an injection element past its node's
+  // output throws std::out_of_range, as in run_from.
   tensor::Tensor run(const ExecutionPlan& plan,
                      const std::unordered_map<std::string, tensor::Tensor>&
                          feeds,

@@ -273,6 +273,7 @@ bool sparse_pool(const ops::PoolOpBase& op, bool is_max,
   if (2 * cand.size() >= golden.elements()) return false;
 
   const WindowReader xr(in, x.elements(), static_cast<std::size_t>(c));
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (const std::size_t oidx : cand) {
     const int cc = static_cast<int>(oidx % static_cast<std::size_t>(c));
@@ -303,7 +304,7 @@ bool sparse_pool(const ops::PoolOpBase& op, bool is_max,
     }
     const float v =
         is_max || count == 0 ? acc : acc / static_cast<float>(count);
-    record(gv, oidx, tensor::q_quantize(scheme, v), ch);
+    record(gv, oidx, quantize(v), ch);
   }
   return true;
 }
@@ -324,9 +325,10 @@ bool sparse_unary(const ops::UnaryElementwiseOp& op,
                     std::move(vals));
   const Tensor res = op.compute(std::span<const Tensor>{&tiny, 1});
   const std::span<const float> rv = res.values();
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (std::size_t j = 0; j < idx.size(); ++j)
-    record(gv, idx[j], tensor::q_quantize(scheme, rv[j]), ch);
+    record(gv, idx[j], quantize(rv[j]), ch);
   return true;
 }
 
@@ -356,9 +358,10 @@ bool sparse_binary(const ops::BinaryElementwiseOp& op,
                            Tensor(tensor::Shape{k}, std::move(bv))};
   const Tensor res = op.compute(inputs);
   const std::span<const float> rv = res.values();
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (std::size_t j = 0; j < cand.size(); ++j)
-    record(gv, cand[j], tensor::q_quantize(scheme, rv[j]), ch);
+    record(gv, cand[j], quantize(rv[j]), ch);
   return true;
 }
 
@@ -369,10 +372,10 @@ bool sparse_bias_add(const tensor::QScheme& scheme, const In& x,
   if (2 * idx.size() >= golden.elements()) return false;
   const std::size_t c = bias.elements();
   const float* bv = bias.values().data();
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (std::size_t j = 0; j < idx.size(); ++j)
-    record(gv, idx[j],
-           tensor::q_quantize(scheme, x.changed(j) + bv[idx[j] % c]), ch);
+    record(gv, idx[j], quantize(x.changed(j) + bv[idx[j] % c]), ch);
   return true;
 }
 
@@ -384,11 +387,11 @@ bool sparse_batch_norm(const ops::BatchNormOp& op,
   const std::vector<float>& scale = op.scale();
   const std::vector<float>& shift = op.shift();
   const std::size_t c = scale.size();
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (std::size_t j = 0; j < idx.size(); ++j)
     record(gv, idx[j],
-           tensor::q_quantize(scheme, x.changed(j) * scale[idx[j] % c] +
-                                          shift[idx[j] % c]),
+           quantize(x.changed(j) * scale[idx[j] % c] + shift[idx[j] % c]),
            ch);
   return true;
 }
@@ -415,6 +418,7 @@ bool sparse_lrn(const ops::LrnOp& op, const tensor::QScheme& scheme,
   if (2 * cand.size() >= golden.elements()) return false;
 
   const WindowReader xr(in, x.elements(), static_cast<std::size_t>(c));
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (const std::size_t oidx : cand) {
     const int cc = static_cast<int>(oidx % static_cast<std::size_t>(c));
@@ -429,9 +433,7 @@ bool sparse_lrn(const ops::LrnOp& op, const tensor::QScheme& scheme,
     }
     const float denom = std::pow(p.bias + p.alpha * sum_sq, p.beta);
     record(gv, oidx,
-           tensor::q_quantize(
-               scheme, xr.at(pixel, static_cast<std::size_t>(cc)) / denom),
-           ch);
+           quantize(xr.at(pixel, static_cast<std::size_t>(cc)) / denom), ch);
   }
   return true;
 }
@@ -457,9 +459,9 @@ bool sparse_concat(const tensor::QScheme& scheme, const Tensor& a,
   }
   std::sort(cand.begin(), cand.end(),
             [](const auto& l, const auto& r) { return l.first < r.first; });
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
-  for (const auto& [oidx, v] : cand)
-    record(gv, oidx, tensor::q_quantize(scheme, v), ch);
+  for (const auto& [oidx, v] : cand) record(gv, oidx, quantize(v), ch);
   return true;
 }
 
@@ -505,9 +507,10 @@ bool sparse_passthrough(const tensor::QScheme& scheme, const In& x,
                         const Tensor& golden, ChangeSet& ch) {
   const std::vector<std::size_t>& idx = x.ch.idx;
   if (2 * idx.size() >= golden.elements()) return false;
+  const tensor::Quantizer quantize(scheme);
   const float* gv = golden.values().data();
   for (std::size_t j = 0; j < idx.size(); ++j)
-    record(gv, idx[j], tensor::q_quantize(scheme, x.changed(j)), ch);
+    record(gv, idx[j], quantize(x.changed(j)), ch);
   return true;
 }
 

@@ -1,8 +1,13 @@
 #include "tensor/dtype.hpp"
 
 #include <bit>
+#include <climits>
 #include <cmath>
 #include <stdexcept>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace rangerpp::tensor {
 
@@ -156,95 +161,8 @@ float dtype_decode(DType d, std::uint64_t bits) {
   throw std::invalid_argument("dtype_decode: bad dtype");
 }
 
-namespace {
-
-// Hoisted-constant round trip, bit-identical to
-// fixed_decode(f, fixed_encode(f, x)) for every input:
-//  * the encode comparisons run on the same llround(double) value;
-//  * the clamped raw is already sign-correct and in range, so the
-//    mask-then-sign-extend detour is the identity on it;
-//  * decode's division by 2^frac_bits is exact, so multiplying by the
-//    exactly-representable reciprocal yields the same double (and the
-//    same float after narrowing).
-template <int kTotal, int kFrac>
-void fixed_quantize_span(std::span<float> v) {
-  constexpr double kScale = static_cast<double>(1LL << kFrac);
-  constexpr double kInvScale = 1.0 / kScale;
-  constexpr std::int64_t kMaxRaw = (1LL << (kTotal - 1)) - 1;
-  constexpr std::int64_t kMinRaw = -(1LL << (kTotal - 1));
-  for (float& x : v) {
-    std::int64_t raw;
-    const double scaled = static_cast<double>(x) * kScale;
-    if (std::isnan(x)) {
-      raw = 0;
-    } else if (std::fabs(scaled) >= kLlroundLimit) {
-      raw = scaled > 0.0 ? kMaxRaw : kMinRaw;
-    } else {
-      const double rounded = std::llround(scaled);
-      if (rounded >= static_cast<double>(kMaxRaw)) {
-        raw = kMaxRaw;
-      } else if (rounded <= static_cast<double>(kMinRaw)) {
-        raw = kMinRaw;
-      } else {
-        raw = static_cast<std::int64_t>(rounded);
-      }
-    }
-    x = static_cast<float>(static_cast<double>(raw) * kInvScale);
-  }
-}
-
-// Runtime-parameter variant for calibrated (non-canonical) formats —
-// same round trip as fixed_decode(f, fixed_encode(f, x)), with
-// frac_bits/zero_point as loop-hoisted runtime values instead of
-// template constants.
-void fixed_quantize_span_rt(const FixedPointFormat& f, std::span<float> v) {
-  const double scale = static_cast<double>(1LL << f.frac_bits);
-  const double inv_scale = 1.0 / scale;
-  const std::int64_t max_raw = (1LL << (f.total_bits - 1)) - 1;
-  const std::int64_t min_raw = -(1LL << (f.total_bits - 1));
-  const std::int64_t zp = f.zero_point;
-  const std::int64_t nan_raw = zp > max_raw ? max_raw
-                               : zp < min_raw ? min_raw
-                                              : zp;
-  for (float& x : v) {
-    std::int64_t raw;
-    const double scaled = static_cast<double>(x) * scale;
-    if (std::isnan(x)) {
-      raw = nan_raw;
-    } else if (std::fabs(scaled) >= kLlroundLimit) {
-      raw = scaled > 0.0 ? max_raw : min_raw;
-    } else {
-      const double shifted = static_cast<double>(std::llround(scaled)) +
-                             static_cast<double>(zp);
-      if (shifted >= static_cast<double>(max_raw)) {
-        raw = max_raw;
-      } else if (shifted <= static_cast<double>(min_raw)) {
-        raw = min_raw;
-      } else {
-        raw = static_cast<std::int64_t>(shifted);
-      }
-    }
-    x = static_cast<float>(static_cast<double>(raw - zp) * inv_scale);
-  }
-}
-
-}  // namespace
-
 void dtype_quantize_span(DType d, std::span<float> v) {
-  switch (d) {
-    case DType::kFloat32:
-      return;
-    case DType::kFixed32:
-      fixed_quantize_span<32, 10>(v);
-      return;
-    case DType::kFixed16:
-      fixed_quantize_span<16, 2>(v);
-      return;
-    case DType::kInt8:
-      fixed_quantize_span<8, 3>(v);
-      return;
-  }
-  throw std::invalid_argument("dtype_quantize_span: bad dtype");
+  Quantizer(QScheme(d)).apply(v);
 }
 
 std::uint64_t dtype_flip_bit(DType d, std::uint64_t bits, int bit) {
@@ -293,19 +211,71 @@ float q_decode(const QScheme& s, std::uint64_t bits) {
 }
 
 float q_quantize(const QScheme& s, float value) {
-  if (s.dtype == DType::kFloat32) return value;
-  return fixed_decode(s.fmt, fixed_encode(s.fmt, value));
+  return Quantizer(s)(value);
 }
 
 void q_quantize_span(const QScheme& s, std::span<float> v) {
-  // Canonical schemes route through the templated spans so the
-  // dtype-only paths (and their byte gates) see the exact code they
-  // always have.
-  if (is_canonical(s)) {
-    dtype_quantize_span(s.dtype, v);
+  Quantizer(s).apply(v);
+}
+
+Quantizer::Quantizer(const QScheme& s) : s_(s) {
+  if (s.dtype == DType::kFloat32) return;
+  path_ = Path::kCodec;
+  // Past these magnitudes the bounds below (or their difference) stop
+  // being exact doubles, and so does c + 0.5 in the formula.
+  constexpr std::int64_t kExact = 1LL << 52;
+  const FixedPointFormat& f = s.fmt;
+  if (f.total_bits > 52 || f.zero_point > kExact || f.zero_point < -kExact)
+    return;
+  const std::int64_t lo = -(1LL << (f.total_bits - 1)) - f.zero_point;
+  const std::int64_t hi = (1LL << (f.total_bits - 1)) - 1 - f.zero_point;
+  if (lo < -kExact || hi > kExact) return;
+  path_ = Path::kFormula;
+  int32_lanes_ = lo >= INT32_MIN && hi <= INT32_MAX;
+  scale_ = static_cast<double>(1LL << f.frac_bits);
+  inv_scale_ = 1.0 / scale_;
+  lo_ = static_cast<double>(lo);
+  hi_ = static_cast<double>(hi);
+}
+
+// Cache-line aligned, as ops::blocked::gemm_rows is: every kernel's store
+// runs through this loop, and its placement alone has moved benchmark
+// throughput before.
+__attribute__((aligned(64))) void Quantizer::apply(std::span<float> v) const {
+  if (path_ != Path::kFormula) {
+    if (path_ == Path::kCodec)
+      for (float& x : v) x = q_decode(s_, q_encode(s_, x));
     return;
   }
-  fixed_quantize_span_rt(s.fmt, v);
+  float* p = v.data();
+  const std::size_t n = v.size();
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  // The formula on two doubles per register, with the truncation in
+  // 32-bit lanes (exact while the bounds fit them).
+  if (int32_lanes_) {
+    const __m128d scale = _mm_set1_pd(scale_);
+    const __m128d inv_scale = _mm_set1_pd(inv_scale_);
+    const __m128d lo = _mm_set1_pd(lo_);
+    const __m128d hi = _mm_set1_pd(hi_);
+    const __m128d sign = _mm_set1_pd(-0.0);
+    const __m128d half = _mm_set1_pd(0.5);
+    const auto pair = [&](__m128 x) {  // the low two floats of x
+      const __m128d d = _mm_cvtps_pd(x);
+      const __m128d scaled =
+          _mm_and_pd(_mm_mul_pd(d, scale), _mm_cmpord_pd(d, d));
+      const __m128d c = _mm_min_pd(_mm_max_pd(scaled, lo), hi);
+      const __m128d r = _mm_add_pd(c, _mm_or_pd(_mm_and_pd(c, sign), half));
+      return _mm_cvtpd_ps(
+          _mm_mul_pd(_mm_cvtepi32_pd(_mm_cvttpd_epi32(r)), inv_scale));
+    };
+    for (; i + 4 <= n; i += 4) {
+      const __m128 x = _mm_loadu_ps(p + i);
+      _mm_storeu_ps(p + i, _mm_movelh_ps(pair(x), pair(_mm_movehl_ps(x, x))));
+    }
+  }
+#endif
+  for (; i < n; ++i) p[i] = (*this)(p[i]);
 }
 
 float q_flip_value(const QScheme& s, float value, int bit) {

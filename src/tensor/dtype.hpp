@@ -32,6 +32,8 @@
 //                  int8_format_for_range below.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -61,10 +63,8 @@ inline float dtype_quantize(DType d, float value) {
 }
 
 // Quantises every element of `v` in place — bit-identical to calling
-// dtype_quantize per element (it is the same encode/decode pair, hoisted
-// into one loop inside the codec's translation unit so the pair can
-// inline).  No-op for Float32.  The fused blocked kernels and the
-// executor's quantisation sweep both run through this.
+// dtype_quantize per element (it runs Quantizer, below, whose formula is
+// the encode/decode pair's result for every float).  No-op for Float32.
 void dtype_quantize_span(DType d, std::span<float> v);
 
 // Flips bit `bit` (0 = LSB) of `bits` within the datatype's width.
@@ -122,15 +122,53 @@ struct QScheme {
 };
 
 // Scheme-aware codec family.  For canonical schemes these are
-// bit-identical to the dtype_* functions above (same code paths); for
-// calibrated int8 schemes they run the affine codec with the scheme's
-// frac_bits/zero_point.
+// bit-identical to the dtype_* functions above; for calibrated int8
+// schemes they run the affine codec with the scheme's
+// frac_bits/zero_point.  q_encode/q_decode are the stored bits a fault
+// flips; q_quantize and q_quantize_span are their round trip
+// q_decode(q_encode(x)), computed by Quantizer.
 std::uint64_t q_encode(const QScheme& s, float value);
 float q_decode(const QScheme& s, std::uint64_t bits);
 float q_quantize(const QScheme& s, float value);
 void q_quantize_span(const QScheme& s, std::span<float> v);
 float q_flip_value(const QScheme& s, float value, int bit);
 float q_write_bit_value(const QScheme& s, float value, int bit, bool set);
+
+// The round trip q_decode(q_encode(s, x)) with the scheme's constants
+// resolved once, for kernels that quantise element by element or span by
+// span.  A fixed-point scheme takes one formula,
+//
+//   x -> round(clamp(x * 2^frac, min_raw - zp, max_raw - zp)) * 2^-frac
+//
+// with NaN read as 0 and round() half away from zero (llround's rule),
+// computed as the integer part of c + copysign(0.5, c).  While the clamp
+// bounds stay within 2^52 in magnitude every step is exact in double for
+// every float, so the result is the codec pair's bit for bit (tensor_test
+// checks all 2^32 floats); a format with wider bounds runs the pair.
+class Quantizer {
+ public:
+  explicit Quantizer(const QScheme& s);
+
+  float operator()(float x) const {
+    if (path_ != Path::kFormula) [[unlikely]]
+      return path_ == Path::kIdentity ? x : q_decode(s_, q_encode(s_, x));
+    const double scaled = std::isnan(x) ? 0.0 : x * scale_;
+    const double c = std::min(std::max(scaled, lo_), hi_);
+    const auto raw = static_cast<std::int64_t>(c + std::copysign(0.5, c));
+    return static_cast<float>(static_cast<double>(raw) * inv_scale_);
+  }
+
+  // Every element of `v` in place: four at a time under SSE2 while the
+  // bounds fit 32-bit lanes, the formula above for the rest.
+  void apply(std::span<float> v) const;
+
+ private:
+  enum class Path : std::uint8_t { kIdentity, kFormula, kCodec };
+  QScheme s_;
+  Path path_ = Path::kIdentity;
+  bool int32_lanes_ = false;
+  double scale_ = 1.0, inv_scale_ = 1.0, lo_ = 0.0, hi_ = 0.0;
+};
 
 // How a bit fault perturbs its target bit.  kFlip is the transient
 // datapath model (XOR); the stuck-at actions model a failed cell that

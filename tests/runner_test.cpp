@@ -191,6 +191,38 @@ TEST(CampaignRunner, CleanResumeAppendsInPlace) {
   std::remove(path.c_str());
 }
 
+TEST(CampaignRunner, CutFreshHeaderStartsAfresh) {
+  // A fresh checkpoint's header is written in place, so a writer killed
+  // there leaves a strict prefix of it and no record.  The next run
+  // starts the file afresh and ends byte-equal to an uninterrupted run's.
+  const graph::Graph g = relu_net();
+  const auto inputs = two_inputs();
+  const auto judges = dev1_judges();
+  const std::string ref_path = temp_path("cut_header_ref.rcp");
+  const std::string path = temp_path("cut_header.rcp");
+  std::remove(ref_path.c_str());
+  RunnerConfig rc = base_config();
+  rc.checkpoint_path = ref_path;
+  const CampaignReport ref = CampaignRunner(rc).run(g, inputs, judges);
+  std::string header;
+  encode_stream_header(header, ref.header);
+  ASSERT_GT(header.size(), 9u);
+
+  rc.checkpoint_path = path;
+  for (const std::size_t cut : {0u, 3u, 9u}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << header.substr(0, cut);
+    // load_checkpoint still refuses the cut header; only the runner's
+    // resume reads it as absent.
+    EXPECT_THROW(load_checkpoint(path), std::runtime_error) << cut;
+    const CampaignReport resumed = CampaignRunner(rc).run(g, inputs, judges);
+    EXPECT_TRUE(resumed.records == ref.records) << cut;
+    EXPECT_EQ(slurp(path), slurp(ref_path)) << cut;
+  }
+  std::remove(ref_path.c_str());
+  std::remove(path.c_str());
+}
+
 TEST(CampaignRunner, ResumeRejectsMismatchedCheckpoint) {
   const graph::Graph g = relu_net();
   const auto inputs = two_inputs();

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tensor/dtype.hpp"
@@ -174,6 +180,159 @@ TEST(DType, Fixed16SignBitNegates) {
   const float v = dtype_quantize(DType::kFixed16, 100.0f);
   const float flipped = dtype_flip_value(DType::kFixed16, v, 15);
   EXPECT_LT(flipped, 0.0f);
+}
+
+// ---- Quantizer: one formula, the codec pair's bytes -----------------------
+
+// The canonical formats, and calibrated int8 formats whose zero points sit
+// inside the raw range, past it on either side, past 32-bit lanes (the
+// scalar fallback) and at the finest resolution int8_format_for_range
+// picks.
+std::vector<QScheme> codec_schemes() {
+  return {DType::kFixed32,
+          DType::kFixed16,
+          DType::kInt8,
+          QScheme{DType::kInt8, FixedPointFormat{8, 5, -7}},
+          QScheme{DType::kInt8, FixedPointFormat{8, 4, -1680}},
+          QScheme{DType::kInt8, FixedPointFormat{8, 0, 200}},
+          QScheme{DType::kInt8, FixedPointFormat{8, 0, -3'000'000'000LL}},
+          QScheme{DType::kInt8, FixedPointFormat{8, 24, 100}}};
+}
+
+std::string scheme_name(const QScheme& s) {
+  return std::string(dtype_name(s.dtype)) + " frac " +
+         std::to_string(s.fmt.frac_bits) + " zp " +
+         std::to_string(s.fmt.zero_point);
+}
+
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+// Elements of `xs` where the per-element quantiser or the span quantiser
+// (run over the chunks `xs` is cut into, so spans start at every offset
+// mod 4 and end in tails of every length) disagrees with
+// q_decode(q_encode(x)) in any bit.  A canonical scheme also runs
+// dtype_quantize_span, and `with_q_quantize` adds q_quantize, which
+// resolves its constants per call.
+std::size_t codec_mismatches(const QScheme& s, std::span<const float> xs,
+                             bool with_q_quantize) {
+  const Quantizer quantize(s);
+  const bool canonical = s == QScheme(s.dtype);
+  std::vector<float> span(xs.begin(), xs.end());
+  std::vector<float> dspan(canonical ? xs.size() : 0);
+  std::copy_n(xs.begin(), dspan.size(), dspan.begin());
+  for (std::size_t lo = 0, len = 1; lo < span.size();
+       lo += len, len = len % 13 + 1) {
+    const std::size_t n = std::min(len, span.size() - lo);
+    q_quantize_span(s, std::span<float>(span).subspan(lo, n));
+    if (canonical)
+      dtype_quantize_span(s.dtype, std::span<float>(dspan).subspan(lo, n));
+  }
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint32_t want = bits_of(q_decode(s, q_encode(s, xs[i])));
+    const bool ok =
+        bits_of(quantize(xs[i])) == want && bits_of(span[i]) == want &&
+        (!canonical || bits_of(dspan[i]) == want) &&
+        (!with_q_quantize || bits_of(q_quantize(s, xs[i])) == want);
+    if (!ok && ++bad <= 5)
+      ADD_FAILURE() << scheme_name(s) << ": bits 0x" << std::hex
+                    << bits_of(xs[i]) << std::dec << " (" << xs[i]
+                    << ") quantises to " << quantize(xs[i]) << " / "
+                    << span[i] << ", codec gives "
+                    << q_decode(s, q_encode(s, xs[i]));
+  }
+  return bad;
+}
+
+// The floats around `x`: x itself and `k` neighbours on either side.
+void add_neighbourhood(std::vector<float>& out, float x, int k) {
+  float up = x, down = x;
+  out.push_back(x);
+  for (int i = 0; i < k; ++i) {
+    up = std::nextafter(up, std::numeric_limits<float>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<float>::infinity());
+    out.push_back(up);
+    out.push_back(down);
+  }
+}
+
+// Values where the formula could part from llround: every clamp bound and
+// the half-way points beside it, the ±(n + 0.5)·2^-frac ties at the ends
+// and middle of every binade, NaN payloads, infinities, subnormals and
+// both zeros.
+std::vector<float> edge_values(const QScheme& s) {
+  std::vector<float> out;
+  const double scale = std::ldexp(1.0, s.fmt.frac_bits);
+  for (const double raw : {s.fmt.min_value() * scale,
+                           s.fmt.max_value() * scale})
+    for (const double d : {-1.0, -0.5, 0.0, 0.5, 1.0})
+      add_neighbourhood(out, static_cast<float>((raw + d) / scale), 8);
+  for (int e = 0; e < 23; ++e) {
+    const double lo = std::ldexp(1.0, e), hi = std::ldexp(1.0, e + 1) - 1;
+    for (const double n : {lo, hi, std::floor((lo + hi) / 2)})
+      for (const double sign : {1.0, -1.0})
+        add_neighbourhood(out, static_cast<float>(sign * (n + 0.5) / scale),
+                          2);
+  }
+  for (const double sign : {1.0, -1.0})
+    add_neighbourhood(out, static_cast<float>(sign * 0.5 / scale), 2);
+  for (const std::uint32_t b :
+       {0x7f800001u, 0x7fa00000u, 0x7fc00000u, 0x7fc00001u, 0x7fffffffu,
+        0xff800001u, 0xffc00000u, 0xffffffffu, 0x7f800000u, 0xff800000u,
+        0x00000001u, 0x00000002u, 0x00400000u, 0x007fffffu, 0x80000001u,
+        0x80400000u, 0x807fffffu, 0x00000000u, 0x80000000u})
+    out.push_back(std::bit_cast<float>(b));
+  return out;
+}
+
+TEST(QuantizerTest, MatchesCodecOnSampledFloats) {
+  // Every 251st bit pattern (251 is prime, so the sample walks every
+  // exponent and low mantissa bit), then the edge values.
+  std::vector<float> sampled;
+  for (std::uint64_t b = 0; b < (1ULL << 32); b += 251)
+    sampled.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  for (const QScheme& s : codec_schemes()) {
+    EXPECT_EQ(codec_mismatches(s, sampled, false), 0u) << scheme_name(s);
+    EXPECT_EQ(codec_mismatches(s, edge_values(s), true), 0u)
+        << scheme_name(s);
+  }
+}
+
+TEST(QuantizerTest, Float32SpansAreUntouched) {
+  std::vector<float> v = {1.0f, -0.0f, 1e-45f, 3.0e38f,
+                          std::bit_cast<float>(0x7fa00001u)};
+  const std::vector<float> before = v;
+  q_quantize_span(DType::kFloat32, v);
+  dtype_quantize_span(DType::kFloat32, v);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(bits_of(v[i]), bits_of(before[i]));
+    EXPECT_EQ(bits_of(Quantizer(DType::kFloat32)(before[i])),
+              bits_of(before[i]));
+  }
+}
+
+// Every float, every format, on four threads: the equality every record's
+// bytes rest on.  Disabled by default (minutes in a Release build); CI's
+// release legs run it with --gtest_also_run_disabled_tests
+// --gtest_filter=*Exhaustive*.
+TEST(QuantizerTest, DISABLED_ExhaustiveMatchesCodec) {
+  constexpr std::uint64_t kChunk = 1 << 16;
+  for (const QScheme& s : codec_schemes()) {
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<std::size_t> bad{0};
+    const auto work = [&] {
+      std::vector<float> xs(kChunk);
+      for (std::uint64_t lo; (lo = next.fetch_add(kChunk)) < (1ULL << 32);) {
+        for (std::uint64_t i = 0; i < kChunk; ++i)
+          xs[i] = std::bit_cast<float>(static_cast<std::uint32_t>(lo + i));
+        bad += codec_mismatches(s, xs, false);
+      }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) threads.emplace_back(work);
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(bad.load(), 0u) << scheme_name(s);
+  }
 }
 
 }  // namespace

@@ -287,6 +287,60 @@ TEST(ConstInjection, CrossGraphReplayIgnoresAbsentNames) {
   }
 }
 
+// Batch rows share the plan's Consts, so a weight fault rides row 0 only:
+// make_injections refuses one in a later row, whose offset would land
+// past the Const, and both runs refuse an injection element past its node
+// rather than drop it.
+TEST(ConstInjection, LaterBatchRowsAndElementsPastTheConstThrow) {
+  const graph::Graph g = weight_net();
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = DType::kFixed32, .batch = 2,
+          .observe = graph::Observe::kAll});
+  const graph::NodeId filter_id = g.find("conv/filter");
+  ASSERT_EQ(plan.per_image_elements(filter_id), 18u);
+  const FaultSet fault{{"conv/filter", 4, 28}};
+
+  const std::vector<FaultSet> row1 = {{}, fault};
+  try {
+    make_injections(plan, row1);
+    ADD_FAILURE() << "a Const fault in row 1 must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("conv/filter"), std::string::npos)
+        << e.what();
+  }
+
+  const graph::Executor exec;
+  const Tensor inputs[] = {two_inputs()[0].at("input"),
+                           two_inputs()[1].at("input")};
+  const Feeds feeds = {{"input", graph::pack_batch(inputs)}};
+  graph::Arena golden_arena;
+  const Tensor clean = exec.run(plan, feeds, golden_arena);
+  const std::vector<Tensor> golden = golden_arena.outputs();
+  const std::vector<graph::Injection> past = {{filter_id, 22, 28}};
+  graph::Arena arena;
+  EXPECT_THROW(exec.run(plan, feeds, arena, past), std::out_of_range);
+  EXPECT_THROW(exec.run_from(plan, golden, past, arena), std::out_of_range);
+
+  // Row 0 still injects: element 4 of the filter, on either run.
+  const std::vector<FaultSet> row0 = {fault, {}};
+  const std::vector<graph::Injection> injections =
+      make_injections(plan, row0);
+  ASSERT_EQ(injections.size(), 1u);
+  EXPECT_EQ(injections[0].node, filter_id);
+  EXPECT_EQ(injections[0].element, 4u);
+  const Tensor full = exec.run(plan, feeds, arena, injections);
+  const Tensor partial = exec.run_from(plan, golden, injections, arena);
+  ASSERT_EQ(full.elements(), clean.elements());
+  bool changed = false;
+  for (std::size_t i = 0; i < full.elements(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(partial.at(i)),
+              std::bit_cast<std::uint32_t>(full.at(i)))
+        << "element " << i;
+    changed |= full.at(i) != clean.at(i);
+  }
+  EXPECT_TRUE(changed);
+}
+
 // The activation-side contract the docs promise, pinned in its replay
 // form: a fault stream planned on graph A replays on graph B that lacks
 // some of A's nodes — the absent names are ignored, the shared ones
