@@ -98,8 +98,7 @@ std::vector<tensor::Tensor> clean_outputs(
     const graph::Graph& g, const std::vector<fi::Feeds>& inputs,
     tensor::DType dtype, ops::KernelBackend backend,
     const core::Int8Formats& formats) {
-  graph::CompileOptions co{
-      .dtype = dtype, .backend = backend, .observe = graph::Observe::kAll};
+  graph::CompileOptions co{.dtype = dtype, .backend = backend};
   if (dtype == tensor::DType::kInt8) co.int8_formats = formats;
   const graph::ExecutionPlan plan = graph::compile(g, co);
   const graph::Executor exec;

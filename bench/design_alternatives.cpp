@@ -36,8 +36,7 @@ constexpr PolicyDef kPolicies[] = {
 
 // Float32 plan whose nodes are the graph's, so bound names match hooks.
 graph::ExecutionPlan float_plan(const graph::Graph& g) {
-  return graph::compile(
-      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+  return graph::compile(g, {.dtype = tensor::DType::kFloat32});
 }
 
 // Indices of validation samples whose fault-free activations exceed the

@@ -16,8 +16,7 @@ namespace {
 
 double agreement(const graph::Graph& a, const graph::Graph& b,
                  const std::string& input, const data::Dataset& ds) {
-  const graph::CompileOptions co{.dtype = tensor::DType::kFloat32,
-                                 .observe = graph::Observe::kAll};
+  const graph::CompileOptions co{.dtype = tensor::DType::kFloat32};
   const graph::ExecutionPlan plan_a = graph::compile(a, co);
   const graph::ExecutionPlan plan_b = graph::compile(b, co);
   const graph::Executor exec;

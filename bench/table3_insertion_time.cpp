@@ -36,15 +36,14 @@ int main() {
       "are one-time, pre-deployment costs.\n");
 
   // Compiling the protected graph is the rest of the one-time cost; the
-  // per-pass trace breaks it down (validate / const_fold / dce / fuse /
-  // lowering — what --dump-passes prints).
+  // per-stage trace breaks it down (lowering, memory planning — what
+  // --dump-passes prints).
   std::printf("\ncompile pipeline per protected model (%s):\n",
               std::string(ops::backend_name(ops::default_backend())).c_str());
   for (const models::ModelId id : all) {
     const bench::ProtectedWorkload pw = bench::make_protected(id, cfg);
     const graph::ExecutionPlan probe = graph::compile(
-        pw.protected_graph, {.dtype = tensor::DType::kFixed32,
-                             .observe = graph::Observe::kInjectable});
+        pw.protected_graph, {.dtype = tensor::DType::kFixed32});
     std::printf("%s:\n%s\n", models::model_name(id).c_str(),
                 probe.report()->to_string().c_str());
   }

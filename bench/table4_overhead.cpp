@@ -33,9 +33,9 @@ void run_inference(benchmark::State& state, models::ModelId id,
   const bench::ProtectedWorkload& pw = cached_workload(id);
   const graph::Graph& g = with_ranger ? pw.protected_graph : pw.base.graph;
   // One compiled plan and arena per benchmark: the loop times inference,
-  // not compilation.  kAll keeps the plan's nodes the graph's.
-  const graph::ExecutionPlan plan = graph::compile(
-      g, {.dtype = tensor::DType::kFixed32, .observe = graph::Observe::kAll});
+  // not compilation.
+  const graph::ExecutionPlan plan =
+      graph::compile(g, {.dtype = tensor::DType::kFixed32});
   const graph::Executor exec;
   graph::Arena arena;
   const fi::Feeds& feeds = pw.base.eval_feeds.front();

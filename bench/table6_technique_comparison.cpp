@@ -58,8 +58,8 @@ void eval_technique(baselines::Technique& tech,
   cc.dtype = tensor::DType::kFixed32;
   cc.trials_per_input = cfg.trials_for(w.id) / 2;
   cc.seed = cfg.seed;
-  const graph::ExecutionPlan plan = graph::compile(
-      w.graph, {.dtype = cc.dtype, .observe = graph::Observe::kAll});
+  const graph::ExecutionPlan plan =
+      graph::compile(w.graph, {.dtype = cc.dtype});
   tech.prepare(plan, w.profile_feeds);
 
   const auto judges = models::default_judges(w.id);

@@ -86,8 +86,7 @@ SweepMeasurement run_naive(const models::Workload& w,
                            const fi::CampaignConfig& cc,
                            std::size_t n_faults) {
   const graph::Executor exec;
-  const graph::CompileOptions co{.dtype = cc.dtype,
-                                 .observe = graph::Observe::kAll};
+  const graph::CompileOptions co{.dtype = cc.dtype};
   const auto judges = models::default_judges(w.id);
   // Goldens once (both modes amortise goldens; the comparison isolates
   // per-trial recompilation against plan reuse).

@@ -38,10 +38,9 @@ int main() {
   const graph::Graph protected_g =
       core::RangerTransform{}.apply(w.graph, bounds);
 
-  // One plan per graph, reused by every run below.  kAll keeps every node
-  // of the graph in the plan, so the injection hooks see the same nodes.
-  const graph::CompileOptions co{.dtype = tensor::DType::kFixed32,
-                                 .observe = graph::Observe::kAll};
+  // One plan per graph, reused by every run below.  A plan keeps every
+  // node of its graph, so the injection hooks see the same nodes.
+  const graph::CompileOptions co{.dtype = tensor::DType::kFixed32};
   const graph::ExecutionPlan plan = graph::compile(w.graph, co);
   const graph::ExecutionPlan plan_prot = graph::compile(protected_g, co);
   const graph::Executor exec;

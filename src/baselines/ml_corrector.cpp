@@ -16,7 +16,7 @@ void MlCorrector::prepare(const graph::ExecutionPlan& plan,
   layers_.clear();
   const graph::Executor exec;
   const graph::ExecutionPlan fplan = graph::compile(
-      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+      g, {.dtype = tensor::DType::kFloat32});
   graph::Arena arena;
 
   // Pass 1: fault-free feature ranges for every activation layer.

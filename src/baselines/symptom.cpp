@@ -13,8 +13,7 @@ void SymptomDetector::prepare(const graph::ExecutionPlan& plan,
   max_abs_.clear();
   const graph::Executor exec;
   const graph::ExecutionPlan fplan = graph::compile(
-      plan.graph(),
-      {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+      plan.graph(), {.dtype = tensor::DType::kFloat32});
   graph::Arena arena;
   for (const fi::Feeds& feeds : profile_feeds) {
     exec.run(fplan, feeds, arena,

@@ -107,7 +107,7 @@ RangeProfile RangeProfiler::profile(
   // only ever touch their own layer.
   const graph::Executor exec;
   const graph::ExecutionPlan plan = graph::compile(
-      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+      g, {.dtype = tensor::DType::kFloat32});
   using LayerStats = RangeProfile::LayerStats;
   std::vector<LayerStats*> observed;  // one merge task each
   for (auto& [name, stats] : prof.layers_)

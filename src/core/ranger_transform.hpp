@@ -24,8 +24,7 @@
 //
 // apply() is the one way to protect a graph: compile its result with
 // graph::compile like any other graph.  The inserted restriction nodes are
-// injectable, hence observable under the default Observe::kInjectable, so
-// no rewrite pass folds or fuses them away.
+// injectable, and the compiled plan keeps them as they are.
 #pragma once
 
 #include <cstdint>

@@ -10,12 +10,9 @@ namespace rangerpp::fi {
 
 namespace {
 
-// Compile options for a campaign plan under `batch` images per run.
-// Observe::kInjectable: every injection site (and profiled ceiling) lives
-// on an injectable node, so rewrites only ever touch the non-injectable
-// output head — site replay and golden snapshots are unaffected, and the
-// fused plan stays bit-identical to the pass-free Observe::kAll plan
-// (passes_test's fusion gates check this).
+// Compile options for a campaign plan under `batch` images per run.  The
+// plan's graph is the campaign graph node for node, so fault sites
+// planned by name replay against it.
 graph::CompileOptions campaign_compile_options(const CampaignConfig& config,
                                                std::size_t batch) {
   graph::CompileOptions opts;
@@ -23,7 +20,6 @@ graph::CompileOptions campaign_compile_options(const CampaignConfig& config,
   opts.backend = config.backend;
   opts.batch = batch;
   opts.int8_formats = config.int8_formats;
-  opts.observe = graph::Observe::kInjectable;
   // Debug builds already verify; verify_plan forces it in release too.
   opts.verify = opts.verify || config.verify_plan;
   return opts;
@@ -214,9 +210,8 @@ TrialExecutor::TrialExecutor(const graph::Graph& g,
   // two different persistent faults cannot ride one plan run.
   if (config_.fault_class == FaultClass::kActivation && config_.batch > 1 &&
       graph::plan_supports_batch(g)) {
-    // Compiled with the same options (plus batch) as plan_: the rewrite
-    // passes are deterministic and batch-independent, so node ids line up
-    // between the two plans — which the tiled goldens below rely on.
+    // Compiled with the same options (plus batch) as plan_: both plans
+    // keep the graph's node ids, which the tiled goldens below rely on.
     batch_plan_ = std::make_unique<graph::ExecutionPlan>(
         graph::compile(g, campaign_compile_options(config, config.batch)));
     // Only the state the configured mode will read is materialised:

@@ -166,7 +166,10 @@ tensor::Tensor Executor::execute(
   // never touched inside the hot loop, and nothing below branches on any
   // of these values (pure-observer contract).
   util::trace::Span span(partial ? "exec.run_from" : "exec.run");
-  std::size_t t_kernels = 0, t_pruned = 0, t_sparse = 0, t_elements = 0;
+  // Dense dispatches split by what ran: the plan backend's compiled
+  // kernel, or (no kernel) the op's own scalar compute.
+  std::size_t t_kernels = 0, t_fallbacks = 0;
+  std::size_t t_pruned = 0, t_sparse = 0, t_elements = 0;
   std::size_t t_materialized = 0;
   std::size_t t_feed_hits = 0, t_feed_builds = 0;
 
@@ -245,7 +248,7 @@ tensor::Tensor Executor::execute(
         scratch[k] = out[in];
       }
       tensor::Tensor value = compute_node(plan, n, scratch);
-      ++t_kernels;
+      ++(plan.kernel(n.id).fn ? t_kernels : t_fallbacks);
       if (is_root) inject(injections, n.id, scheme, value);
       diff_against_golden(value, gold, ch);
       out[i] = ch.clean() ? gold : std::move(value);
@@ -291,7 +294,7 @@ tensor::Tensor Executor::execute(
       for (const NodeId in : n.inputs)
         scratch.push_back(out[static_cast<std::size_t>(in)]);
       tensor::Tensor value = compute_node(plan, n, scratch);
-      ++t_kernels;
+      ++(plan.kernel(n.id).fn ? t_kernels : t_fallbacks);
       if (hook) hook(n, value);
       inject(injections, n.id, plan.qscheme(n.id), value);
       out[i] = std::move(value);
@@ -310,7 +313,7 @@ tensor::Tensor Executor::execute(
   if (partial && arena.change_[o].valued())
     t_materialized += materialize(out[o], arena.change_[o]);
 
-  span.arg("kernels", t_kernels);
+  span.arg("kernels", t_kernels + t_fallbacks);
   if (partial) {
     span.arg("nodes_pruned", t_pruned);
     span.arg("elements_touched", t_elements);
@@ -322,6 +325,7 @@ tensor::Tensor Executor::execute(
       m::counter_add(
           "kernel." + std::string(ops::backend_name(plan.backend())),
           t_kernels);
+    if (t_fallbacks) m::counter_add("kernel.scalar", t_fallbacks);
     if (t_pruned) m::counter_add("exec.nodes_pruned", t_pruned);
     if (t_sparse) m::counter_add("exec.sparse_nodes", t_sparse);
     if (t_elements) m::counter_add("exec.elements_touched", t_elements);

@@ -17,9 +17,9 @@
 // `run_from` resumes from cached golden activations, applies the trial's
 // injections and recomputes only the downstream cone of the injected
 // node(s) — the partial re-execution that makes fault-injection campaigns
-// cheap.  A one-shot caller compiles its graph with Observe::kAll
-// (graph/passes.hpp), so every node's output stays in arena.outputs() and
-// every hook fires as on the source graph.
+// cheap.  A plan's graph is its source graph node for node
+// (graph/passes.hpp), so every node's output stays in arena.outputs() of
+// a retain-all plan and every hook fires as on the source graph.
 #pragma once
 
 #include <functional>

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -89,6 +90,43 @@ std::vector<tensor::Shape> infer_plan_shapes(const Graph& g,
   return batch == 1 ? g.infer_shapes() : infer_batched_shapes(g, batch);
 }
 
+namespace {
+
+// A Const's calibration bound is its own value range — the weights are
+// right there, no profiling needed.
+tensor::FixedPointFormat const_int8_format(const tensor::Tensor& t) {
+  double lo = 0.0, hi = 0.0;
+  bool first = true;
+  for (const float v : t.values()) {
+    if (std::isnan(v)) continue;
+    if (first || v < lo) lo = v;
+    if (first || v > hi) hi = v;
+    first = false;
+  }
+  return tensor::int8_format_for_range(lo, hi);
+}
+
+}  // namespace
+
+std::vector<tensor::QScheme> assign_schemes(
+    const Graph& g, tensor::DType dtype,
+    const std::unordered_map<std::string, tensor::FixedPointFormat>&
+        formats) {
+  std::vector<tensor::QScheme> schemes(g.size(), tensor::QScheme(dtype));
+  if (dtype != tensor::DType::kInt8) return schemes;
+  // The walk is topological, so a first input's scheme is already final.
+  for (const Node& n : g.nodes()) {
+    tensor::QScheme& scheme = schemes[static_cast<std::size_t>(n.id)];
+    if (n.op->kind() == ops::OpKind::kConst)
+      scheme = {dtype, const_int8_format(n.op->compute({}))};
+    else if (const auto it = formats.find(n.name); it != formats.end())
+      scheme = {dtype, it->second};
+    else if (!n.inputs.empty())
+      scheme = schemes[static_cast<std::size_t>(n.inputs[0])];
+  }
+  return schemes;
+}
+
 bool plan_supports_batch(const Graph& g) {
   for (const Node& n : g.nodes()) {
     if (n.op->kind() == ops::OpKind::kReshape) return false;
@@ -117,8 +155,7 @@ ExecutionPlan::ExecutionPlan(Graph g, const CompileOptions& options,
 void ExecutionPlan::lower(CompileReport* report) {
   const std::size_t n = graph_.size();
   const auto trace = [&](const char* name, const util::Timer& timer) {
-    if (report)
-      report->passes.push_back(PassTrace{name, timer.elapsed_ms(), n, n});
+    if (report) report->stages.push_back(StageTrace{name, timer.elapsed_ms()});
   };
 
   {
@@ -128,8 +165,6 @@ void ExecutionPlan::lower(CompileReport* report) {
   }
 
   {
-    // Scheme rules live in graph/passes.cpp (assign_schemes), shared with
-    // the fusion pass so baked stage schemes always match the plan's.
     util::Timer timer;
     schemes_ = assign_schemes(graph_, dtype_, int8_formats_);
     trace("assign_schemes", timer);
@@ -213,27 +248,6 @@ bool ExecutionPlan::reaches(NodeId from, NodeId to) const {
   check_id(to);
   const auto t = static_cast<std::size_t>(to);
   return (r[t / 64] >> (t % 64)) & 1;
-}
-
-std::vector<NodeId> ExecutionPlan::downstream(NodeId from) const {
-  const auto r = row(from);
-  std::vector<NodeId> out;
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t bits = r[w];
-    while (bits) {
-      const int b = std::countr_zero(bits);
-      out.push_back(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
-      bits &= bits - 1;
-    }
-  }
-  return out;
-}
-
-std::size_t ExecutionPlan::downstream_count(NodeId from) const {
-  const auto r = row(from);
-  std::size_t count = 0;
-  for (const std::uint64_t w : r) count += static_cast<std::size_t>(std::popcount(w));
-  return count;
 }
 
 const tensor::Tensor& ExecutionPlan::const_output(NodeId id) const {

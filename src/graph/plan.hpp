@@ -22,7 +22,7 @@
 //    kernels that are bit-identical to the scalar reference.
 //
 // Plans are built only by graph::compile() (graph/passes.hpp), which runs
-// the rewrite passes and then the lowering stages below.
+// the lowering stages below on the graph it is given.
 //
 // Batched plans: CompileOptions::batch = N compiles the same graph for N
 // images per run — every Input shape's leading dimension becomes N and all
@@ -36,10 +36,10 @@
 // with batch > 1.
 //
 // The plan owns its own copy of the graph, so it stays valid independently
-// of the graph object it was compiled from.  Under Observe::kAll node ids,
-// names and shapes are identical to the source graph's; under the default
-// Observe::kInjectable every injectable node keeps its name, which is what
-// lets fault sites planned on one graph replay against its plan.
+// of the graph object it was compiled from.  That copy is the source graph
+// node for node — ids, names, op objects, inputs and injectable flags —
+// which is what lets fault sites planned on one graph replay against its
+// plan and hooks fire on every node of the source graph.
 //
 // Thread-safety / determinism contract:
 //  * An ExecutionPlan is immutable after construction and safe to share
@@ -89,6 +89,16 @@ bool plan_supports_batch(const Graph& g);
 std::vector<tensor::Shape> infer_plan_shapes(const Graph& g,
                                              std::size_t batch);
 
+// Per-node output quantisation schemes — exactly the scheme assignment
+// the plan lowering runs: canonical for every dtype except int8, where
+// Consts self-calibrate from their own values, named nodes take their
+// calibrated format and everything else inherits its first input's
+// scheme.  Shared with graph/verify.cpp like infer_plan_shapes.
+std::vector<tensor::QScheme> assign_schemes(
+    const Graph& g, tensor::DType dtype,
+    const std::unordered_map<std::string, tensor::FixedPointFormat>&
+        int8_formats);
+
 class ExecutionPlan {
  public:
   const Graph& graph() const { return graph_; }
@@ -130,15 +140,6 @@ class ExecutionPlan {
   // (reflexive: reaches(k, k) is always true).
   bool reaches(NodeId from, NodeId to) const;
 
-  // All nodes reachable from `from` (including `from`), ascending id order
-  // — which is topological order, so this is exactly the re-execution
-  // schedule for a fault injected at `from`.
-  std::vector<NodeId> downstream(NodeId from) const;
-
-  // Number of nodes reachable from `from` (including itself): the cost, in
-  // nodes, of a trial injected there.
-  std::size_t downstream_count(NodeId from) const;
-
   // The pre-quantized output of a Const node (throws for non-Const ids).
   const tensor::Tensor& const_output(NodeId id) const;
 
@@ -164,7 +165,7 @@ class ExecutionPlan {
   // retain-all plans.
   const MemoryPlan& memory_plan() const { return memory_plan_; }
 
-  // The compile report (per-pass trace, warnings, arena sizing) of the
+  // The compile report (per-stage trace, warnings, arena sizing) of the
   // compilation that produced this plan.  Never null.
   const std::shared_ptr<const CompileReport>& report() const {
     return report_;
@@ -173,8 +174,7 @@ class ExecutionPlan {
  private:
   friend ExecutionPlan compile(Graph g, const CompileOptions& options);
 
-  // Lowers an already-rewritten graph under `options`' dtype, backend,
-  // batch and int8 formats.
+  // Lowers `g` under `options`' dtype, backend, batch and int8 formats.
   ExecutionPlan(Graph g, const CompileOptions& options,
                 CompileReport* report);
   // The lowering stages (shape inference, scheme assignment, kernel

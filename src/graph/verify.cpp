@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "graph/plan.hpp"
 #include "ops/op.hpp"
 
 namespace rangerpp::graph {
@@ -276,55 +275,6 @@ void check_arena(const PlanFacts& f, const std::vector<tensor::Shape>& shapes,
   }
 }
 
-// --- observability ----------------------------------------------------------
-
-void check_observables(const PlanFacts& f,
-                       const std::vector<tensor::Shape>& shapes,
-                       Findings& out) {
-  const Graph& g = *f.graph;
-  for (const ObservableFact& fact : f.observables) {
-    const NodeId id = g.find(fact.name);
-    if (id == kInvalidNode) {
-      out.add(VerifyDiag::kObservabilityLost, "observable node '", fact.name,
-              "' (", fact.is_const ? "weight-fault Const" : "injection site",
-              ") no longer exists in the compiled graph");
-      continue;
-    }
-    const Node& node = g.node(id);
-    const ops::OpKind kind = node.op->kind();
-    if (fact.is_const) {
-      if (kind != ops::OpKind::kConst) {
-        out.add(VerifyDiag::kObservabilityLost, "weight-fault target '",
-                fact.name, "' is no longer a Const (now ", node.op->kind_name(),
-                ")");
-        continue;
-      }
-      const std::size_t elements =
-          static_cast<std::size_t>(id) < shapes.size()
-              ? shapes[static_cast<std::size_t>(id)].elements()
-              : 0;
-      if (elements != fact.const_elements)
-        out.add(VerifyDiag::kObservabilityLost, "weight-fault Const '",
-                fact.name, "' changed size: snapshot recorded ",
-                fact.const_elements, " elements, compiled graph has ",
-                elements);
-      continue;
-    }
-    if (kind == ops::OpKind::kInput || kind == ops::OpKind::kConst) {
-      out.add(VerifyDiag::kObservabilityLost, "observable op node '",
-              fact.name, "' was rewritten into a ", node.op->kind_name(),
-              " — hooks can no longer fire there");
-      continue;
-    }
-    if (node.injectable != fact.injectable)
-      out.add(VerifyDiag::kObservabilityLost, "node '", fact.name,
-              "' changed injectability: snapshot says ",
-              fact.injectable ? "injectable" : "not injectable",
-              ", compiled graph says ",
-              node.injectable ? "injectable" : "not injectable");
-  }
-}
-
 }  // namespace
 
 std::string_view verify_diag_token(VerifyDiag d) {
@@ -347,8 +297,6 @@ std::string_view verify_diag_token(VerifyDiag d) {
       return "arena-slot-bounds";
     case VerifyDiag::kArenaReleaseBad:
       return "arena-release-bad";
-    case VerifyDiag::kObservabilityLost:
-      return "observability-lost";
   }
   return "unknown";
 }
@@ -389,7 +337,6 @@ PlanFacts facts_of(const ExecutionPlan& plan) {
           plan.reaches(static_cast<NodeId>(i), static_cast<NodeId>(j));
   f.memory_mode = plan.memory_mode();
   f.memory = plan.memory_plan();
-  if (plan.report()) f.observables = plan.report()->observables;
   return f;
 }
 
@@ -405,10 +352,9 @@ VerifyReport verify_facts(const PlanFacts& f) {
 
   check_schedule(f, out);
 
-  // Ground-truth shapes drive the shape check, the arena byte bounds and
-  // the Const element counts; if even recomputation fails the plan's
-  // graph is structurally unshapeable and everything downstream would be
-  // noise.
+  // Ground-truth shapes drive the shape check and the arena byte bounds;
+  // if even recomputation fails the plan's graph is structurally
+  // unshapeable and everything downstream would be noise.
   std::vector<tensor::Shape> want_shapes;
   try {
     want_shapes = infer_plan_shapes(*f.graph, f.batch);
@@ -422,7 +368,6 @@ VerifyReport verify_facts(const PlanFacts& f) {
   check_schemes(f, out);
   check_reachability(f, out);
   check_arena(f, want_shapes, out);
-  check_observables(f, want_shapes, out);
   return report;
 }
 

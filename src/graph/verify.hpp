@@ -25,13 +25,7 @@
 //                  (Input/Const/graph output) was aliased, and the
 //                  release_after schedule frees exactly the recomputed
 //                  deaths.  kArena plans are also flagged as
-//                  run_from-incompatible (informational, not an error);
-//  * observability— every pre-rewrite observable fact recorded by
-//                  compile() (injectable op nodes under the compile's
-//                  Observe level, plus Consts feeding injectable nodes
-//                  — the weight-fault targets) still names a live node
-//                  of the same identity: same kind, injectable flag
-//                  intact, Const element count unchanged.
+//                  run_from-incompatible (informational, not an error).
 //
 // The checks run over PlanFacts, a plain data snapshot of everything
 // the plan claims.  facts_of(plan) extracts the claims; verify_facts()
@@ -50,7 +44,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/memory_plan.hpp"
-#include "graph/passes.hpp"
+#include "graph/plan.hpp"
 #include "tensor/dtype.hpp"
 
 namespace rangerpp::graph {
@@ -65,7 +59,6 @@ enum class VerifyDiag {
   kArenaResidentAliased,  // Input/Const/output placed in an aliased slot
   kArenaSlotBounds,     // activation missing a slot or larger than it
   kArenaReleaseBad,     // release_after disagrees with lifetimes
-  kObservabilityLost,   // observable fact dropped or identity changed
 };
 
 std::string_view verify_diag_token(VerifyDiag d);
@@ -104,7 +97,6 @@ struct PlanFacts {
   std::vector<std::vector<bool>> reach;
   MemoryMode memory_mode = MemoryMode::kRetainAll;
   MemoryPlan memory;
-  std::vector<ObservableFact> observables;
 };
 
 // Extracts every claim verify_facts() judges from a compiled plan.

@@ -33,7 +33,7 @@ CalibratedHead calibrate_softmax_head(const graph::Graph& g,
   std::vector<int> labels(n);
   const graph::Executor exec;
   const graph::ExecutionPlan plan = graph::compile(
-      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+      g, {.dtype = tensor::DType::kFloat32});
   std::vector<graph::Arena> arenas(util::worker_count(n));
   util::parallel_for_workers(n, [&](unsigned worker, std::size_t i) {
     const data::Sample& s = train_set.samples[i];

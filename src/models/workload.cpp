@@ -104,12 +104,11 @@ train::FitOptions fit_options(ModelId id) {
   return o;
 }
 
-// Pure float32 inference (only the graph output is read): every rewrite
-// enabled, arena memory — exact by the compiler's determinism contract.
+// Pure float32 inference (only the graph output is read): arena memory
+// drops each activation after its last consumer.
 graph::CompileOptions inference_compile_options() {
   graph::CompileOptions opts;
   opts.dtype = tensor::DType::kFloat32;
-  opts.observe = graph::Observe::kNone;
   opts.memory = graph::MemoryMode::kArena;
   return opts;
 }

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "ops/fused_op.hpp"
 #include "ops/kernels_blocked.hpp"
 #include "ops/kernels_simd.hpp"
 
@@ -105,43 +104,6 @@ CompiledKernel select_simd(const Op& op, const tensor::QScheme& scheme) {
 CompiledKernel select_kernel(const Op& op, const tensor::QScheme& scheme,
                              KernelBackend backend) {
   if (backend == KernelBackend::kScalar) return {};
-  // A fused node runs each stage's own kernel in sequence — fusion moves
-  // chains behind one node, it never invents new math.  Stages without a
-  // kernel run their op's scalar compute plus the quantisation sweep the
-  // executor would have done, so the composition stays bit-identical to
-  // the unfused schedule under every backend.
-  if (op.kind() == OpKind::kFused) {
-    const auto& fused = static_cast<const FusedOp&>(op);
-    struct StageKernel {
-      const Op* op;
-      tensor::QScheme scheme;
-      std::size_t extra_inputs;
-      CompiledKernel kernel;
-    };
-    auto stages = std::make_shared<std::vector<StageKernel>>();
-    for (const FusedOp::Stage& s : fused.stages())
-      stages->push_back(StageKernel{s.op.get(), s.scheme, s.extra_inputs,
-                                    select_kernel(*s.op, s.scheme, backend)});
-    return {[stages](std::span<const tensor::Tensor> in) {
-              std::size_t cursor = 0;
-              tensor::Tensor value;
-              std::vector<tensor::Tensor> stage_in;
-              for (std::size_t k = 0; k < stages->size(); ++k) {
-                const StageKernel& s = (*stages)[k];
-                stage_in.clear();
-                if (k > 0) stage_in.push_back(std::move(value));
-                for (std::size_t j = 0; j < s.extra_inputs; ++j)
-                  stage_in.push_back(in[cursor++]);
-                value = s.kernel.fn ? s.kernel.fn(stage_in)
-                                    : s.op->compute(stage_in);
-                if (!s.kernel.fused_quantize &&
-                    s.scheme.dtype != tensor::DType::kFloat32)
-                  tensor::q_quantize_span(s.scheme, value.mutable_values());
-              }
-              return value;
-            },
-            true};
-  }
   if (backend == KernelBackend::kSimd) {
     // The simd:: entry points dispatch to blocked internally on hosts
     // without AVX2, so handing out simd kernels is always safe; ops

@@ -29,7 +29,6 @@ std::string_view op_kind_name(OpKind k) {
     case OpKind::kFlatten: return "Flatten";
     case OpKind::kDropout: return "Dropout";
     case OpKind::kClamp: return "Clamp";
-    case OpKind::kFused: return "Fused";
   }
   return "Unknown";
 }

@@ -43,9 +43,6 @@ enum class OpKind {
   kFlatten,
   kDropout,
   kClamp,
-  // A chain of operators collapsed into one node by the compiler's fusion
-  // pass (graph/passes.hpp); never produced by model builders.
-  kFused,
 };
 
 std::string_view op_kind_name(OpKind k);

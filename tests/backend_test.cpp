@@ -47,16 +47,14 @@ void expect_bit_identical(const tensor::Tensor& a, const tensor::Tensor& b,
   }
 }
 
-// A plan of `g` that keeps every node (Observe::kAll), so arena outputs
-// line up node for node across backends and batch sizes.
+// A plan of `g` (which keeps every node), so arena outputs line up node
+// for node across backends and batch sizes.
 graph::ExecutionPlan backend_plan(
     const graph::Graph& g, tensor::DType dtype,
     ops::KernelBackend backend = ops::default_backend(),
     std::size_t batch = 1) {
-  return graph::compile(g, {.dtype = dtype,
-                            .backend = backend,
-                            .batch = batch,
-                            .observe = graph::Observe::kAll});
+  return graph::compile(
+      g, {.dtype = dtype, .backend = backend, .batch = batch});
 }
 
 // Runs one op as a tiny graph under both backends and checks bit-identity

@@ -41,8 +41,7 @@ std::vector<fi::Feeds> profile_feeds() {
 
 // Techniques hook every node, so their plans keep every node.
 graph::ExecutionPlan fixed32_plan(const graph::Graph& g) {
-  return graph::compile(
-      g, {.dtype = DType::kFixed32, .observe = graph::Observe::kAll});
+  return graph::compile(g, {.dtype = DType::kFixed32});
 }
 
 // A high-order-bit fault at a conv output (large deviation, SDC-prone).

@@ -66,8 +66,7 @@ std::vector<fi::Feeds> const_feeds(float v, int n = 3) {
 
 // A float32 plan whose nodes are `g`'s, so hooks see every node.
 graph::ExecutionPlan float_plan(const graph::Graph& g) {
-  return graph::compile(g, {.dtype = tensor::DType::kFloat32,
-                            .observe = graph::Observe::kAll});
+  return graph::compile(g, {.dtype = tensor::DType::kFloat32});
 }
 
 // ---- RangeProfiler ----------------------------------------------------------

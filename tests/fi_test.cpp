@@ -35,8 +35,7 @@ graph::Graph relu_net() {
 
 // A fixed32 plan whose nodes are `g`'s, so injection hooks see every node.
 graph::ExecutionPlan fixed32_plan(const graph::Graph& g) {
-  return graph::compile(
-      g, {.dtype = DType::kFixed32, .observe = graph::Observe::kAll});
+  return graph::compile(g, {.dtype = DType::kFixed32});
 }
 
 TEST(SiteSpace, CountsInjectableElements) {

@@ -28,7 +28,7 @@ Graph tiny_graph() {
 
 // A plan whose nodes are `g`'s: every hook fires, every output is kept.
 ExecutionPlan plan_of(const Graph& g, DType dtype = DType::kFloat32) {
-  return compile(g, {.dtype = dtype, .observe = Observe::kAll});
+  return compile(g, {.dtype = dtype});
 }
 
 TEST(Graph, AppendOnlyInvariants) {

@@ -171,8 +171,7 @@ TEST(Int8CampaignTest, PlanCalibratesPerNodeSchemes) {
   const core::Bounds bounds =
       core::RangeProfiler{}.derive_bounds(g, inputs);
   graph::CompileOptions co{.dtype = DType::kInt8,
-                           .int8_formats = core::int8_calibration(bounds),
-                           .observe = graph::Observe::kAll};
+                           .int8_formats = core::int8_calibration(bounds)};
   ASSERT_FALSE(co.int8_formats.empty());
   const graph::ExecutionPlan plan = graph::compile(g, co);
   bool any_calibrated = false;

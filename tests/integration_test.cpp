@@ -40,8 +40,8 @@ Pipeline build_pipeline(ModelId id, bool trained = true) {
 
 // Fault-free float32 output of `g` on `feeds`.
 tensor::Tensor float_output(const graph::Graph& g, const fi::Feeds& feeds) {
-  const graph::ExecutionPlan plan = graph::compile(
-      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+  const graph::ExecutionPlan plan =
+      graph::compile(g, {.dtype = tensor::DType::kFloat32});
   graph::Arena arena;
   return graph::Executor{}.run(plan, feeds, arena);
 }

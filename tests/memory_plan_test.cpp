@@ -151,15 +151,13 @@ TEST(ArenaMode, OutputBitIdenticalAndIntermediatesDropped) {
     const Feeds feeds = random_feeds(g, rng);
 
     const Executor exec;
-    const ExecutionPlan reference = compile(
-        g, {.dtype = tensor::DType::kFixed32, .observe = Observe::kAll});
+    const ExecutionPlan reference =
+        compile(g, {.dtype = tensor::DType::kFixed32});
     Arena ref_arena;
     const tensor::Tensor ref = exec.run(reference, feeds, ref_arena);
 
-    const ExecutionPlan arena_plan =
-        compile(g, {.dtype = tensor::DType::kFixed32,
-                    .observe = Observe::kNone,
-                    .memory = MemoryMode::kArena});
+    const ExecutionPlan arena_plan = compile(
+        g, {.dtype = tensor::DType::kFixed32, .memory = MemoryMode::kArena});
     EXPECT_EQ(arena_plan.memory_mode(), MemoryMode::kArena);
     Arena arena;
     const tensor::Tensor got = exec.run(arena_plan, feeds, arena);
@@ -200,10 +198,8 @@ TEST(ArenaMode, RefusesPartialReexecution) {
   b.activation("act", ops::OpKind::kRelu);
   const Graph g = b.finish();
 
-  const ExecutionPlan plan =
-      compile(g, {.dtype = tensor::DType::kFixed32,
-                  .observe = Observe::kNone,
-                  .memory = MemoryMode::kArena});
+  const ExecutionPlan plan = compile(
+      g, {.dtype = tensor::DType::kFixed32, .memory = MemoryMode::kArena});
   const Executor exec;
   const std::vector<tensor::Tensor> golden(plan.size());
   Arena arena;
@@ -213,9 +209,8 @@ TEST(ArenaMode, RefusesPartialReexecution) {
 TEST(ArenaMode, ReportMatchesPlannedBytes) {
   util::Rng rng(31);
   GraphBuilder b;
-  // Deep enough that after fusion (dense+bias_add+relu per layer) three
-  // droppable intermediates remain and alias onto two slots — a strict
-  // peak reduction.
+  // Deep enough (matmul, bias_add and relu per layer) that the droppable
+  // intermediates alias onto fewer slots — a strict peak reduction.
   b.input("input", tensor::Shape{1, 16});
   for (int layer = 1; layer <= 4; ++layer) {
     const std::string n = std::to_string(layer);
@@ -225,10 +220,8 @@ TEST(ArenaMode, ReportMatchesPlannedBytes) {
   }
   const Graph g = b.finish();
 
-  const ExecutionPlan plan =
-      compile(g, {.dtype = tensor::DType::kFixed32,
-                  .observe = Observe::kNone,
-                  .memory = MemoryMode::kArena});
+  const ExecutionPlan plan = compile(
+      g, {.dtype = tensor::DType::kFixed32, .memory = MemoryMode::kArena});
   const MemoryPlan& mp = plan.memory_plan();
   EXPECT_EQ(plan.report()->peak_arena_bytes, mp.peak_arena_bytes);
   EXPECT_EQ(plan.report()->unplanned_bytes, mp.unplanned_bytes);

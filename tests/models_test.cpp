@@ -20,8 +20,8 @@ using tensor::Tensor;
 
 // Fault-free float32 output of `g` on `feeds`.
 Tensor float_output(const graph::Graph& g, const fi::Feeds& feeds) {
-  const graph::ExecutionPlan plan = graph::compile(
-      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+  const graph::ExecutionPlan plan =
+      graph::compile(g, {.dtype = tensor::DType::kFloat32});
   graph::Arena arena;
   return graph::Executor{}.run(plan, feeds, arena);
 }

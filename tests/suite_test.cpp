@@ -318,10 +318,13 @@ TEST(Suite, TelemetryIsAPureObserver) {
   EXPECT_GT(util::metrics::counter_value("campaign.trials"), 0u);
   EXPECT_GT(util::metrics::counter_value("suite.cells_done"), 0u);
   EXPECT_GT(util::metrics::counter_value("cache.workload.build"), 0u);
-  EXPECT_GT(
-      util::metrics::counter_value(
-          "kernel." + std::string(ops::backend_name(ops::default_backend()))),
-      0u);
+  std::uint64_t dispatches = 0;  // Σ kernel.*
+  for (const ops::KernelBackend b :
+       {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked,
+        ops::KernelBackend::kSimd})
+    dispatches += util::metrics::counter_value(
+        "kernel." + std::string(ops::backend_name(b)));
+  EXPECT_GT(dispatches, 0u);
   util::metrics::reset();
   const std::string trace_json = slurp(trace_path);
   std::filesystem::remove(trace_path);

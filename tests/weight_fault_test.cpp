@@ -50,8 +50,7 @@ graph::Graph weight_net() {
 // A fixed32 plan whose nodes are `g`'s: every Const keeps its name and
 // every hook fires.
 graph::ExecutionPlan fixed32_plan(const graph::Graph& g) {
-  return graph::compile(
-      g, {.dtype = DType::kFixed32, .observe = graph::Observe::kAll});
+  return graph::compile(g, {.dtype = DType::kFixed32});
 }
 
 std::vector<Feeds> two_inputs() {
@@ -293,9 +292,8 @@ TEST(ConstInjection, CrossGraphReplayIgnoresAbsentNames) {
 // rather than drop it.
 TEST(ConstInjection, LaterBatchRowsAndElementsPastTheConstThrow) {
   const graph::Graph g = weight_net();
-  const graph::ExecutionPlan plan = graph::compile(
-      g, {.dtype = DType::kFixed32, .batch = 2,
-          .observe = graph::Observe::kAll});
+  const graph::ExecutionPlan plan =
+      graph::compile(g, {.dtype = DType::kFixed32, .batch = 2});
   const graph::NodeId filter_id = g.find("conv/filter");
   ASSERT_EQ(plan.per_image_elements(filter_id), 18u);
   const FaultSet fault{{"conv/filter", 4, 28}};

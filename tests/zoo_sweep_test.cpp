@@ -134,8 +134,7 @@ class DtypeModelTest
 TEST_P(DtypeModelTest, QuantisedForwardProducesFiniteRepresentableValues) {
   const auto [id, dtype] = GetParam();
   const graph::Graph g = he_graph(id);
-  const graph::ExecutionPlan plan =
-      graph::compile(g, {.dtype = dtype, .observe = graph::Observe::kAll});
+  const graph::ExecutionPlan plan = graph::compile(g, {.dtype = dtype});
   const graph::Executor exec;
   graph::Arena arena;
   tensor::Shape in;

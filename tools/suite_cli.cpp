@@ -111,8 +111,8 @@ using util::env_size;
       "                       fig12 | table6 | all | strata | none\n"
       "                       (default cells; strata prints each cell's\n"
       "                       weighted estimate and per-stratum table)\n"
-      "  --dump-passes        print each model's compile pipeline (per-pass\n"
-      "                       timing + node counts) and exit\n"
+      "  --dump-passes        print each model's compile report (per-stage\n"
+      "                       timing, arena bytes, warnings) and exit\n"
       "  --verify-plan        run the static plan verifier (graph/verify)\n"
       "                       on every cell's compiled plans\n"
       "  --merge              merge the shard checkpoints in DIR (default\n"
@@ -327,16 +327,15 @@ int main(int argc, char** argv) {
 
   try {
     if (dump_passes) {
-      // Pipeline shape and pass cost depend on the architecture, not on
-      // trained weight values, so He-initialised weights (the zoo tests'
-      // pattern) keep this instant even for the ImageNet-scale models.
+      // Compile cost depends on the architecture, not on trained weight
+      // values, so He-initialised weights (the zoo tests' pattern) keep
+      // this instant even for the ImageNet-scale models.
       for (const models::ModelId id : spec.models) {
         const ops::OpKind act = models::default_act(id);
         const graph::ExecutionPlan probe = graph::compile(
             models::build_model(id, act, models::init_weights(id, act, 99)),
             {.dtype = spec.dtypes.empty() ? tensor::DType::kFixed32
-                                          : spec.dtypes.front(),
-             .observe = graph::Observe::kInjectable});
+                                          : spec.dtypes.front()});
         std::printf("compile pipeline for %s:\n%s\n",
                     models::model_name(id).c_str(),
                     probe.report()->to_string().c_str());
